@@ -133,6 +133,13 @@ let m_attempts = Obs.Metrics.counter "pipeline.attempts"
 let m_quotients = Obs.Metrics.counter "pipeline.quotient_attempts"
 let m_slice_fastpath = Obs.Metrics.counter "pipeline.slice_fastpath"
 let t_construct = Obs.Metrics.timer "pipeline.construct"
+let t_skeleton = Obs.Metrics.timer "pipeline.skeleton"
+let t_kappa = Obs.Metrics.timer "pipeline.kappa"
+let t_coloring = Obs.Metrics.timer "pipeline.coloring"
+
+(* One pipeline step: a registry timer and a span of the same name. *)
+let step name timer f =
+  Obs.Metrics.time timer @@ fun () -> Obs.Trace.span name f
 
 (* Restrict a model back to the signature of the original theory plus the
    database: drops colors, TGP witnesses and the hidden query predicate. *)
@@ -333,7 +340,10 @@ and construct_at ~params ~budget ~hidden ~t2 ?(terminating = false) theory
                 { stats0 with tripped = Some r } )
         | None ->
         (* -------- step 4: skeleton -------- *)
-        let sk = Skeleton.extract t2 chase in
+        let sk =
+          step "pipeline.skeleton" t_skeleton @@ fun () ->
+          Skeleton.extract t2 chase
+        in
         let stats0 =
           { stats0 with
             skeleton_facts = Instance.num_facts sk.Skeleton.skeleton;
@@ -341,6 +351,7 @@ and construct_at ~params ~budget ~hidden ~t2 ?(terminating = false) theory
         in
         (* -------- step 5: kappa and coloring -------- *)
         let kap =
+          step "pipeline.kappa" t_kappa @@ fun () ->
           Rewrite.kappa ?budget ~eval:params.eval ~hc:params.hc
             ~max_disjuncts:params.rewrite_max_disjuncts
             ~max_steps:params.rewrite_max_steps t2
@@ -364,7 +375,10 @@ and construct_at ~params ~budget ~hidden ~t2 ?(terminating = false) theory
             tripped = kap.Rewrite.tripped;
           }
         in
-        let coloring = Coloring.natural ~m sk.Skeleton.skeleton in
+        let coloring =
+          step "pipeline.coloring" t_coloring @@ fun () ->
+          Coloring.natural ~m sk.Skeleton.skeleton
+        in
         (* -------- step 6: quotient, saturate, verify -------- *)
         let attempts = ref [] in
         let try_n n =

@@ -25,6 +25,12 @@ val uncolor : Instance.t -> Instance.t
 val materialize : Instance.t -> int array -> int array -> t
 (** Build a coloring from explicit hue and lightness arrays. *)
 
+val neighbourhood_keys : Instance.t -> string array
+(** Per element e, the canonical key ({!Canonical.key} with root e) of
+    [C |` (P(e) u C_con)]: the string [natural] interns into lightness.
+    Costs one pass over the facts plus, per element, the facts induced on
+    its neighbourhood times the permutations of P(e). *)
+
 val natural : m:int -> Instance.t -> t
 (** A natural coloring (Definition 14) for parameter [m], via greedy hue
     assignment over the P_m conflict relation and canonical neighbourhood
@@ -38,4 +44,7 @@ type violation =
   | Lightness_clash of Element.id * Element.id
 
 val check_natural : m:int -> Instance.t -> t -> violation list
-(** Validate Definition 14 on an actual structure. *)
+(** Validate Definition 14 on an actual structure: a [Hue_clash] per
+    same-hue pair within P_m, and a [Lightness_clash (rep, e)] for every
+    element whose neighbourhood is not isomorphic to that of [rep], the
+    first element of its (hue, lightness) class. *)

@@ -5,7 +5,15 @@
    C |` (P(e) u C_con) are isomorphic (fixing constants pointwise and the
    distinguished element e).  The predecessor sets P(e) are tiny —
    Lemma 3(iv) bounds their size by |Sigma| + 1 — so brute force over
-   permutations is both exact and cheap. *)
+   permutations is both exact and cheap.
+
+   Cost model: a key renders its induced facts once per permutation of
+   the free elements, so one key costs |facts| x |perms|.  [key_of_facts]
+   takes the induced facts from the caller (the natural coloring collects
+   them per element from facts grouped by their non-constant arguments,
+   making a whole coloring cost the sum over e of |facts induced on
+   P(e) u C_con| x |perms|); [key] finds them with one scan of the
+   instance per call. *)
 
 open Bddfc_logic
 
@@ -18,26 +26,18 @@ let rec permutations = function
           List.map (fun p -> x :: p) (permutations rest))
         l
 
-let render inst elts (position : Element.id -> string) =
-  let member = Element.Id_set.of_list elts in
-  let lines = ref [] in
-  Instance.iter_facts
-    (fun f ->
-      if Array.for_all (fun id -> Element.Id_set.mem id member) (Fact.args f)
-      then begin
-        let args = String.concat "," (List.map position (Fact.elements f)) in
-        lines := (Pred.name (Fact.pred f) ^ "(" ^ args ^ ")") :: !lines
-      end)
-    inst;
-  String.concat ";" (List.sort_uniq String.compare !lines)
+let render facts (position : Element.id -> string) =
+  let line f =
+    let args = String.concat "," (List.map position (Fact.elements f)) in
+    Pred.name (Fact.pred f) ^ "(" ^ args ^ ")"
+  in
+  String.concat ";" (List.sort_uniq String.compare (List.map line facts))
 
-(* A canonical key for the substructure of [inst] induced by [elts].
-   Constants render by name and are fixed; the optional [root] renders as a
+(* The canonical key of [key] from the induced facts alone.  Constants
+   render by name and are fixed; the optional [root] renders as a
    distinguished token and is fixed; the remaining elements are
-   canonicalized by minimizing over all their orderings.  Two calls return
-   equal strings iff the induced substructures are isomorphic under a
-   bijection fixing constants (by name) and mapping root to root. *)
-let key ?root inst elts =
+   canonicalized by minimizing over all their orderings. *)
+let key_of_facts ?root inst elts facts =
   let is_root id = match root with Some r -> r = id | None -> false in
   let free =
     List.filter
@@ -46,7 +46,6 @@ let key ?root inst elts =
   in
   if List.length free > 8 then
     invalid_arg "Canonical.key: too many free elements (limit 8)";
-  let elts = List.sort_uniq compare elts in
   let position perm =
     let tbl = Hashtbl.create 8 in
     List.iteri (fun i e -> Hashtbl.replace tbl e ("#" ^ string_of_int i)) perm;
@@ -61,11 +60,24 @@ let key ?root inst elts =
             | None -> assert false)
   in
   let candidates =
-    List.map (fun perm -> render inst elts (position perm)) (permutations free)
+    List.map (fun perm -> render facts (position perm)) (permutations free)
   in
   match List.sort String.compare candidates with
   | best :: _ -> best
   | [] -> assert false
+
+(* Two calls return equal strings iff the induced substructures are
+   isomorphic under a bijection fixing constants (by name) and mapping
+   root to root. *)
+let key ?root inst elts =
+  let member = Element.Id_set.of_list elts in
+  let induced =
+    List.filter
+      (fun f ->
+        Array.for_all (fun id -> Element.Id_set.mem id member) (Fact.args f))
+      (Instance.facts inst)
+  in
+  key_of_facts ?root inst elts induced
 
 (* Isomorphism of two small induced substructures, fixing constants by
    name and mapping [root1] to [root2]. *)

@@ -213,6 +213,131 @@ let test_distance_coloring () =
         (Element.Id_set.remove e (Bgraph.ball g e 2)))
     (Instance.elements inst)
 
+(* Two elements with non-isomorphic neighbourhoods painted the same
+   color: y1 has a unary fact its twin y2 lacks. *)
+let test_check_natural_reports_clash () =
+  let inst = Instance.create () in
+  let e = Pred.make "e" 2 and p = Pred.make "p" 1 in
+  let null () = Instance.fresh_null inst ~birth:0 ~rule:"t" ~parent:None in
+  let x1 = null () and y1 = null () and x2 = null () and y2 = null () in
+  List.iter
+    (fun f -> ignore (Instance.add_fact inst f))
+    [ Fact.make e [| x1; y1 |]; Fact.make e [| x2; y2 |]; Fact.make p [| y1 |] ];
+  let hue = [| 1; 0; 1; 0 |] and lightness = [| 0; 1; 0; 1 |] in
+  let col = Coloring.materialize inst hue lightness in
+  check Alcotest.bool "clash reported" true
+    (Coloring.check_natural ~m:1 inst col
+    = [ Coloring.Lightness_clash (y1, y2) ]);
+  (* once the twins agree, the same coloring is natural *)
+  ignore (Instance.add_fact inst (Fact.make p [| y2 |]));
+  let col = Coloring.materialize inst hue lightness in
+  check Alcotest.int "no violations once isomorphic" 0
+    (List.length (Coloring.check_natural ~m:1 inst col))
+
+(* The lightness keys must equal the scan oracle's byte for byte, and the
+   natural coloring's lightness array must be the oracle's interning. *)
+let agrees_with_scan_oracle what inst =
+  let keys = Coloring.neighbourhood_keys inst in
+  check Alcotest.(array string) (what ^ ": keys") (Scan_key.keys inst) keys;
+  let g = Bgraph.make inst in
+  Array.iteri
+    (fun e k ->
+      check Alcotest.string (what ^ ": Canonical.key") k
+        (Canonical.key ~root:e inst (Scan_key.neighbourhood inst g e)))
+    keys;
+  let col = Coloring.natural ~m:2 inst in
+  check Alcotest.(array int) (what ^ ": lightness") (Scan_key.lightness inst)
+    col.Coloring.lightness;
+  check Alcotest.int (what ^ ": natural") 0
+    (List.length (Coloring.check_natural ~m:2 inst col))
+
+let test_keys_zoo_skeletons () =
+  List.iter
+    (fun (name, depth) ->
+      let z = Option.get (Zoo.find name) in
+      let chase =
+        Bddfc_chase.Chase.run ~max_rounds:depth ~max_elements:3000
+          z.Zoo.theory (Zoo.database_instance z)
+      in
+      let sk = Bddfc_chase.Skeleton.extract z.Zoo.theory chase in
+      agrees_with_scan_oracle name sk.Bddfc_chase.Skeleton.skeleton)
+    [ ("ex1", 8); ("ex7", 10); ("ex9", 16); ("sec54", 6); ("guarded_ternary", 8) ]
+
+(* A chase prefix of a random theory, salted with the fact shapes the
+   incidence pass must handle: 0-ary facts, repeated-null facts, ternary
+   and 4-ary facts inside neighbourhoods, constant-only facts, and extra
+   null edges that give P(e) several free elements. *)
+let salted_instance seed =
+  let chase =
+    Bddfc_chase.Chase.run ~max_rounds:4 ~max_elements:60
+      (Gen.random_binary_theory ~seed ()) (Gen.random_instance ~seed ())
+  in
+  let inst = chase.Bddfc_chase.Chase.instance in
+  let st = Random.State.make [| seed; 4242 |] in
+  let add p args = ignore (Instance.add_fact inst (Fact.make p args)) in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let a = Instance.const inst "a" and b = Instance.const inst "b" in
+  let elts = Array.of_list (Instance.elements inst) in
+  for _ = 1 to 3 do
+    let parent = pick elts in
+    let n = Instance.fresh_null inst ~birth:9 ~rule:"salt" ~parent:(Some parent) in
+    add (Pred.make "e" 2) [| parent; n |]
+  done;
+  let nulls =
+    Array.of_list (List.filter (Instance.is_null inst) (Instance.elements inst))
+  in
+  let consts = [| a; b |] in
+  let p0 = Pred.make "z" 0 and t3 = Pred.make "t" 3 and w4 = Pred.make "w" 4 in
+  if Random.State.bool st then add p0 [||];
+  add (Pred.make "e" 2) [| pick nulls; pick nulls |];
+  let x = pick nulls in
+  add (Pred.make "e" 2) [| x; x |];
+  add (Pred.make "e" 2) [| a; b |];
+  add (Pred.make "q" 1) [| pick consts |];
+  add t3 [| a; a; b |];
+  let binaries =
+    Array.of_list
+      (List.filter (fun f -> Fact.arity f = 2) (Instance.facts inst))
+  in
+  for _ = 1 to 3 do
+    let f = pick binaries in
+    let x = (Fact.args f).(0) and y = (Fact.args f).(1) in
+    add t3 [| x; y; pick consts |];
+    add t3 [| y; x; y |];
+    add w4 [| x; y; x; pick consts |]
+  done;
+  inst
+
+let test_keys_random_instances () =
+  for seed = 0 to 119 do
+    agrees_with_scan_oracle (Printf.sprintf "seed %d" seed) (salted_instance seed)
+  done
+
+(* A null with many children: each child's neighbourhood holds one edge,
+   so the keys examine O(facts) facts, not the hub's degree per child. *)
+let test_keys_linear_at_hubs () =
+  let inst = Instance.create () in
+  let e = Pred.make "e" 2 in
+  let hub = Instance.fresh_null inst ~birth:0 ~rule:"t" ~parent:None in
+  for _ = 1 to 400 do
+    let c = Instance.fresh_null inst ~birth:1 ~rule:"t" ~parent:(Some hub) in
+    ignore (Instance.add_fact inst (Fact.make e [| hub; c |]))
+  done;
+  let counter = Bddfc_obs.Obs.Metrics.counter "coloring.facts_visited" in
+  let before = Bddfc_obs.Obs.Metrics.value counter in
+  ignore (Coloring.natural ~m:1 inst);
+  let visited = Bddfc_obs.Obs.Metrics.value counter - before in
+  check Alcotest.int "one filing pass plus one edge per child" 800 visited;
+  (* a sink with 40 null predecessors is past the 8-free-element limit:
+     refused at once, without walking the 2^41 subsets of P(e) *)
+  let sink = Instance.fresh_null inst ~birth:2 ~rule:"t" ~parent:None in
+  for c = 1 to 40 do
+    ignore (Instance.add_fact inst (Fact.make e [| c; sink |]))
+  done;
+  match Coloring.natural ~m:1 inst with
+  | _ -> Alcotest.fail "a 40-predecessor neighbourhood must be refused"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Vtdag                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -314,6 +439,12 @@ let suite =
       tc "coloring well-formed (Def 7)" test_coloring_is_coloring;
       tc "Example 4 quotient cycle" test_example4_quotient_cycle;
       tc "distance coloring (Lemma 13)" test_distance_coloring;
+      tc "check_natural reports a lightness clash"
+        test_check_natural_reports_clash;
+      tc "lightness keys = scan oracle (zoo skeletons)" test_keys_zoo_skeletons;
+      tc "lightness keys = scan oracle (random instances)"
+        test_keys_random_instances;
+      tc "lightness keys linear at hubs" test_keys_linear_at_hubs;
       tc "vtdag chain and tree" test_vtdag_chain_tree;
       tc "vtdag violations" test_vtdag_violations;
       tc "vtdag cycle" test_vtdag_cycle;
