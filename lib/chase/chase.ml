@@ -39,7 +39,11 @@
    Budget.Exhausted at its boundary and returns the partial prefix
    together with the tripped resource (anytime semantics).  The legacy
    [max_rounds]/[max_elements] knobs are local ceilings layered on top of
-   the caller's governor. *)
+   the caller's governor.
+
+   Whatever the strategy, a trigger fires through [commit], the only
+   place the chase mutates an instance (Maintain's repair fires through
+   it too), and [run], [resume] and [certain] share one round driver. *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -125,16 +129,18 @@ let instantiate inst binding fresh atom =
   in
   Fact.make (Atom.pred atom) (Array.of_list (List.map id_of (Atom.args atom)))
 
+(* The frontier part of a body binding: what a witness must agree on. *)
+let frontier_binding frontier binding =
+  Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
+
 (* Witness check: does the round's visible state satisfy
    [exists Z. head] under the frontier part of [binding]?  Under the
    semi-naive strategy [snapshot] is the live instance and [upto] trims
    the join to the committed prefix (births < round). *)
 let witness_exists ?upto ?eval snapshot rule binding =
-  let frontier = Rule.frontier rule in
-  let init =
-    Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
-  in
-  Eval.satisfiable ~init ?upto ?engine:eval snapshot (Rule.head rule)
+  Eval.satisfiable
+    ~init:(frontier_binding (Rule.frontier rule) binding)
+    ?upto ?engine:eval snapshot (Rule.head rule)
 
 (* Key identifying the demanded head instance: predicate names and frontier
    arguments, with existential slots anonymized.  Two triggers demanding
@@ -154,14 +160,70 @@ let demand_key rule binding =
   in
   String.concat "&" (List.map render_atom (Rule.head rule))
 
+(* The dedup key of an existential trigger: the demanded head instance
+   (restricted), or the whole body homomorphism (oblivious: one witness
+   per homomorphism). *)
+let trigger_key variant rule binding =
+  match variant with
+  | Restricted -> demand_key rule binding
+  | Oblivious ->
+      Rule.name rule ^ "#"
+      ^ String.concat ","
+          (List.map
+             (fun (x, id) -> x ^ ":" ^ string_of_int id)
+             (Smap.bindings binding))
+
+(* [true] the first time [key] is demanded in [table]. *)
+let first_demand table key =
+  (not (Hashtbl.mem table key)) && (Hashtbl.replace table key (); true)
+
 type record =
   round:int -> rule:Rule.t -> binding:Eval.binding -> Fact.t -> unit
 
-type round_stats = {
-  fired_datalog : int;
-  fired_existential : int;
-  nulls : int; (* labelled nulls invented this round *)
-}
+type tally = { mutable added : int; mutable nulls : int }
+
+(* The skeleton-forest parent of a trigger's nulls: the first frontier
+   element appearing in a head atom. *)
+let null_parent rule binding =
+  List.find_map
+    (fun a ->
+      List.find_map
+        (function Term.Var x -> Smap.find_opt x binding | Term.Cst _ -> None)
+        (Atom.args a))
+    (Rule.head rule)
+
+(* The commit: fire [rule]'s trigger under the body [binding] at birth
+   [round].  Existential variables get one shared set of fresh nulls;
+   every head fact actually added is counted, recorded, then charged.
+   [guard] runs before each mutation (phase C's discipline check). *)
+let guarded_commit ~guard ?record ~budget ~round tally inst rule binding =
+  let nulls = ref [] in
+  let fresh x =
+    match List.assoc_opt x !nulls with
+    | Some id -> id
+    | None ->
+        guard ();
+        Budget.charge budget Budget.Elements 1;
+        let id =
+          Instance.fresh_null inst ~birth:round ~rule:(Rule.name rule)
+            ~parent:(null_parent rule binding)
+        in
+        tally.nulls <- tally.nulls + 1;
+        nulls := (x, id) :: !nulls;
+        id
+  in
+  List.iter
+    (fun atom ->
+      let f = instantiate inst binding fresh atom in
+      guard ();
+      if Instance.add_fact ~birth:round inst f then begin
+        tally.added <- tally.added + 1;
+        Option.iter (fun fn -> fn ~round ~rule ~binding f) record;
+        Budget.charge budget Budget.Facts 1
+      end)
+    (Rule.head rule)
+
+let commit = guarded_commit ~guard:ignore
 
 (* ------------------------------------------------------------------ *)
 (* The parallel round                                                  *)
@@ -176,14 +238,14 @@ type round_stats = {
                             candidate ranges into jobs;
      phase B (pool)         evaluate jobs read-only against the committed
                             prefix: enumerate bindings (Eval.pass_run),
-                            precompute witness verdicts and demand keys,
-                            collect into per-job slots (counters divert
-                            to per-domain shards, merged at the barrier);
+                            run witness checks and compute demand keys,
+                            collect the triggers that may fire into
+                            per-job slots (counters divert to per-domain
+                            shards, merged at the barrier);
      phase C (coordinator)  replay the candidates in job order — which is
                             (rule, pass, root candidate, sub-walk) order,
                             i.e. exactly the sequential enumeration
-                            order — performing all mutation and budget
-                            charging.
+                            order — through the demand dedup and [commit].
 
    Everything order-sensitive (fact insertion, demand dedup, null ids,
    fuel-trap charge points) happens in phase C on one domain in the
@@ -195,15 +257,7 @@ type round_stats = {
    mid-round commits do not exist yet, and the birth windows already
    guarantee the sequential round's evaluation never sees its own round's
    writes — the invariant that makes this fork-join sound (DESIGN.md
-   section 11).
-
-   The commit logic in phase C must stay in lockstep with the sequential
-   [round] body below: both are the restricted-chase commit semantics,
-   one streamed, one replayed. *)
-
-type pcand =
-  | Pdatalog of Eval.binding
-  | Pexist of { pc_binding : Eval.binding; pc_fire : bool; pc_key : string }
+   section 11). *)
 
 type pjob = {
   pj_rule : Rule.t;
@@ -213,27 +267,16 @@ type pjob = {
   pj_pass : Eval.pass;
   pj_lo : int;
   pj_hi : int; (* root-candidate range [lo, hi) *)
-  mutable pj_out : pcand list; (* enumeration order, after the batch *)
+  mutable pj_out : (Eval.binding * string option) list;
+      (* triggers that may fire, in enumeration order; existential ones
+         carry their demand key *)
 }
 
 let chunks_per_domain = 4
 
-let oblivious_key rule binding =
-  Rule.name rule ^ "#"
-  ^ String.concat ","
-      (List.map
-         (fun (x, id) -> x ^ ":" ^ string_of_int id)
-         (Smap.bindings binding))
-
-let parallel_round ~variant ~domains ~datalog_only ?fired ?since ?record
-    ~budget ~round_no theory inst =
-  Obs.Metrics.incr m_rounds;
-  let since = Option.value since ~default:(round_no - 1) and upto = round_no in
-  let noted =
-    match record with
-    | Some fn -> fun rule binding f -> fn ~round:round_no ~rule ~binding f
-    | None -> fun _ _ _ -> ()
-  in
+let parallel_round ~variant ~domains ~datalog_only ~demanded ~since ?record
+    ~budget ~round_no tally theory inst =
+  let upto = round_no in
   let pool = Shard.shared_pool domains in
   (* phase A *)
   let jobs = ref [] in
@@ -285,28 +328,21 @@ let parallel_round ~variant ~domains ~datalog_only ?fired ?since ?record
     if not (Budget.deadline_expired budget) then begin
       let out = ref [] in
       let yield =
-        if job.pj_datalog then fun binding ->
-          out := Pdatalog binding :: !out
+        if job.pj_datalog then fun binding -> out := (binding, None) :: !out
         else fun binding ->
-          let pc_fire =
-            match variant with
-            | Oblivious -> true
-            | Restricted ->
-                let init =
-                  Smap.filter
-                    (fun x _ -> Rule.SS.mem x job.pj_frontier)
-                    binding
-                in
+          let fire =
+            match job.pj_head_prep with
+            | None -> true
+            | Some head_prep ->
                 not
-                  (Eval.satisfiable_prepared ~init ~upto inst
-                     (Option.get job.pj_head_prep))
+                  (Eval.satisfiable_prepared
+                     ~init:(frontier_binding job.pj_frontier binding)
+                     ~upto inst head_prep)
           in
-          let pc_key =
-            match variant with
-            | Oblivious -> oblivious_key job.pj_rule binding
-            | Restricted -> demand_key job.pj_rule binding
-          in
-          out := Pexist { pc_binding = binding; pc_fire; pc_key } :: !out
+          if fire then
+            out :=
+              (binding, Some (trigger_key variant job.pj_rule binding))
+              :: !out
       in
       let c = ref job.pj_lo in
       while !c < job.pj_hi && not (Budget.deadline_expired budget) do
@@ -327,120 +363,29 @@ let parallel_round ~variant ~domains ~datalog_only ?fired ?since ?record
      ticks the fuel trap and an unconditional call would shift trap
      points relative to the sequential engine. *)
   if Budget.deadline_expired budget then Budget.check_deadline budget;
-  (* phase C — keep in lockstep with the sequential body of [round] *)
-  let added = ref 0 in
-  let stats = ref { fired_datalog = 0; fired_existential = 0; nulls = 0 } in
-  let add f =
-    Shard.Check.mutating ();
-    if Instance.add_fact ~birth:round_no inst f then begin
-      incr added;
-      Obs.Metrics.incr m_facts;
-      Budget.charge budget Budget.Facts 1;
-      true
-    end
-    else false
-  in
-  let demanded =
-    match fired with Some t -> t | None -> Hashtbl.create 64
-  in
+  (* phase C *)
   Array.iter
     (fun job ->
       List.iter
-        (fun cand ->
-          match cand with
-          | Pdatalog binding ->
-              List.iter
-                (fun head_atom ->
-                  let f =
-                    instantiate inst binding
-                      (fun x ->
-                        invalid_arg ("Chase.round: unbound head variable " ^ x))
-                      head_atom
-                  in
-                  if add f then begin
-                    noted job.pj_rule binding f;
-                    stats :=
-                      { !stats with fired_datalog = !stats.fired_datalog + 1 }
-                  end)
-                (Rule.head job.pj_rule)
-          | Pexist { pc_binding; pc_fire; pc_key } ->
-              if pc_fire && not (Hashtbl.mem demanded pc_key) then begin
-                Hashtbl.replace demanded pc_key ();
-                let parent =
-                  List.fold_left
-                    (fun acc a ->
-                      match acc with
-                      | Some _ -> acc
-                      | None ->
-                          List.fold_left
-                            (fun acc' t ->
-                              match (acc', t) with
-                              | Some _, _ -> acc'
-                              | None, Term.Var x -> Smap.find_opt x pc_binding
-                              | None, Term.Cst _ -> None)
-                            None (Atom.args a))
-                    None (Rule.head job.pj_rule)
-                in
-                let fresh_cache = Hashtbl.create 4 in
-                let fresh x =
-                  match Hashtbl.find_opt fresh_cache x with
-                  | Some id -> id
-                  | None ->
-                      Shard.Check.mutating ();
-                      Budget.charge budget Budget.Elements 1;
-                      let id =
-                        Instance.fresh_null inst ~birth:round_no
-                          ~rule:(Rule.name job.pj_rule) ~parent
-                      in
-                      Obs.Metrics.incr m_nulls;
-                      stats := { !stats with nulls = !stats.nulls + 1 };
-                      Hashtbl.replace fresh_cache x id;
-                      id
-                in
-                List.iter
-                  (fun head_atom ->
-                    let f = instantiate inst pc_binding fresh head_atom in
-                    if add f then noted job.pj_rule pc_binding f)
-                  (Rule.head job.pj_rule);
-                stats :=
-                  { !stats with
-                    fired_existential = !stats.fired_existential + 1;
-                  }
-              end)
+        (fun (binding, key) ->
+          if Option.fold key ~none:true ~some:(first_demand demanded) then
+            guarded_commit ~guard:Shard.Check.mutating ?record ~budget
+              ~round:round_no tally inst job.pj_rule binding)
         job.pj_out)
-    jobs;
-  (!added, !stats)
+    jobs
 
-(* One simultaneous chase round on [inst].  Returns the number of facts
-   added.  Body evaluation and witness checks read the state at the start
-   of the round: a full copy under the Naive strategy, the committed
-   prefix of [inst] itself (births < round_no, in place) under Seminaive
-   and Parallel.  New facts are stamped with [round_no] as their birth.
-   Fresh elements and added facts are charged to [budget]; a trip
-   mid-round leaves a partial round behind (best effort). *)
-let sequential_round ~variant ~strategy ?eval ~datalog_only ?fired ?since
-    ?record ~(budget : Budget.t) ~round_no theory inst =
+(* One simultaneous chase round on [inst].  Body evaluation and witness
+   checks read the state at the start of the round: a full copy under the
+   Naive strategy, the committed prefix of [inst] itself (births <
+   round_no, in place) under Seminaive and Parallel.  Fresh elements and
+   added facts are charged to [budget]; a trip mid-round leaves a partial
+   round behind (best effort). *)
+let sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded ~since
+    ?record ~budget ~round_no tally theory inst =
   let snapshot, upto =
     match strategy with
     | Naive -> (Instance.copy inst, None)
     | Seminaive | Parallel _ -> (inst, Some round_no)
-  in
-  Obs.Metrics.incr m_rounds;
-  let noted =
-    match record with
-    | Some fn -> fun rule binding f -> fn ~round:round_no ~rule ~binding f
-    | None -> fun _ _ _ -> ()
-  in
-  let added = ref 0 in
-  let stats = ref { fired_datalog = 0; fired_existential = 0; nulls = 0 } in
-  let add f =
-    if Instance.add_fact ~birth:round_no inst f then begin
-      incr added;
-      Obs.Metrics.incr m_facts;
-      Budget.charge budget Budget.Facts 1;
-      true
-    end
-    else false
   in
   (* Under Seminaive only bindings with >= 1 body atom in the previous
      round's delta are enumerated — every other binding already fired (or
@@ -449,121 +394,94 @@ let sequential_round ~variant ~strategy ?eval ~datalog_only ?fired ?since
     match strategy with
     | Naive -> Eval.iter_solutions ?engine:eval snapshot (Rule.body rule) yield
     | Seminaive | Parallel _ ->
-        Eval.iter_solutions_delta
-          ~since:(Option.value since ~default:(round_no - 1)) ~upto:round_no
-          ?engine:eval inst (Rule.body rule) yield
-  in
-  (* [fired] persists across rounds (needed for the oblivious variant,
-     where a trigger must fire exactly once ever); without it the table is
-     per-round, which is enough for the restricted variant because the
-     created witness blocks the trigger in later rounds. *)
-  let demanded =
-    match fired with Some t -> t | None -> Hashtbl.create 64
+        Eval.iter_solutions_delta ~since ~upto:round_no ?engine:eval inst
+          (Rule.body rule) yield
   in
   List.iter
     (fun rule ->
-      if (not datalog_only) || Rule.is_datalog rule then
+      let datalog = Rule.is_datalog rule in
+      let fires binding =
+        datalog
+        || (variant = Oblivious
+           || not (witness_exists ?upto ?eval snapshot rule binding))
+           && first_demand demanded (trigger_key variant rule binding)
+      in
+      if (not datalog_only) || datalog then
         iter_bindings rule (fun binding ->
-            if Rule.is_datalog rule then begin
-              List.iter
-                (fun head_atom ->
-                  let f =
-                    instantiate inst binding
-                      (fun x ->
-                        invalid_arg ("Chase.round: unbound head variable " ^ x))
-                      head_atom
-                  in
-                  if add f then begin
-                    noted rule binding f;
-                    stats :=
-                      { !stats with fired_datalog = !stats.fired_datalog + 1 }
-                  end)
-                (Rule.head rule)
-            end
-            else begin
-              let fire =
-                match variant with
-                | Oblivious -> true
-                | Restricted ->
-                    not (witness_exists ?upto ?eval snapshot rule binding)
-              in
-              let key =
-                match variant with
-                | Oblivious ->
-                    (* one witness per body homomorphism *)
-                    Rule.name rule ^ "#"
-                    ^ String.concat ","
-                        (List.map
-                           (fun (x, id) -> x ^ ":" ^ string_of_int id)
-                           (Smap.bindings binding))
-                | Restricted -> demand_key rule binding
-              in
-              if fire && not (Hashtbl.mem demanded key) then begin
-                Hashtbl.replace demanded key ();
-                (* parent: the first frontier element appearing in a head
-                   atom, used by the skeleton forest *)
-                let parent =
-                  List.fold_left
-                    (fun acc a ->
-                      match acc with
-                      | Some _ -> acc
-                      | None ->
-                          List.fold_left
-                            (fun acc' t ->
-                              match (acc', t) with
-                              | Some _, _ -> acc'
-                              | None, Term.Var x -> Smap.find_opt x binding
-                              | None, Term.Cst _ -> None)
-                            None (Atom.args a))
-                    None (Rule.head rule)
-                in
-                let fresh_cache = Hashtbl.create 4 in
-                let fresh x =
-                  match Hashtbl.find_opt fresh_cache x with
-                  | Some id -> id
-                  | None ->
-                      Budget.charge budget Budget.Elements 1;
-                      let id =
-                        Instance.fresh_null inst ~birth:round_no
-                          ~rule:(Rule.name rule) ~parent
-                      in
-                      Obs.Metrics.incr m_nulls;
-                      stats := { !stats with nulls = !stats.nulls + 1 };
-                      Hashtbl.replace fresh_cache x id;
-                      id
-                in
-                List.iter
-                  (fun head_atom ->
-                    let f = instantiate inst binding fresh head_atom in
-                    if add f then noted rule binding f)
-                  (Rule.head rule);
-                stats :=
-                  { !stats with
-                    fired_existential = !stats.fired_existential + 1;
-                  }
-              end
-            end))
-    (Theory.rules theory);
-  (!added, !stats)
+            if fires binding then
+              commit ?record ~budget ~round:round_no tally inst rule binding))
+    (Theory.rules theory)
 
-(* Dispatch.  [Parallel n] with [n <= 1] is literally the sequential
-   Seminaive code path (one domain, no pool, no sharded counters) — the
-   parallel machinery only engages at [n >= 2].  The parallel path always
-   evaluates with the compiled engine ([?eval] is a sequential-only
-   knob); its result is bit-identical to [Seminaive] under the default
-   compiled engine. *)
-let round ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
-    ?fired ?since ?record ~(budget : Budget.t) ~round_no theory inst =
-  let strategy =
-    match strategy with Some s -> s | None -> default_strategy ()
+(* Dispatch one round and return its tally.  [Parallel n] with [n <= 1]
+   is literally the sequential Seminaive code path (one domain, no pool,
+   no sharded counters) — the parallel machinery only engages at
+   [n >= 2], always with the compiled engine ([?eval] is a
+   sequential-only knob).  [fired] persists dedup keys across rounds
+   (needed for the oblivious variant, where a trigger must fire exactly
+   once ever); without it the table is per-round, which is enough for
+   the restricted variant because the created witness blocks the trigger
+   in later rounds.  The tally reaches the registry even when a budget
+   trips mid-round. *)
+let round ?(variant = Restricted) ~strategy ?eval ?(datalog_only = false)
+    ?fired ?since ?record ~budget ~round_no theory inst =
+  Obs.Metrics.incr m_rounds;
+  let since = Option.value since ~default:(round_no - 1) in
+  let demanded = match fired with Some t -> t | None -> Hashtbl.create 64 in
+  let tally = { added = 0; nulls = 0 } in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.add m_facts tally.added;
+      Obs.Metrics.add m_nulls tally.nulls)
+    (fun () ->
+      (match strategy with
+      | Parallel n when n >= 2 ->
+          parallel_round ~variant ~domains:n ~datalog_only ~demanded ~since
+            ?record ~budget ~round_no tally theory inst
+      | Naive | Seminaive | Parallel _ ->
+          sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded
+            ~since ?record ~budget ~round_no tally theory inst);
+      tally)
+
+(* The round driver shared by [run], [resume] and [certain]: starting
+   after round [from], each iteration checks the deadline, charges one
+   round, runs [step round_no], emits the round's trace event and asks
+   [stop round_no added] whether to end there.  Returns the stop value
+   (or the tripped resource), the last round that completed and the
+   per-round added counts, newest first.  [frontier] is the size of the
+   first round's input delta (later rounds: the previous round's
+   additions). *)
+let drive ~budget ~from ~frontier step stop =
+  let last = ref from and per_round = ref [] in
+  let rec go frontier =
+    let round_no = !last + 1 in
+    Budget.check_deadline budget;
+    Budget.charge budget Budget.Rounds 1;
+    let probes0 = Eval.probe_count () in
+    let tally = step round_no in
+    last := round_no;
+    per_round := tally.added :: !per_round;
+    Log.debug (fun m -> m "round %d: %d new facts" round_no tally.added);
+    if Obs.Trace.enabled () then
+      Obs.Trace.event "chase.round"
+        (("round", Obs.Int round_no)
+        :: ("frontier", Obs.Int frontier)
+        :: ("facts_added", Obs.Int tally.added)
+        :: ("nulls_invented", Obs.Int tally.nulls)
+        :: ("join_probes", Obs.Int (Eval.probe_count () - probes0))
+        ::
+        (match Budget.remaining_fuel budget Budget.Rounds with
+        | Some n -> [ ("fuel_rounds", Obs.Int n) ]
+        | None -> []));
+    match stop round_no tally.added with
+    | Some v -> v
+    | None -> go tally.added
   in
-  match strategy with
-  | Parallel n when n >= 2 ->
-      parallel_round ~variant ~domains:n ~datalog_only ?fired ?since ?record
-        ~budget ~round_no theory inst
-  | Naive | Seminaive | Parallel _ ->
-      sequential_round ~variant ~strategy ?eval ~datalog_only ?fired ?since
-        ?record ~budget ~round_no theory inst
+  let outcome = try Ok (go frontier) with Budget.Exhausted r -> Error r in
+  (outcome, !last, !per_round)
+
+(* The number of productive rounds: a fixpoint's final empty round is
+   not counted. *)
+let productive outcome last = if outcome = Fixpoint then last - 1 else last
 
 let default_rounds = 64
 let default_elements = 100_000
@@ -581,6 +499,8 @@ let effective_budget ?budget ?max_rounds ?max_elements () =
         ~elements:(Option.value max_elements ~default:default_elements)
         ()
 
+let resolve_strategy = function Some s -> s | None -> default_strategy ()
+
 let strategy_tag = function
   | Naive -> "naive"
   | Seminaive -> "seminaive"
@@ -589,9 +509,7 @@ let variant_tag = function Restricted -> "restricted" | Oblivious -> "oblivious"
 
 let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
     ?watch ?record ?budget ?max_rounds ?max_elements theory base =
-  let strategy =
-    match strategy with Some s -> s | None -> default_strategy ()
-  in
+  let strategy = resolve_strategy strategy in
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.time t_run @@ fun () ->
@@ -608,9 +526,7 @@ let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
      the delta windows *)
   Instance.reset_fact_births inst;
   let base_facts = Instance.facts base in
-  let per_round = ref [] in
-  let fired = Hashtbl.create 64 in
-  let rounds = ref 0 in
+  let fired = if variant = Oblivious then Some (Hashtbl.create 64) else None in
   let watch_round = ref None in
   let watch_hit i =
     match watch with
@@ -623,54 +539,30 @@ let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
              true
            end
   in
-  (* [frontier] is the previous round's delta size (the base instance for
-     round 1): what the semi-naive windows feed into the round's joins. *)
-  let rec go i frontier =
-    Budget.check_deadline budget;
-    Budget.charge budget Budget.Rounds 1;
-    let probes0 = Eval.probe_count () in
-    let added, stats =
-      round ~variant ~strategy ?eval ~datalog_only
-        ?fired:(if variant = Oblivious then Some fired else None)
-        ?record ~budget ~round_no:(i + 1) theory inst
-    in
-    per_round := added :: !per_round;
-    rounds := i + 1;
-    Log.debug (fun m -> m "round %d: %d new facts" (i + 1) added);
-    if Obs.Trace.enabled () then
-      Obs.Trace.event "chase.round"
-        (("round", Obs.Int (i + 1))
-        :: ("frontier", Obs.Int frontier)
-        :: ("facts_added", Obs.Int added)
-        :: ("nulls_invented", Obs.Int stats.nulls)
-        :: ("join_probes", Obs.Int (Eval.probe_count () - probes0))
-        ::
-        (match Budget.remaining_fuel budget Budget.Rounds with
-        | Some n -> [ ("fuel_rounds", Obs.Int n) ]
-        | None -> []));
-    if watch_hit (i + 1) then Watched
-    else if added = 0 then begin
-      (* the empty round is not counted: [rounds] is the number of
-         productive rounds, as before *)
-      rounds := i;
-      Fixpoint
-    end
-    else go (i + 1) added
+  let outcome, last, per_round =
+    if watch_hit 0 then (Ok Watched, 0, [])
+    else
+      drive ~budget ~from:0 ~frontier:(List.length base_facts)
+        (fun round_no ->
+          round ~variant ~strategy ?eval ~datalog_only ?fired ?record ~budget
+            ~round_no theory inst)
+        (fun round_no added ->
+          if watch_hit round_no then Some Watched
+          else if added = 0 then Some Fixpoint
+          else None)
   in
-  let outcome =
-    try if watch_hit 0 then Watched else go 0 (List.length base_facts)
-    with Budget.Exhausted r -> Exhausted r
-  in
+  let outcome = match outcome with Ok o -> o | Error r -> Exhausted r in
+  let rounds = productive outcome last in
   if Obs.Trace.enabled () then begin
-    Obs.Trace.attr "rounds" (Obs.Int !rounds);
+    Obs.Trace.attr "rounds" (Obs.Int rounds);
     Obs.Trace.attr "outcome" (Obs.Str (outcome_tag outcome))
   end;
   {
     instance = inst;
-    rounds = !rounds;
+    rounds;
     outcome;
     base_facts;
-    new_facts_per_round = !per_round;
+    new_facts_per_round = per_round;
     watch_round = !watch_round;
   }
 
@@ -696,9 +588,7 @@ let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
 let resume ?strategy ?eval ?record ?budget ?max_rounds ?max_elements
     ?(full_first = false) ?(rule_filter = fun _ -> true) ~from_round theory
     inst =
-  let strategy =
-    match strategy with Some s -> s | None -> default_strategy ()
-  in
+  let strategy = resolve_strategy strategy in
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Trace.span "chase.resume" @@ fun () ->
@@ -711,32 +601,34 @@ let resume ?strategy ?eval ?record ?budget ?max_rounds ?max_elements
       Theory.make (List.filter rule_filter (Theory.rules theory))
     else theory
   in
-  let per_round = ref [] in
-  let rounds = ref from_round in
-  let rec go i =
-    Budget.check_deadline budget;
-    Budget.charge budget Budget.Rounds 1;
-    let round_no = i + 1 in
-    let first = i = from_round in
-    let since = if first && full_first then Some 0 else None in
-    let th = if first && full_first then first_theory else theory in
-    let added, _stats =
-      round ~strategy ?eval ?since ?record ~budget ~round_no th inst
-    in
-    per_round := added :: !per_round;
-    if added = 0 then Fixpoint
-    else begin
-      rounds := round_no;
-      go round_no
-    end
+  let staged =
+    if full_first then Instance.num_facts inst
+    else
+      Pred.Set.fold
+        (fun p n ->
+          n
+          + Instance.card_with_pred_window inst p ~since:from_round
+              ~upto:(from_round + 1))
+        (Instance.preds inst) 0
   in
-  let outcome = try go from_round with Budget.Exhausted r -> Exhausted r in
+  let outcome, last, per_round =
+    drive ~budget ~from:from_round ~frontier:staged
+      (fun round_no ->
+        let first = full_first && round_no = from_round + 1 in
+        round ~strategy ?eval
+          ?since:(if first then Some 0 else None)
+          ?record ~budget ~round_no
+          (if first then first_theory else theory)
+          inst)
+      (fun _ added -> if added = 0 then Some Fixpoint else None)
+  in
+  let outcome = match outcome with Ok o -> o | Error r -> Exhausted r in
   {
     instance = inst;
-    rounds = !rounds;
+    rounds = productive outcome last;
     outcome;
     base_facts = [];
-    new_facts_per_round = !per_round;
+    new_facts_per_round = per_round;
     watch_round = None;
   }
 
@@ -773,34 +665,21 @@ type certainty =
       (* this budget exhausted after that many rounds *)
 
 let certain ?strategy ?eval ?budget ?max_rounds ?max_elements theory base q =
+  let strategy = resolve_strategy strategy in
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Trace.span "chase.certain" @@ fun () ->
   let inst = Instance.copy base in
   Instance.reset_fact_births inst;
-  let rounds = ref 0 in
-  try
-    if Eval.holds ?engine:eval inst q then Entailed 0
-    else begin
-      let rec go i =
-        Budget.check_deadline budget;
-        Budget.charge budget Budget.Rounds 1;
-        let probes0 = Eval.probe_count () in
-        let added, stats =
-          round ?strategy ?eval ~budget ~round_no:(i + 1) theory inst
-        in
-        rounds := i + 1;
-        if Obs.Trace.enabled () then
-          Obs.Trace.event "chase.round"
-            [
-              ("round", Obs.Int (i + 1));
-              ("facts_added", Obs.Int added);
-              ("nulls_invented", Obs.Int stats.nulls);
-              ("join_probes", Obs.Int (Eval.probe_count () - probes0));
-            ];
-        if Eval.holds ?engine:eval inst q then Entailed (i + 1)
-        else if added = 0 then Not_entailed
-        else go (i + 1)
-      in
-      go 0
-    end
-  with Budget.Exhausted r -> Unknown (r, !rounds)
+  if Eval.holds ?engine:eval inst q then Entailed 0
+  else
+    match
+      drive ~budget ~from:0 ~frontier:(Instance.num_facts inst)
+        (fun round_no ->
+          round ~strategy ?eval ~budget ~round_no theory inst)
+        (fun round_no added ->
+          if Eval.holds ?engine:eval inst q then Some (Entailed round_no)
+          else if added = 0 then Some Not_entailed
+          else None)
+    with
+    | Ok c, _, _ -> c
+    | Error r, last, _ -> Unknown (r, last)

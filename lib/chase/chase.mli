@@ -88,11 +88,29 @@ type record =
 (** Derivation hook: called once per fact the chase actually adds, with
     the round it was added in, the rule that fired and the body binding
     the trigger matched under (for existential rules the binding covers
-    the body variables only — the invented nulls are in the fact).  Both
-    round engines call it at their mutation sites in the sequential
-    enumeration order, so the recorded stream is bit-identical across
-    [Seminaive] and [Parallel n].  Incremental maintenance (Maintain)
-    uses it to keep first-derivation edges without a separate replay. *)
+    the body variables only — the invented nulls are in the fact).  It
+    is called from {!commit}, the only site where the chase mutates an
+    instance, in the sequential enumeration order — so the recorded
+    stream is bit-identical across [Seminaive] and [Parallel n].
+    {!Provenance} and incremental maintenance ({!Maintain}) record
+    through it. *)
+
+type tally = { mutable added : int; mutable nulls : int }
+(** What a sequence of commits did: facts added, labelled nulls
+    invented. *)
+
+val commit :
+  ?record:record -> budget:Budget.t -> round:int -> tally -> Instance.t ->
+  Rule.t -> Eval.binding -> unit
+(** Fire a trigger: instantiate the rule's head under the body binding,
+    existential variables through one shared set of fresh nulls (born at
+    [round], parented at the first head frontier element), add the facts
+    at birth [round], count them in the tally, call [record] on each fact
+    actually added, and charge [Facts] and [Elements] to the budget.  A
+    datalog rule is the same call with no existential variables.  The
+    caller decides {e whether} the trigger fires (witness check, demand
+    dedup); the round engines and Maintain's repair all commit here.
+    @raise Bddfc_budget.Budget.Exhausted when a charge trips. *)
 
 val run :
   ?variant:variant ->

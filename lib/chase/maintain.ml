@@ -10,7 +10,8 @@
    the same windows the live chase runs on, at churn-sized cost.
 
    Retractions run DRed-style delete/rederive over the first-derivation
-   edges recorded at saturation time (Chase's [record] hook):
+   edges recorded at saturation time (Provenance's recorder on Chase's
+   [record] hook):
 
      - overdelete: the downward closure of the retracted facts along
        recorded body edges.  Recorded bodies are born strictly before
@@ -24,9 +25,11 @@
        full-instance join pass.  A datalog head whose body still holds
        is re-added outright; an existential head refires (fresh nulls)
        iff its body holds and no surviving witness does — the same
-       restricted-chase check the live rounds make.  Repaired facts are
-       staged at the same fresh birth round as the inserted batch, so
-       cascades ride the normal semi-naive resumption.
+       restricted-chase check the live rounds make.  Either way the
+       trigger fires through Chase.commit, like every live round.
+       Repaired facts are staged at the same fresh birth round as the
+       inserted batch, so cascades ride the normal semi-naive
+       resumption.
 
    Correctness (DESIGN.md section 14): every surviving fact keeps a
    recorded derivation grounded in surviving base facts, so the resumed
@@ -76,40 +79,6 @@ let m_inserted = Obs.Metrics.counter "maintain.facts_inserted"
 let m_bailouts = Obs.Metrics.counter "maintain.bailouts"
 let m_resumed = Obs.Metrics.counter "maintain.rounds_resumed"
 
-(* Instantiated body facts of a recorded trigger (the Provenance
-   convention: constants resolved by name, variables through the
-   binding). *)
-let body_facts inst binding atoms =
-  List.map
-    (fun a ->
-      let ids =
-        List.map
-          (function
-            | Term.Cst c -> (
-                match Instance.const_opt inst c with
-                | Some id -> id
-                | None -> invalid_arg "Maintain: unknown constant")
-            | Term.Var x -> (
-                match Smap.find_opt x binding with
-                | Some id -> id
-                | None -> invalid_arg "Maintain: unbound body variable"))
-          (Atom.args a)
-      in
-      Fact.make (Atom.pred a) (Array.of_list ids))
-    atoms
-
-(* Instantiate a head atom under a binding, creating terms for
-   existential variables via [fresh] (Chase.instantiate's convention). *)
-let instantiate inst binding fresh atom =
-  let id_of = function
-    | Term.Cst c -> Instance.const inst c
-    | Term.Var x -> (
-        match Smap.find_opt x binding with
-        | Some id -> id
-        | None -> fresh x)
-  in
-  Fact.make (Atom.pred atom) (Array.of_list (List.map id_of (Atom.args atom)))
-
 (* Resolve a ground atom to a fact of [inst], if its constants are all
    interned there.  @raise Invalid_argument on a variable. *)
 let fact_of_atom inst a =
@@ -124,42 +93,26 @@ let fact_of_atom inst a =
   in
   go [] (Atom.args a)
 
-(* Drain a recording buffer into the reasons table, first derivation
-   wins, and classify each added fact against the overdeleted cone. *)
-let absorb_records inst reasons ?dead buf =
-  let rederived = ref 0 and fresh = ref 0 in
-  List.iter
-    (fun (round, rule, binding, f) ->
-      (match dead with
-      | Some d when Fact.Table.mem d f -> incr rederived
-      | _ -> incr fresh);
-      if not (Fact.Table.mem reasons f) then
-        Fact.Table.replace reasons f
-          (Provenance.Derived
-             {
-               rule = Rule.name rule;
-               round;
-               body = body_facts inst binding (Rule.body rule);
-             }))
-    (List.rev buf);
-  (!rederived, !fresh)
+(* Drain a recording into the reasons table (first derivation wins) and
+   count the recorded facts that were in the overdeleted cone. *)
+let absorb_records drain inst reasons ~dead =
+  let facts = drain inst reasons in
+  let rederived = List.length (List.filter (Fact.Table.mem dead) facts) in
+  (rederived, List.length facts - rederived)
 
 let saturate ?strategy ?eval ?budget ?max_rounds ?max_elements theory db =
-  let buf = ref [] in
-  let record ~round ~rule ~binding f =
-    buf := (round, rule, binding, f) :: !buf
+  let p =
+    Provenance.run ?strategy ?eval ?budget ?max_rounds ?max_elements theory db
   in
-  let res =
-    Chase.run ?strategy ?eval ?budget ?max_rounds ?max_elements ~record
-      theory db
-  in
-  let inst = res.Chase.instance in
-  let reasons = Fact.Table.create (max 64 (Instance.num_facts inst)) in
-  List.iter
-    (fun f -> Fact.Table.replace reasons f Provenance.Given)
-    res.Chase.base_facts;
-  ignore (absorb_records inst reasons !buf);
-  { inst; reasons; rounds = res.Chase.rounds; outcome = res.Chase.outcome }
+  {
+    inst = p.Provenance.instance;
+    reasons = p.Provenance.reasons;
+    rounds = p.Provenance.rounds;
+    outcome =
+      (match p.Provenance.tripped with
+      | Some r -> Chase.Exhausted r
+      | None -> Chase.Fixpoint);
+  }
 
 (* Apply an update batch to a *base* database (retractions first, then
    insertions, so a fact in both ends up present).  Returns
@@ -246,10 +199,7 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
             | Some f -> Fact.Table.replace state.reasons f Provenance.Given
             | None -> assert false)
           insert;
-        let buf = ref [] in
-        let record ~round ~rule ~binding f =
-          buf := (round, rule, binding, f) :: !buf
-        in
+        let record, drain = Provenance.recorder () in
         (* Head-driven repair.  A broken trigger is one whose witness
            check newly fails, and every witness it ever had is in the
            cone — so for each cone fact, unify it with each rule head
@@ -284,84 +234,39 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
             if List.length args <> Array.length fargs then None
             else go 0 Smap.empty args
           in
+          let tally = { Chase.added = 0; nulls = 0 } in
           List.iter
             (fun rule ->
               let exist = Rule.existential_vars rule in
               let frontier = Rule.frontier rule in
               let heads = Rule.head rule in
+              (* a datalog head whose body holds comes back outright; an
+                 existential head refires iff no surviving witness
+                 blocks it — the live rounds' restricted-chase check *)
+              let fires binding =
+                Rule.is_datalog rule
+                || not
+                     (Eval.satisfiable
+                        ~init:
+                          (Smap.filter (fun x _ -> Rule.SS.mem x frontier)
+                             binding)
+                        ?engine:eval inst heads)
+              in
               List.iter
                 (fun f ->
                   List.iter
                     (fun head_atom ->
                       if Pred.equal (Atom.pred head_atom) (Fact.pred f) then
-                        match unify_head exist head_atom f with
-                        | None -> ()
-                        | Some init -> (
-                            match
+                        match
+                          Option.bind (unify_head exist head_atom f)
+                            (fun init ->
                               Eval.first_solution ~init ?engine:eval inst
-                                (Rule.body rule)
-                            with
-                            | None -> ()
-                            | Some bnd when Rule.is_datalog rule ->
-                                (* the unifier bound every head variable,
-                                   so the rederived head IS [f] *)
-                                if Instance.add_fact ~birth:r0 inst f
-                                then begin
-                                  Budget.charge b Budget.Facts 1;
-                                  record ~round:r0 ~rule ~binding:bnd f
-                                end
-                            | Some bnd ->
-                                let finit =
-                                  Smap.filter
-                                    (fun x _ -> Rule.SS.mem x frontier)
-                                    bnd
-                                in
-                                if
-                                  not
-                                    (Eval.satisfiable ~init:finit
-                                       ?engine:eval inst heads)
-                                then begin
-                                  (* refire: one shared set of fresh
-                                     nulls, as the live chase does *)
-                                  let parent =
-                                    List.fold_left
-                                      (fun acc a ->
-                                        match acc with
-                                        | Some _ -> acc
-                                        | None ->
-                                            List.fold_left
-                                              (fun acc' t ->
-                                                match (acc', t) with
-                                                | Some _, _ -> acc'
-                                                | None, Term.Var x ->
-                                                    Smap.find_opt x finit
-                                                | None, Term.Cst _ -> None)
-                                              None (Atom.args a))
-                                      None heads
-                                  in
-                                  let cache = Hashtbl.create 4 in
-                                  let fresh x =
-                                    match Hashtbl.find_opt cache x with
-                                    | Some id -> id
-                                    | None ->
-                                        Budget.charge b Budget.Elements 1;
-                                        let id =
-                                          Instance.fresh_null inst ~birth:r0
-                                            ~rule:(Rule.name rule) ~parent
-                                        in
-                                        Hashtbl.add cache x id;
-                                        id
-                                  in
-                                  List.iter
-                                    (fun ha ->
-                                      let g = instantiate inst bnd fresh ha in
-                                      if Instance.add_fact ~birth:r0 inst g
-                                      then begin
-                                        Budget.charge b Budget.Facts 1;
-                                        record ~round:r0 ~rule ~binding:bnd g
-                                      end)
-                                    heads
-                                end))
+                                (Rule.body rule))
+                        with
+                        | Some bnd when fires bnd ->
+                            Chase.commit ~record ~budget:b ~round:r0 tally
+                              inst rule bnd
+                        | Some _ | None -> ())
                     heads)
                 cone_facts)
             (Theory.rules theory)
@@ -380,7 +285,7 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
                failed request *)
             raise (Budget.Exhausted r)
         | Chase.Watched -> assert false);
-        let rederived, fresh = absorb_records inst state.reasons ~dead !buf in
+        let rederived, fresh = absorb_records drain inst state.reasons ~dead in
         let resumed = max 0 (res.Chase.rounds - r0) in
         Obs.Metrics.add m_deleted deleted;
         Obs.Metrics.add m_rederived rederived;

@@ -56,9 +56,9 @@ val saturate :
   ?max_rounds:int ->
   ?max_elements:int ->
   Theory.t -> Instance.t -> state
-(** [Chase.run] with derivation recording; same truncation semantics
-    (the state's [outcome] may be [Exhausted _], and such a state is
-    maintained by re-chasing on every {!apply}). *)
+(** {!Provenance.run}: [Chase.run] with derivation recording; same
+    truncation semantics (the state's [outcome] may be [Exhausted _],
+    and such a state is maintained by re-chasing on every {!apply}). *)
 
 val update_db : Instance.t -> insert:Atom.t list -> retract:Atom.t list ->
   int * int

@@ -1,21 +1,17 @@
-(* Derivation provenance for the chase: re-derive a chased instance while
-   recording, for every fact, the first rule application that produced it
-   (its rule and the body facts it consumed).  [explain] unfolds the
-   records into a derivation tree, and [depth] is the derivation depth in
-   the sense of Section 1.1 — the quantity the BDD property bounds.
+(* Derivation provenance for the chase: record, for every fact, the
+   first rule application that produced it (its rule, round and the body
+   facts it consumed).  [explain] unfolds the records into a derivation
+   tree, and [depth] is the derivation depth in the sense of Section 1.1
+   — the quantity the BDD property bounds.
 
-   Implementation note: rather than threading recording hooks through the
-   chase engine, we replay rounds with the same semantics and record as we
-   go; the test suite checks that the replay reaches the same fixpoint as
-   Chase.run.  The replay supports both evaluation strategies: Naive
-   copies a snapshot per round, Seminaive (default) stamps births and
-   replays each round from the previous round's delta in place, exactly
-   like the engine. *)
+   The records come from the chase itself: [run] is Chase.run with the
+   [record] hook filled by [recorder], so the instance, the budget
+   accounting and the chase.* counters are exactly those of a plain run,
+   under every strategy. *)
 
 open Bddfc_budget
 open Bddfc_logic
 open Bddfc_structure
-open Bddfc_hom
 
 type reason =
   | Given (* a fact of the input instance D *)
@@ -30,7 +26,7 @@ type t = {
   reasons : reason Fact.Table.t;
   rounds : int;
   saturated : bool;
-  tripped : Budget.resource option; (* which budget stopped the replay *)
+  tripped : Budget.resource option; (* which budget stopped the chase *)
 }
 
 let reason_of t f = Fact.Table.find_opt t.reasons f
@@ -55,154 +51,52 @@ let body_facts inst binding atoms =
       Fact.make (Atom.pred a) (Array.of_list ids))
     atoms
 
-(* The replay reports through the same registry names as the engine
-   ([chase.rounds] / [chase.facts_added] / [chase.nulls_invented] under a
-   [provenance.run] span), so a metrics snapshot sums engine runs and
-   replays alike. *)
-module Obs = Bddfc_obs.Obs
+(* The stream is buffered because a run's working instance — where body
+   constants resolve — only exists once Chase.run returns. *)
+let recorder () =
+  let buf = ref [] in
+  let record ~round ~rule ~binding f =
+    buf := (round, rule, binding, f) :: !buf
+  in
+  let drain inst reasons =
+    let stream = List.rev !buf in
+    buf := [];
+    List.iter
+      (fun (round, rule, binding, f) ->
+        if not (Fact.Table.mem reasons f) then
+          Fact.Table.replace reasons f
+            (Derived
+               {
+                 rule = Rule.name rule;
+                 round;
+                 body = body_facts inst binding (Rule.body rule);
+               }))
+      stream;
+    List.map (fun (_, _, _, f) -> f) stream
+  in
+  (record, drain)
 
-let m_rounds = Obs.Metrics.counter "chase.rounds"
-let m_facts = Obs.Metrics.counter "chase.facts_added"
-let m_nulls = Obs.Metrics.counter "chase.nulls_invented"
-let m_replays = Obs.Metrics.counter "provenance.replays"
-
-let run ?(strategy = Chase.Seminaive) ?eval ?budget ?max_rounds
-    ?max_elements theory base =
-  let budget =
-    match budget with
-    | Some b -> Budget.cap ?rounds:max_rounds ?elements:max_elements b
-    | None ->
-        Budget.v
-          ~rounds:(Option.value max_rounds ~default:64)
-          ~elements:(Option.value max_elements ~default:100_000)
-          ()
+let run ?strategy ?eval ?budget ?max_rounds ?max_elements theory base =
+  Bddfc_obs.Obs.Trace.span "provenance.run" @@ fun () ->
+  let record, drain = recorder () in
+  let res =
+    Chase.run ?strategy ?eval ~record ?budget ?max_rounds ?max_elements theory
+      base
   in
-  Obs.Metrics.incr m_replays;
-  Obs.Trace.span "provenance.run" @@ fun () ->
-  let inst = Instance.copy base in
-  Instance.reset_fact_births inst;
-  let reasons : reason Fact.Table.t = Fact.Table.create 256 in
-  Instance.iter_facts (fun f -> Fact.Table.replace reasons f Given) inst;
-  let record round rule binding f =
-    if not (Fact.Table.mem reasons f) then
-      Fact.Table.replace reasons f
-        (Derived
-           {
-             rule = Rule.name rule;
-             round;
-             body = body_facts inst binding (Rule.body rule);
-           })
-  in
-  let rounds_done = ref 0 in
-  let rec go i =
-      Budget.check_deadline budget;
-      Budget.charge budget Budget.Rounds 1;
-      Obs.Metrics.incr m_rounds;
-      let probes0 = Eval.probe_count () in
-      let round_no = i + 1 in
-      (* the state this round's bodies and witness checks see: a copied
-         snapshot (Naive) or the committed prefix of the live instance
-         through birth windows (Seminaive).  The replay is inherently
-         sequential — [Parallel] reduces to the semi-naive windows here,
-         which is sound because the parallel engine's result is
-         bit-identical to Seminaive's. *)
-      let snapshot, upto =
-        match strategy with
-        | Chase.Naive -> (Instance.copy inst, None)
-        | Chase.Seminaive | Chase.Parallel _ -> (inst, Some round_no)
-      in
-      let iter_bindings rule yield =
-        match strategy with
-        | Chase.Naive ->
-            Eval.iter_solutions ?engine:eval snapshot (Rule.body rule) yield
-        | Chase.Seminaive | Chase.Parallel _ ->
-            Eval.iter_solutions_delta ~since:i ~upto:round_no ?engine:eval
-              inst (Rule.body rule) yield
-      in
-      let added = ref 0 in
-      let demanded = Hashtbl.create 32 in
-      List.iter
-        (fun rule ->
-          iter_bindings rule (fun binding ->
-              if Rule.is_datalog rule then
-                List.iter
-                  (fun head_atom ->
-                    let f =
-                      Chase.instantiate inst binding
-                        (fun x -> invalid_arg ("unbound " ^ x))
-                        head_atom
-                    in
-                    if Instance.add_fact ~birth:round_no inst f then begin
-                      incr added;
-                      Obs.Metrics.incr m_facts;
-                      record round_no rule binding f
-                    end)
-                  (Rule.head rule)
-              else begin
-                let frontier = Rule.frontier rule in
-                let init =
-                  Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
-                in
-                let satisfied =
-                  Eval.satisfiable ~init ?upto ?engine:eval snapshot
-                    (Rule.head rule)
-                in
-                let key =
-                  Rule.name rule ^ "#"
-                  ^ String.concat ","
-                      (List.map
-                         (fun (x, id) -> x ^ ":" ^ string_of_int id)
-                         (Smap.bindings init))
-                in
-                if (not satisfied) && not (Hashtbl.mem demanded key) then begin
-                  Hashtbl.replace demanded key ();
-                  let fresh_cache = Hashtbl.create 4 in
-                  let fresh _x =
-                    match Hashtbl.find_opt fresh_cache _x with
-                    | Some id -> id
-                    | None ->
-                        Budget.charge budget Budget.Elements 1;
-                        let id =
-                          Instance.fresh_null inst ~birth:round_no
-                            ~rule:(Rule.name rule) ~parent:None
-                        in
-                        Obs.Metrics.incr m_nulls;
-                        Hashtbl.replace fresh_cache _x id;
-                        id
-                  in
-                  List.iter
-                    (fun head_atom ->
-                      let f = Chase.instantiate inst binding fresh head_atom in
-                      if Instance.add_fact ~birth:round_no inst f then begin
-                        incr added;
-                        Obs.Metrics.incr m_facts;
-                        record round_no rule binding f
-                      end)
-                    (Rule.head rule)
-                end
-              end))
-        (Theory.rules theory);
-      if Obs.Trace.enabled () then
-        Obs.Trace.event "chase.round"
-          [
-            ("round", Obs.Int round_no);
-            ("facts_added", Obs.Int !added);
-            ("join_probes", Obs.Int (Eval.probe_count () - probes0));
-          ];
-      if !added = 0 then (i, true)
-      else begin
-        rounds_done := round_no;
-        go round_no
-      end
-  in
-  let rounds, saturated, tripped =
-    match go 0 with
-    | rounds, saturated -> (rounds, saturated, None)
-    | exception Budget.Exhausted r ->
-        (* the replay stops mid-prefix: everything recorded so far stands *)
-        (!rounds_done, false, Some r)
-  in
-  { instance = inst; reasons; rounds; saturated; tripped }
+  let inst = res.Chase.instance in
+  let reasons = Fact.Table.create (max 64 (Instance.num_facts inst)) in
+  List.iter (fun f -> Fact.Table.replace reasons f Given) res.Chase.base_facts;
+  ignore (drain inst reasons);
+  {
+    instance = inst;
+    reasons;
+    rounds = res.Chase.rounds;
+    saturated = Chase.is_model res;
+    tripped =
+      (match res.Chase.outcome with
+      | Chase.Exhausted r -> Some r
+      | Chase.Fixpoint | Chase.Watched -> None);
+  }
 
 (* A derivation tree for a fact. *)
 type tree =

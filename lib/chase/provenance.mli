@@ -1,6 +1,7 @@
-(** Derivation provenance: a recording replay of the chase.  For every
-    fact, the first rule application that produced it; derivation trees;
-    derivation depth (the quantity the BDD property bounds, Section 1.1). *)
+(** Derivation provenance: the chase's trigger stream, filed per fact.
+    For every fact, the first rule application that produced it;
+    derivation trees; derivation depth (the quantity the BDD property
+    bounds, Section 1.1). *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -16,17 +17,25 @@ type t = {
   rounds : int;
   saturated : bool;
   tripped : Budget.resource option;
-      (** which budget stopped the replay, if any *)
+      (** which budget stopped the chase, if any *)
 }
+
+val recorder :
+  unit -> Chase.record * (Instance.t -> reason Fact.Table.t -> Fact.t list)
+(** A {!Chase.record} callback that buffers the trigger stream, paired
+    with its drain: [drain inst reasons] files each recorded fact's first
+    derivation into [reasons] (facts already there keep their reason;
+    body constants resolve in [inst], the instance the stream was
+    recorded on), empties the buffer and returns the recorded facts in
+    commit order. *)
 
 val run :
   ?strategy:Chase.strategy -> ?eval:Bddfc_hom.Eval.engine ->
   ?budget:Budget.t -> ?max_rounds:int -> ?max_elements:int ->
   Theory.t -> Instance.t -> t
-(** Replay the chase, recording reasons.  [strategy] selects the same
-    naive/semi-naive round evaluation as {!Chase.run} (default
-    [Seminaive]); the recorded reasons are identical either way up to
-    tie-breaks between same-round derivations of one fact. *)
+(** {!Chase.run} with its trigger stream recorded: same instance, rounds,
+    budget accounting and counters as the plain run, under every
+    strategy.  Base facts are [Given]. *)
 
 val reason_of : t -> Fact.t -> reason option
 

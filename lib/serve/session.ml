@@ -18,14 +18,23 @@ type warm = {
          analysis.slice_hits *)
 }
 
+(* The net effect of the successful assert/retract batches: per atom
+   (loc-blind), whether its last mention left it present.  An atom's
+   presence in the db depends only on its last mention, so this rebuilds
+   the same db facts as the batches themselves while staying bounded by
+   the distinct atoms ever updated — a churning session does not grow
+   with its write count. *)
+module Net = Map.Make (Atom)
+
+type updates = bool Net.t
+
 type entry = {
   source : string;
   mutable warm : warm option;
   mutable builds : int;
-  mutable updates : (Atom.t list * Atom.t list) list;
-      (* successful assert/retract batches as (insert, retract), newest
-         first: the source text alone no longer describes the db, so a
-         rebuild after eviction must replay them *)
+  mutable updates : updates;
+      (* the source text alone no longer describes the db, so a rebuild
+         after eviction must apply these *)
 }
 
 type store = (string, entry) Hashtbl.t
@@ -36,10 +45,11 @@ let build source updates =
   let p = Parser.parse_program source in
   let theory = Theory.make p.Parser.rules in
   let db = Instance.of_atoms p.Parser.facts in
-  List.iter
-    (fun (insert, retract) ->
-      ignore (Bddfc_chase.Maintain.update_db db ~insert ~retract))
-    (List.rev updates);
+  let insert, retract = Net.partition (fun _ present -> present) updates in
+  ignore
+    (Bddfc_chase.Maintain.update_db db
+       ~insert:(List.map fst (Net.bindings insert))
+       ~retract:(List.map fst (Net.bindings retract)));
   let lint =
     Bddfc_analysis.Diagnostic.count
       (Bddfc_analysis.Analyzer.analyze_program p)
@@ -55,7 +65,12 @@ let build source updates =
 
 let load store ~name ~source =
   let entry =
-    { source; warm = Some (build source []); builds = 1; updates = [] }
+    {
+      source;
+      warm = Some (build source Net.empty);
+      builds = 1;
+      updates = Net.empty;
+    }
   in
   Hashtbl.replace store name entry;
   entry
@@ -73,8 +88,14 @@ let warm _store entry =
       entry.builds <- entry.builds + 1;
       w
 
+(* Retractions are mentioned before insertions, the order
+   Maintain.update_db applies a batch in. *)
 let log_update entry ~insert ~retract =
-  entry.updates <- (insert, retract) :: entry.updates
+  let mention present net a = Net.add a present net in
+  entry.updates <-
+    List.fold_left (mention true)
+      (List.fold_left (mention false) entry.updates retract)
+      insert
 
 let evict store name =
   match Hashtbl.find_opt store name with

@@ -35,14 +35,20 @@ type warm = {
           bumps the [analysis.slice_hits] counter *)
 }
 
+type updates
+(** The net effect of the successful assert/retract batches: for every
+    atom they mention, whether its last mention left it present.  It
+    replays to the same db facts as the batches themselves and is
+    bounded by the distinct atoms updated, not by the number of
+    batches. *)
+
 type entry = {
   source : string;
   mutable warm : warm option; (** [None] after an eviction *)
   mutable builds : int; (** parse+analyze passes, including the load *)
-  mutable updates : (Atom.t list * Atom.t list) list;
-      (** successful assert/retract batches, newest first: a rebuild
-          after eviction replays them over the source db, so updates
-          survive eviction the way the source text does *)
+  mutable updates : updates;
+      (** a rebuild after eviction applies them over the source db, so
+          updates survive eviction the way the source text does *)
 }
 
 type store
@@ -62,7 +68,7 @@ val warm : store -> entry -> warm
 
 val log_update :
   entry -> insert:Atom.t list -> retract:Atom.t list -> unit
-(** Append a successful update batch to the entry's replay log.  Only
+(** Fold a successful update batch into the entry's replay log.  Only
     batches that fully succeeded may be logged — a failed request
     evicts the warm state instead, and the rebuild replays exactly the
     logged prefix. *)

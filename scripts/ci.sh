@@ -46,6 +46,12 @@ dune exec test/main.exe -- test hc
 # bit-identity, strategy bit-identity and poisoned-state determinism
 dune exec test/main.exe -- test maintain
 
+# the provenance suite, explicitly: Maintain files its derivation edges
+# through Provenance's recorder, so the recorded chase must match a
+# plain run (instance, null parents, counters, budget trips) and every
+# recorded derivation must be a valid trigger application
+dune exec test/main.exe -- test provenance
+
 # the multi-domain lane: the whole tier-1 suite again with every
 # defaulted chase strategy forced to Parallel 4 (the env hook behind
 # Chase.default_strategy), so each suite doubles as a differential

@@ -154,7 +154,16 @@ let test_provenance_budget () =
   check Alcotest.bool "not saturated" false p.Provenance.saturated;
   check (Alcotest.option resource) "tripped rounds" (Some Budget.Rounds)
     p.Provenance.tripped;
-  check Alcotest.int "partial rounds recorded" 3 p.Provenance.rounds
+  check Alcotest.int "partial rounds recorded" 3 p.Provenance.rounds;
+  (* a facts-only budget stops the recording chase too (the deadline is
+     only a backstop against a hang) *)
+  let p =
+    Provenance.run ~budget:(Budget.v ~facts:3 ~deadline_s:5. ())
+      (th "e(X,Y) -> exists Z. e(Y,Z).")
+      (db "e(a,b).")
+  in
+  check (Alcotest.option resource) "tripped facts" (Some Budget.Facts)
+    p.Provenance.tripped
 
 (* ------------------------------ rewriting ------------------------------ *)
 

@@ -111,7 +111,7 @@ let test_random_agreement () =
     random_cases
 
 let test_random_provenance_agreement () =
-  (* the provenance replay reaches the same instance either way *)
+  (* the recorded chase reaches the same instance either way *)
   List.iter
     (fun seed ->
       let theory = Gen.random_binary_theory ~rules:4 ~seed () in

@@ -1,8 +1,11 @@
-(* Tests for chase provenance: replay fidelity, derivation trees, depths. *)
+(* Tests for chase provenance: fidelity to the chase, record-stream
+   validity, counter reconciliation, derivation trees, depths. *)
 
 open Bddfc_logic
 open Bddfc_structure
 open Bddfc_chase
+open Bddfc_workload
+module Obs = Bddfc_obs.Obs
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -16,16 +19,150 @@ let find_fact inst name args =
   Fact.make p (Array.of_list ids)
 
 let test_replay_matches_chase () =
-  let t = th "p(X) -> exists Y. e(X,Y). e(X,Y) -> q(Y). q(Y) -> r(Y)." in
-  let d = db "p(a). p(b)." in
-  let direct = Chase.run t d in
-  let prov = Provenance.run t d in
-  check Alcotest.bool "same fixpoint state" true prov.Provenance.saturated;
-  check Alcotest.int "same facts" (Instance.num_facts direct.Chase.instance)
-    (Instance.num_facts prov.Provenance.instance);
-  check Alcotest.int "same elements"
-    (Instance.num_elements direct.Chase.instance)
-    (Instance.num_elements prov.Provenance.instance)
+  (* the recorded run is the chase: same facts, same elements, and every
+     null keeps the parent the skeleton forest needs.  The second case
+     has two rules demanding one head instance — a single witness. *)
+  List.iter
+    (fun (t, d) ->
+      let t = th t and d = db d in
+      let direct = Chase.run t d in
+      let prov = Provenance.run t d in
+      let parents inst =
+        List.map (Instance.parent inst) (Instance.elements inst)
+      in
+      check Alcotest.bool "same fixpoint state" true prov.Provenance.saturated;
+      check Alcotest.int "same facts"
+        (Instance.num_facts direct.Chase.instance)
+        (Instance.num_facts prov.Provenance.instance);
+      check Alcotest.int "same elements"
+        (Instance.num_elements direct.Chase.instance)
+        (Instance.num_elements prov.Provenance.instance);
+      check
+        Alcotest.(list (option int))
+        "same null parents"
+        (parents direct.Chase.instance)
+        (parents prov.Provenance.instance))
+    [
+      ( "p(X) -> exists Y. e(X,Y). e(X,Y) -> q(Y). q(Y) -> r(Y).",
+        "p(a). p(b)." );
+      ("a(X) -> exists Y. r(X,Y). b(X) -> exists Y. r(X,Y).", "a(c). b(c).");
+    ]
+
+(* Record-stream validity, the seed of an independent derivation
+   checker: every recorded derivation is a trigger application on the
+   chased instance — its body facts were born before its round, its head
+   fact was born in it, and the named rule's body maps onto the recorded
+   body facts.  Every fact has a reason, and only base facts are given. *)
+let body_maps inst rule body =
+  let rec go binding atoms facts =
+    match (atoms, facts) with
+    | [], [] -> true
+    | a :: atoms, f :: facts
+      when Pred.equal (Atom.pred a) (Fact.pred f)
+           && List.length (Atom.args a) = Array.length (Fact.args f) -> (
+        let bind binding (t, id) =
+          Option.bind binding (fun binding ->
+              match t with
+              | Term.Cst c ->
+                  if Instance.const_opt inst c = Some id then Some binding
+                  else None
+              | Term.Var x -> (
+                  match Smap.find_opt x binding with
+                  | Some id' -> if id = id' then Some binding else None
+                  | None -> Some (Smap.add x id binding)))
+        in
+        match
+          List.fold_left bind (Some binding)
+            (List.combine (Atom.args a) (Array.to_list (Fact.args f)))
+        with
+        | Some binding -> go binding atoms facts
+        | None -> false)
+    | _ -> false
+  in
+  go Smap.empty (Rule.body rule) body
+
+let check_stream name theory (p : Provenance.t) =
+  let inst = p.Provenance.instance in
+  let birth = Instance.fact_birth inst in
+  check Alcotest.int (name ^ ": every fact has a reason")
+    (Instance.num_facts inst)
+    (Fact.Table.length p.Provenance.reasons);
+  Fact.Table.iter
+    (fun f reason ->
+      let fact = Fmt.str "%s: %a" name Fact.pp f in
+      check Alcotest.bool (fact ^ " is in the instance") true
+        (Instance.mem_fact inst f);
+      match reason with
+      | Provenance.Given ->
+          check Alcotest.int (fact ^ ": given at birth 0") 0 (birth f)
+      | Provenance.Derived { rule; round; body } ->
+          check Alcotest.int (fact ^ ": born in its round") round (birth f);
+          List.iter
+            (fun b ->
+              check Alcotest.bool (fact ^ ": body fact present") true
+                (Instance.mem_fact inst b);
+              check Alcotest.bool (fact ^ ": body born earlier") true
+                (birth b < round))
+            body;
+          check Alcotest.bool (fact ^ ": " ^ rule ^ " maps onto the body")
+            true
+            (List.exists
+               (fun r -> Rule.name r = rule && body_maps inst r body)
+               (Theory.rules theory)))
+    p.Provenance.reasons
+
+let test_stream_validity () =
+  let cases =
+    List.map
+      (fun (e : Zoo.entry) ->
+        (e.Zoo.name, e.Zoo.theory, Zoo.database_instance e, 8, 2_000))
+      Zoo.all
+    @ List.init 50 (fun seed ->
+          ( Printf.sprintf "seed %d" seed,
+            Gen.random_binary_theory ~rules:4 ~seed (),
+            Gen.random_instance ~facts:4 ~seed:(seed + 1000) (),
+            6,
+            400 ))
+  in
+  List.iter
+    (fun (strategy, tag) ->
+      List.iter
+        (fun (name, theory, d, max_rounds, max_elements) ->
+          check_stream (name ^ " " ^ tag) theory
+            (Provenance.run ~strategy ~max_rounds ~max_elements theory d))
+        cases)
+    [ (Chase.Seminaive, "seminaive"); (Chase.Parallel 2, "parallel:2") ]
+
+let test_counters_reconcile () =
+  (* recording is free of accounting side effects: the chase.* counters
+     move by exactly a plain run's deltas *)
+  let keys =
+    [ "chase.runs"; "chase.rounds"; "chase.facts_added";
+      "chase.nulls_invented" ]
+  in
+  let deltas f =
+    let before = Obs.Metrics.snapshot () in
+    ignore (f ());
+    let after = Obs.Metrics.snapshot () in
+    let delta = Obs.Metrics.ints_delta ~before ~after in
+    List.map
+      (fun k -> (k, Option.value ~default:0 (List.assoc_opt k delta)))
+      keys
+  in
+  List.iter
+    (fun (t, d) ->
+      let t = th t and d = db d in
+      check
+        Alcotest.(list (pair string int))
+        "same counter deltas"
+        (deltas (fun () -> Chase.run ~max_rounds:6 t d))
+        (deltas (fun () -> Provenance.run ~max_rounds:6 t d)))
+    [
+      ("a(X) -> exists Y. r(X,Y). b(X) -> exists Y. r(X,Y).", "a(c). b(c).");
+      ("e(X,Y) -> exists Z. e(Y,Z). e(X,Y), e(Y,Z) -> p(X,Z).", "e(a,b).");
+    ];
+  check (Alcotest.option Alcotest.int) "no replay counter" None
+    (Obs.Metrics.find_int (Obs.Metrics.snapshot ()) "provenance.replays")
 
 let test_reasons () =
   let t = th "p(X) -> exists Y. e(X,Y). e(X,Y) -> q(Y)." in
@@ -105,6 +242,8 @@ let test_bdd_depth_bound () =
 let suite =
   ( "provenance",
     [ tc "replay matches the chase" test_replay_matches_chase;
+      tc "record stream is valid" test_stream_validity;
+      tc "counters reconcile with a plain run" test_counters_reconcile;
       tc "reasons recorded" test_reasons;
       tc "derivation trees" test_explain_tree;
       tc "derivation depths" test_depths;

@@ -219,6 +219,44 @@ let test_eviction_rebuild () =
   check Alcotest.bool "memo gone with the warm state" false
     (boolean (member "cached" rebuilt))
 
+let test_update_log_net () =
+  (* the replay log keeps the net effect of the update batches: a
+     rebuild after eviction reproduces the live db, and batches that
+     revisit the same atoms do not grow the log *)
+  let store = Session.create () in
+  let entry =
+    Session.load store ~name:"s" ~source:"e(X,Y) -> e(Y,X). e(a,b). e(b,c)."
+  in
+  let update insert retract =
+    let insert = Parser.parse_atoms insert
+    and retract = Parser.parse_atoms retract in
+    let w = Session.warm store entry in
+    ignore (Bddfc_chase.Maintain.update_db w.Session.db ~insert ~retract);
+    Session.log_update entry ~insert ~retract
+  in
+  let churn () =
+    update "e(c,d). e(d,e)." "e(a,b).";
+    update "e(a,b)." "e(c,d). e(b,c).";
+    update "e(b,c)." ""
+  in
+  let db_atoms () =
+    List.sort compare
+      (List.map Atom.show
+         (Instance.to_atoms (Session.warm store entry).Session.db))
+  in
+  let log_words () = Obj.reachable_words (Obj.repr entry.Session.updates) in
+  churn ();
+  let words = log_words () in
+  for _ = 1 to 50 do
+    churn ()
+  done;
+  check Alcotest.int "log bounded by the atoms it mentions" words
+    (log_words ());
+  let live = db_atoms () in
+  check Alcotest.(list string) "live db" [ "e(a,b)"; "e(b,c)"; "e(d,e)" ] live;
+  check Alcotest.bool "evicted" true (Session.evict store "s");
+  check Alcotest.(list string) "rebuild reproduces the db" live (db_atoms ())
+
 let test_deadline_and_trap () =
   let t = server () in
   load t;
@@ -296,6 +334,7 @@ let suite =
       tc "every fault shape: error reply then correct answer" test_fault_then_correct;
       tc "seeded 48-request fault sweep with oracle probes" test_seeded_sweep;
       tc "poisoned session evicts and rebuilds" test_eviction_rebuild;
+      tc "update log keeps the net effect" test_update_log_net;
       tc "expired deadline and fuel trap are contained" test_deadline_and_trap;
       tc "overload sheds beyond max_inflight with retry hint" test_overload_bound;
       tc "server metrics reconcile with the script" test_metrics_reconcile;
