@@ -447,12 +447,25 @@ let nonfc_evidence () =
         (I.num_facts r.Chase.Chase.instance)
         (Hom.Eval.holds r.Chase.Chase.instance e.Zoo.query))
     [ 2; 4; 8; 12 ];
-  (match
-     Finitemodel.Naive.exhaustive_absence ?budget:!governor
-       ~max_candidates:20 ~max_extra:1 e.Zoo.theory d e.Zoo.query
-   with
+  let counter name =
+    Option.value ~default:0
+      (Obs.Metrics.find_int (Obs.Metrics.snapshot ()) name)
+  in
+  let clauses0 = counter "naive.absence_clauses"
+  and decisions0 = counter "naive.absence_decisions" in
+  let absence, t =
+    time_it (fun () ->
+        Finitemodel.Naive.exhaustive_absence ?budget:!governor
+          ~max_candidates:20 ~max_extra:1 e.Zoo.theory d e.Zoo.query)
+  in
+  Fmt.pr "exhaustive: %d ground clauses, %d decisions, %.1f ms@."
+    (counter "naive.absence_clauses" - clauses0)
+    (counter "naive.absence_decisions" - decisions0)
+    (t *. 1000.);
+  (match absence with
   | Finitemodel.Naive.No_model ->
-      Fmt.pr "exhaustive: no countermodel with <= 1 extra element@."
+      Fmt.pr "exhaustive: no countermodel with <= 1 extra element \
+              (RUP refutation checked)@."
   | Finitemodel.Naive.Counter_model _ -> Fmt.pr "?! countermodel found@."
   | Finitemodel.Naive.Too_large k -> Fmt.pr "guard hit (%d candidates)@." k
   | Finitemodel.Naive.Absence_exhausted r ->

@@ -7,16 +7,20 @@
    when they exist and is the baseline the Theorem 2 pipeline is compared
    against in the benchmarks.
 
-   [exhaustive_absence] is a genuinely exhaustive enumeration over all
-   structures with at most [max_extra] fresh elements: it *proves* that no
-   countermodel of that size exists (the executable content of the
-   Section 5.5 non-FC argument).  It is exponential in the number of
-   candidate facts and guards itself accordingly.
+   [exhaustive_absence] decides, for all structures with at most
+   [max_extra] fresh elements at once, whether one is a countermodel: it
+   *proves* that none exists (the executable content of the Section 5.5
+   non-FC argument).  The question is grounded once into clauses over the
+   candidate facts and decided by a unit-propagating DPLL solver
+   (Absence); a "no model" answer stands only once the independent RUP
+   checker (Rup) has replayed the solver's refutation.  The candidate
+   count is still guarded, since the grounding is polynomial in the
+   domain but the solver's search is exponential in the worst case.
 
-   Both are governed by a Budget.t: DFS nodes (and enumeration masks) are
-   charged as node fuel, the deadline is checked cooperatively, and
-   exhaustion surfaces as a structured outcome naming the tripped
-   resource — never as an exception. *)
+   Both are governed by a Budget.t: DFS nodes, ground clauses and solver
+   decisions are charged as node fuel, the deadline is checked
+   cooperatively, and exhaustion surfaces as a structured outcome naming
+   the tripped resource — never as an exception. *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -30,13 +34,15 @@ type search_result =
   | Budget_out of { tripped : Budget.resource; nodes : int }
 
 (* Registry handles (always on); spans only when a trace sink is
-   installed.  [naive.nodes] counts DFS nodes of [search] and enumeration
-   masks of [exhaustive_absence] alike: units of countermodel work. *)
+   installed.  [naive.nodes] counts DFS nodes of [search] and the ground
+   clauses and solver decisions of [exhaustive_absence] alike: units of
+   countermodel work. *)
 module Obs = Bddfc_obs.Obs
 
 let m_nodes = Obs.Metrics.counter "naive.nodes"
 let m_searches = Obs.Metrics.counter "naive.searches"
 let t_search = Obs.Metrics.timer "naive.search"
+let t_exhaustive = Obs.Metrics.timer "naive.exhaustive"
 
 type search_params = {
   max_size : int; (* total element budget *)
@@ -188,7 +194,7 @@ let search ?budget ?strategy ?eval ?(params = default_search_params) theory
   result
 
 (* ----------------------------------------------------------------- *)
-(* Exhaustive enumeration                                             *)
+(* Exhaustive absence                                                 *)
 (* ----------------------------------------------------------------- *)
 
 type absence_result =
@@ -196,65 +202,32 @@ type absence_result =
   | Counter_model of Instance.t
   | Too_large of int (* candidate fact count exceeded the guard *)
   | Absence_exhausted of Budget.resource
-      (* a budget tripped mid-enumeration: nothing proved *)
+      (* a budget tripped mid-search: nothing proved *)
 
-let rec tuples elements k =
-  if k = 0 then [ [] ]
-  else
-    List.concat_map
-      (fun e -> List.map (fun t -> e :: t) (tuples elements (k - 1)))
-      elements
-
-(* Enumerate every superset of D over D's elements plus [max_extra] fresh
-   ones, and test each against the theory and the query. *)
+(* Ground the question once and decide it (Absence); a refutation is
+   trusted only after the independent RUP checker replays it, and a model
+   only after the model checker and the query evaluator re-check it.
+   Either check failing is a bug in the solver or the grounding, never a
+   verdict. *)
 let exhaustive_absence ?budget ?eval ?(max_candidates = 24) ~max_extra
     theory db query =
   let budget = Option.value budget ~default:Budget.unlimited in
+  Obs.Metrics.time t_exhaustive @@ fun () ->
   Obs.Trace.span "naive.exhaustive_absence" @@ fun () ->
-  let base = Instance.copy db in
-  for i = 1 to max_extra do
-    ignore (Instance.fresh_null base ~birth:0 ~rule:"extra" ~parent:None);
-    ignore i
-  done;
-  let elements = Instance.elements base in
-  let preds =
-    Pred.Set.elements (Signature.pred_set (Theory.signature theory))
-  in
-  let candidates =
-    List.concat_map
-      (fun p ->
-        List.filter_map
-          (fun t ->
-            let f = Fact.make p (Array.of_list t) in
-            if Instance.mem_fact base f then None else Some f)
-          (tuples elements (Pred.arity p)))
-      preds
-  in
-  let k = List.length candidates in
+  let space = Absence.space ~max_extra theory db in
+  let k = Array.length space.Absence.candidates in
   if k > max_candidates then Too_large k
-  else begin
-    let arr = Array.of_list candidates in
-    let total = 1 lsl k in
-    let result = ref No_model in
-    (try
-       for mask = 0 to total - 1 do
-         Obs.Metrics.incr m_nodes;
-         Budget.check_deadline budget;
-         Budget.charge budget Budget.Nodes 1;
-         let inst = Instance.copy base in
-         for i = 0 to k - 1 do
-           if mask land (1 lsl i) <> 0 then ignore (Instance.add_fact inst arr.(i))
-         done;
-         if
-           Model_check.is_model ?eval theory inst
-           && not (Eval.holds ?engine:eval inst query)
-         then begin
-           result := Counter_model inst;
-           raise Exit
-         end
-       done
-     with
-    | Exit -> ()
-    | Budget.Exhausted r -> result := Absence_exhausted r);
-    !result
-  end
+  else
+    match Absence.decide ?eval ~budget theory query space with
+    | Absence.Model m ->
+        if
+          Model_check.is_model ?eval theory m
+          && not (Eval.holds ?engine:eval m query)
+        then Counter_model m
+        else failwith "Naive.exhaustive_absence: the solver's model is no \
+                       countermodel"
+    | Absence.Refuted (cnf, log) ->
+        if Rup.check cnf.Absence.clauses log then No_model
+        else failwith "Naive.exhaustive_absence: the RUP checker rejected \
+                       the solver's refutation"
+    | exception Budget.Exhausted r -> Absence_exhausted r

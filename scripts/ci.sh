@@ -52,6 +52,13 @@ dune exec test/main.exe -- test maintain
 # recorded derivation must be a valid trigger application
 dune exec test/main.exe -- test provenance
 
+# the absence suite, explicitly: the ground-once solver against the
+# test-only 2^k enumerator over the zoo and random theories (same
+# verdict, same countermodel), RUP logs accepted and tampered ones
+# rejected, grounding fidelity on random assignments, budget semantics
+# and naive.* counter reconciliation
+dune exec test/main.exe -- test absence
+
 # the multi-domain lane: the whole tier-1 suite again with every
 # defaulted chase strategy forced to Parallel 4 (the env hook behind
 # Chase.default_strategy), so each suite doubles as a differential

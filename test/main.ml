@@ -20,4 +20,5 @@ let () =
       Test_parallel.suite;
       Test_maintain.suite;
       Test_serve.suite;
+      Test_absence.suite;
     ]
