@@ -6,7 +6,8 @@
         certain and no countermodel exists;
      4. extract the skeleton S(D, T) (Definition 12);
      5. compute kappa from the positive rewritings of the rule bodies
-        (Section 3.3) and color the skeleton naturally (Definition 14);
+        (Section 3.3), once for all depth attempts, and color the
+        skeleton naturally (Definition 14);
      6. for increasing n: quotient the colored skeleton (Definition 5),
         saturate with the datalog rules (Lemma 5 says no new elements are
         needed), and verify;
@@ -151,6 +152,21 @@ let original_signature_model theory db inst =
   in
   Instance.restrict_preds inst keep
 
+(* kappa depends only on the normalized theory and the rewrite caps, so
+   every depth attempt of one construct shares a single computation,
+   made on first need under that attempt's budget.  A deadline-stopped
+   kappa is recomputed, since the next attempt gets a fresh share of the
+   wall clock; a complete or fuel-stopped one is kept. *)
+let kappa_once compute =
+  let memo = ref None in
+  fun budget ->
+    match !memo with
+    | Some kap when kap.Rewrite.tripped <> Some Budget.Deadline -> kap
+    | _ ->
+        let kap = compute budget in
+        memo := Some kap;
+        kap
+
 let rec construct_main ~params theory db (query : Cq.t) =
   (* -------- steps 1 and 2: normalize -------- *)
   let hidden = Normalize.hide_query theory query in
@@ -159,6 +175,13 @@ let rec construct_main ~params theory db (query : Cq.t) =
       Unknown ("normalization: " ^ reason, empty_stats)
   | split ->
       let t2 = split.Normalize.theory in
+      let kappa =
+        kappa_once (fun budget ->
+            step "pipeline.kappa" t_kappa @@ fun () ->
+            Rewrite.kappa ?budget ~eval:params.eval ~hc:params.hc
+              ~max_disjuncts:params.rewrite_max_disjuncts
+              ~max_steps:params.rewrite_max_steps t2)
+      in
       (* -------- pre-flight: acyclicity implies termination -------- *)
       (* The chase of a weakly (or jointly) acyclic theory reaches a
          fixpoint on every instance, so fuel bounds would only truncate a
@@ -181,8 +204,8 @@ let rec construct_main ~params theory db (query : Cq.t) =
               | None -> Budget.unlimited)
           in
           match
-            construct_at ~params ~budget ~hidden ~t2 ~terminating:true
-              theory db query ~depth:params.chase_depth
+            construct_at ~params ~budget ~hidden ~t2 ~kappa
+              ~terminating:true theory db query ~depth:params.chase_depth
           with
           | Unknown _ ->
               (* only a deadline (or injected fault) can interrupt a
@@ -236,8 +259,8 @@ let rec construct_main ~params theory db (query : Cq.t) =
                       | _ -> Some b)
                 in
                 match
-                  construct_at ~params ~budget ~hidden ~t2 theory db query
-                    ~depth:(params.chase_depth * mult)
+                  construct_at ~params ~budget ~hidden ~t2 ~kappa theory db
+                    query ~depth:(params.chase_depth * mult)
                 with
                 | Unknown (reason, st) when rest <> [] ->
                     over_depths
@@ -255,8 +278,8 @@ let rec construct_main ~params theory db (query : Cq.t) =
         []
         (match params.depth_growth with [] -> [ 1 ] | l -> l)
 
-and construct_at ~params ~budget ~hidden ~t2 ?(terminating = false) theory
-    db query ~depth =
+and construct_at ~params ~budget ~hidden ~t2 ~kappa ?(terminating = false)
+    theory db query ~depth =
       Obs.Metrics.incr m_attempts;
       Obs.Trace.span "pipeline.construct_at" @@ fun () ->
       if Obs.Trace.enabled () then begin
@@ -350,12 +373,7 @@ and construct_at ~params ~budget ~hidden ~t2 ?(terminating = false) theory
           }
         in
         (* -------- step 5: kappa and coloring -------- *)
-        let kap =
-          step "pipeline.kappa" t_kappa @@ fun () ->
-          Rewrite.kappa ?budget ~eval:params.eval ~hc:params.hc
-            ~max_disjuncts:params.rewrite_max_disjuncts
-            ~max_steps:params.rewrite_max_steps t2
-        in
+        let kap = kappa budget in
         let m =
           match params.coloring_m with
           | Some m -> m

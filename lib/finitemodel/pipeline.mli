@@ -82,6 +82,15 @@ val original_signature_model : Theory.t -> Instance.t -> Instance.t -> Instance.
     dropping colors, TGP witnesses and the hidden query predicate. *)
 
 val construct : ?params:params -> Theory.t -> Instance.t -> Cq.t -> outcome
+(** Computes kappa at most once per call through {!kappa_once}: every
+    depth attempt reuses it unless the deadline stopped it. *)
+
+val kappa_once :
+  ('b -> Bddfc_rewriting.Rewrite.kappa_result) ->
+  'b -> Bddfc_rewriting.Rewrite.kappa_result
+(** [kappa_once compute] is [compute], called on first use and then
+    replayed, except that a result with [tripped = Some Deadline] is
+    computed again on the next call (with that call's budget). *)
 
 val slice_fast_path :
   ?params:params ->

@@ -11,7 +11,14 @@
    unique table and replays cached verdicts by id.  Containment is
    invariant under α-renaming of either query, so verdicts computed on
    the canonical representatives are correct for every α-variant pair
-   hitting the same ids. *)
+   hitting the same ids.
+
+   On a memo miss the interned path first runs [shape_rejects], a
+   cheap atom-shape test that refutes most hopeless pairs without
+   building the frozen instance — the computed-table discipline of a
+   BDD package: the cheap test before the expensive apply.  It sits
+   inside the memo's compute, so lookups and hits keep their meaning,
+   and the structural oracle never sees it. *)
 
 open Bddfc_logic
 open Bddfc_structure
@@ -86,6 +93,52 @@ let subsumes_structural ?engine ~(general : Cq.t) (specific : Cq.t) =
     Eval.satisfiable ~init ?engine inst (Cq.body general)
   end
 
+(* A necessary condition for a homomorphism from [general] into the
+   frozen body of [specific]: each atom of [general] needs a target atom
+   with the same predicate, the same constant wherever [general] has a
+   constant, and equal terms wherever [general] repeats a variable.  The
+   test is per atom and never counts: homomorphisms need not be
+   injective, so e(X,Y), e(Y,Z) maps into e(a,a).  Terms of [specific]
+   are compared as [Cq.freeze] would leave them, so the test agrees with
+   the structural decision even on a constant that collides with a
+   frozen variable name. *)
+let shape_rejects ~(general : Cq.t) (specific : Cq.t) =
+  let same_frozen t u =
+    match (t, u) with
+    | Term.Var x, Term.Var y -> String.equal x y
+    | Term.Cst c, Term.Cst d -> String.equal c d
+    | Term.Var x, Term.Cst c | Term.Cst c, Term.Var x -> Cq.freezes_to x c
+  in
+  let rec fits seen gs ss =
+    match (gs, ss) with
+    | [], [] -> true
+    | (Term.Cst _ as g) :: gs, s :: ss -> same_frozen g s && fits seen gs ss
+    | Term.Var x :: gs, s :: ss -> (
+        match List.assoc_opt x seen with
+        | Some s' -> same_frozen s s' && fits seen gs ss
+        | None -> fits ((x, s) :: seen) gs ss)
+    | _ -> false
+  in
+  let has_target a =
+    List.exists
+      (fun b ->
+        Pred.equal (Atom.pred a) (Atom.pred b)
+        && fits [] (Atom.args a) (Atom.args b))
+      (Cq.body specific)
+  in
+  not (List.for_all has_target (Cq.body general))
+
+let m_prefilter_rejects =
+  Bddfc_obs.Obs.Metrics.counter "containment.prefilter_rejects"
+
+(* The memo's compute: the shape test, then the homomorphism search. *)
+let compute_interned ?engine g s =
+  if shape_rejects ~general:g s then begin
+    Bddfc_obs.Obs.Metrics.incr m_prefilter_rejects;
+    (false, None)
+  end
+  else subsumes_core ?engine ~general:g s
+
 (* [subsumes ~general ~specific]: does [general] hold whenever [specific]
    does (i.e. specific is contained in general)?  Both must have the same
    answer arity. *)
@@ -97,8 +150,8 @@ let subsumes ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
       let gid = Hc.intern general in
       let sid = Hc.intern specific in
       fst
-        (Hc.memo_subsumes ~general:gid ~specific:sid (fun g s ->
-             subsumes_core ?engine ~general:g s))
+        (Hc.memo_subsumes ~general:gid ~specific:sid
+           (compute_interned ?engine))
 
 (* [subsumes], also returning the witness homomorphism (general's
    variables into specific's terms) when the verdict is positive.  The
@@ -112,8 +165,8 @@ let subsumes_witness ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
       let gid, ren_g = Hc.intern_renamed general in
       let sid, ren_s = Hc.intern_renamed specific in
       let verdict, w_canon =
-        Hc.memo_subsumes ~general:gid ~specific:sid (fun g s ->
-            subsumes_core ?engine ~general:g s)
+        Hc.memo_subsumes ~general:gid ~specific:sid
+          (compute_interned ?engine)
       in
       let w =
         Option.map

@@ -13,6 +13,16 @@ val frozen_instance : Cq.t -> Instance.t * Subst.t
 (** The canonical instance of a query: variables frozen into fresh
     constants.  The substitution records the freezing. *)
 
+val shape_rejects : general:Cq.t -> Cq.t -> bool
+(** The atom-shape prefilter of the interned path: [true] only when no
+    homomorphism from [general] into the frozen body of [specific] can
+    exist, because some atom of [general] has no atom of [specific] with
+    the same predicate, the same constants at [general]'s constant
+    positions and equal terms wherever [general] repeats a variable.
+    Sound by construction ([true] implies {!subsumes} is [false]); it
+    never counts atoms, since homomorphisms need not be injective.
+    Rejections inside the memo charge [containment.prefilter_rejects]. *)
+
 val subsumes :
   ?engine:Eval.engine -> ?hc:Hc.mode -> general:Cq.t -> Cq.t -> bool
 (** [subsumes ~general specific]: whenever [specific] holds, so does

@@ -40,6 +40,13 @@ dune exec test/main.exe -- test parallel
 # obs reconciliation and the serve eviction no-drift check
 dune exec test/main.exe -- test hc
 
+# the rewriting differential suite, explicitly: the library loop
+# (kept-set test before minimization) against the test-only reference
+# loop over every zoo rule body, as written and normalized, and the
+# random theories, under both containment backends: same disjuncts in
+# the same order, same steps, completeness, trips and kappa
+dune exec test/main.exe -- test rewrite
+
 # the incremental-maintenance differential suite, explicitly: zoo +
 # random churn batches hom-equivalent (both ways) to a from-scratch
 # chase of the updated database, counter reconciliation, bailout

@@ -6,6 +6,7 @@ let () =
       Test_hom.suite;
       Test_chase.suite;
       Test_rewriting.suite;
+      Test_rewrite.suite;
       Test_ptp.suite;
       Test_finitemodel.suite;
       Test_classes.suite;

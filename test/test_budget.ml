@@ -26,6 +26,8 @@ let diverging = "e(X,Y) -> exists Z. e(Y,Z)."
 
 let resource = Alcotest.testable Budget.pp_resource ( = )
 
+module Obs = Bddfc_obs.Obs
+
 (* ------------------------- the governor itself ------------------------ *)
 
 let test_fuel_charging () =
@@ -373,9 +375,81 @@ let test_judge_fuel_trap_never_raises () =
           Alcotest.failf "trap %d escaped judge: %s" n (Printexc.to_string exn))
     [ 0; 3; 17; 100; 1_000 ]
 
-(* --------------------------- observability ----------------------------- *)
+(* ------------------------- kappa once per construct --------------------- *)
 
-module Obs = Bddfc_obs.Obs
+(* The depth attempts of one construct share a kappa.  [kappa_once]
+   recomputes a kappa the deadline stopped, with the next attempt's
+   budget, and replays any other. *)
+let counted_kappa theory =
+  let calls = ref 0 in
+  let kappa =
+    Pipeline.kappa_once (fun budget ->
+        incr calls;
+        Rewrite.kappa ?budget ~max_disjuncts:100 ~max_steps:2_000 theory)
+  in
+  (kappa, calls)
+
+let test_kappa_deadline_recomputed () =
+  let kappa, calls = counted_kappa (th "p(X) -> q(X). q(X), q(Y) -> r(X,Y).") in
+  let first = kappa (Some (Budget.v ~deadline_s:(-1.0) ())) in
+  check (Alcotest.option resource) "the first attempt ran out of time"
+    (Some Budget.Deadline) first.Rewrite.tripped;
+  let second = kappa None in
+  check Alcotest.int "the next attempt recomputes" 2 !calls;
+  check (Alcotest.option resource) "with its own budget" None
+    second.Rewrite.tripped;
+  check Alcotest.bool "and completes" true second.Rewrite.all_complete;
+  ignore (kappa None);
+  check Alcotest.int "a complete kappa is then replayed" 2 !calls
+
+let test_kappa_fuel_reused () =
+  let kappa, calls = counted_kappa (th "e(X,Y), e(Y,Z) -> e(X,Z).") in
+  let first = kappa (Some (Budget.v ~rewrite_steps:3 ())) in
+  check (Alcotest.option resource) "the first attempt ran out of fuel"
+    (Some Budget.Rewrite_steps) first.Rewrite.tripped;
+  let second = kappa None in
+  check Alcotest.int "the next attempt reuses it" 1 !calls;
+  check Alcotest.bool "unchanged" true (first == second)
+
+(* End to end: sec55 walks the whole depth schedule, and every attempt
+   reaches step 5, yet kappa is computed once — at the default caps
+   (incomplete, but no budget trips) and when the step cap stops it. *)
+let test_construct_kappa_once () =
+  let e = Option.get (Zoo.find "sec55") in
+  let d = Zoo.database_instance e in
+  List.iter
+    (fun max_steps ->
+      let params =
+        { Pipeline.default_params with rewrite_max_steps = max_steps }
+      in
+      let before = Obs.Metrics.snapshot () in
+      let outcome = Pipeline.construct ~params e.Zoo.theory d e.Zoo.query in
+      let after = Obs.Metrics.snapshot () in
+      let timer_calls k =
+        let c s = Option.fold ~none:0 ~some:fst (Obs.Metrics.find_timer s k) in
+        c after - c before
+      in
+      let count k =
+        let c s = Option.value ~default:0 (Obs.Metrics.find_int s k) in
+        c after - c before
+      in
+      (match outcome with
+      | Pipeline.Unknown (_, st) ->
+          check (Alcotest.option resource)
+            (Printf.sprintf "max_steps %d: what stopped kappa" max_steps)
+            (if max_steps < 2_000 then Some Budget.Rewrite_steps else None)
+            st.Pipeline.tripped
+      | _ -> Alcotest.failf "max_steps %d: sec55 has no model" max_steps);
+      check Alcotest.int
+        (Printf.sprintf "max_steps %d: every attempt ran" max_steps)
+        3 (count "pipeline.attempts");
+      check Alcotest.int
+        (Printf.sprintf "max_steps %d: one kappa" max_steps)
+        1
+        (timer_calls "pipeline.kappa"))
+    [ 2_000; 5 ]
+
+(* --------------------------- observability ----------------------------- *)
 
 (* Every exhaustion funnels through [trip]: the registry counter moves
    whether or not tracing is on, and under a collector the structured
@@ -455,6 +529,11 @@ let suite =
       tc "pipeline: fault-injection sweep" test_pipeline_fuel_trap_sweep;
       tc "judge: fault injection never raises"
         test_judge_fuel_trap_never_raises;
+      tc "kappa once: a deadline-stopped kappa is recomputed"
+        test_kappa_deadline_recomputed;
+      tc "kappa once: a fuel-stopped kappa is reused" test_kappa_fuel_reused;
+      tc "kappa once: one kappa across the depth schedule"
+        test_construct_kappa_once;
       tc "trip telemetry: counter always, event under tracing"
         test_trip_telemetry;
     ] )

@@ -296,6 +296,113 @@ let test_memo_coherence_replay () =
     entries
 
 (* ----------------------------------------------------------------- *)
+(* The atom-shape prefilter: a rejection is a proof of non-containment *)
+(* ----------------------------------------------------------------- *)
+
+let structural_subsumes ~general specific =
+  Containment.subsumes ~hc:Hc.Structural ~general specific
+
+(* The fuzzing battery's pairs (same seeds) and their α-variants: every
+   rejection must be a pair the structural oracle refutes. *)
+let test_prefilter_sound_fuzz () =
+  let rejected = ref 0 in
+  for seed = 0 to 239 do
+    let st = Random.State.make [| seed; 101 |] in
+    let q1 = random_cq st in
+    let q2 = random_cq st in
+    let a1 = alpha_variant q1 in
+    List.iter
+      (fun (general, specific) ->
+        if Containment.shape_rejects ~general specific then begin
+          incr rejected;
+          check Alcotest.bool
+            (Printf.sprintf "seed %d: a rejected pair is not contained" seed)
+            false
+            (structural_subsumes ~general specific)
+        end)
+      [ (q1, q2); (q2, q1); (q1, q1); (a1, q2); (q2, a1); (a1, q1) ]
+  done;
+  check Alcotest.bool "the battery exercises the filter" true (!rejected > 100)
+
+let shape_case name ~general specific ~rejects =
+  let general = Parser.parse_query general in
+  let specific = Parser.parse_query specific in
+  check Alcotest.bool (name ^ ": shape verdict") rejects
+    (Containment.shape_rejects ~general specific);
+  if rejects then
+    check Alcotest.bool (name ^ ": the oracle agrees") false
+      (structural_subsumes ~general specific)
+
+let test_prefilter_crafted () =
+  (* one case per condition, each with its passing twin *)
+  shape_case "predicate" ~general:"? p(X)." "? q(X)." ~rejects:true;
+  shape_case "predicate twin" ~general:"? p(X)." "? p(Y)." ~rejects:false;
+  shape_case "constant" ~general:"? e(a,X)." "? e(b,Y)." ~rejects:true;
+  shape_case "constant vs variable" ~general:"? e(a,X)." "? e(Y,Z)."
+    ~rejects:true;
+  shape_case "constant twin" ~general:"? e(a,X)." "? e(a,Y)." ~rejects:false;
+  shape_case "repeated variable" ~general:"? e(X,X)." "? e(Y,Z)."
+    ~rejects:true;
+  shape_case "repeated variable twin" ~general:"? e(X,X)." "? e(Y,Y)."
+    ~rejects:false;
+  (* each atom needs its own target, but targets may be shared *)
+  shape_case "one atom without a target" ~general:"? e(X,Y), p(Y)."
+    "? e(U,V), p(W), e(V,V)." ~rejects:false;
+  shape_case "one atom without a target (rejects)"
+    ~general:"? e(X,Y), f(Y,Y)." "? e(U,V), f(U,V)." ~rejects:true
+
+(* Homomorphisms need not be injective: a path of two edges maps onto one
+   loop.  A filter that counted atoms would reject this contained pair. *)
+let test_prefilter_never_counts () =
+  let general = Parser.parse_query "? e(X,Y), e(Y,Z)." in
+  let specific = Parser.parse_query "? e(a,a)." in
+  check Alcotest.bool "not rejected" false
+    (Containment.shape_rejects ~general specific);
+  List.iter
+    (fun hc ->
+      check Alcotest.bool
+        ("contained under " ^ Hc.mode_tag hc)
+        true
+        (Containment.subsumes ~hc ~general specific))
+    [ Hc.Structural; Hc.Interned ];
+  (* a constant spelled like a frozen variable meets that variable in the
+     frozen instance, and the filter must see the same collision *)
+  let general =
+    Cq.boolean [ Atom.app "e" [ Term.cst "_frz_Y"; Term.var "X" ] ]
+  in
+  let specific = Parser.parse_query "? e(Y,Z)." in
+  check Alcotest.bool "frozen-name collision is contained" true
+    (structural_subsumes ~general specific);
+  check Alcotest.bool "frozen-name collision is not rejected" false
+    (Containment.shape_rejects ~general specific)
+
+(* The filter runs inside the memo's compute: a rejected miss is one
+   lookup and one reject, and its replay is a plain hit. *)
+let test_prefilter_inside_memo () =
+  Hc.reset ();
+  let general = Parser.parse_query "? e(X,X)." in
+  let specific = Parser.parse_query "? e(Y,Z)." in
+  let count s k = Option.value ~default:0 (M.find_int s k) in
+  let s0 = M.snapshot () in
+  check Alcotest.bool "miss: not contained" false
+    (Containment.subsumes ~hc:Hc.Interned ~general specific);
+  let s1 = M.snapshot () in
+  check Alcotest.bool "hit: not contained" false
+    (Containment.subsumes ~hc:Hc.Interned ~general specific);
+  let s2 = M.snapshot () in
+  let d a b k = count b k - count a k in
+  check Alcotest.int "miss: one lookup" 1 (d s0 s1 "containment.memo_lookups");
+  check Alcotest.int "miss: one reject" 1
+    (d s0 s1 "containment.prefilter_rejects");
+  check Alcotest.int "hit: one lookup" 1 (d s1 s2 "containment.memo_lookups");
+  check Alcotest.int "hit: one hit" 1 (d s1 s2 "containment.memo_hits");
+  check Alcotest.int "hit: no reject" 0 (d s1 s2 "containment.prefilter_rejects");
+  (* the structural path never consults the filter *)
+  ignore (Containment.subsumes ~hc:Hc.Structural ~general specific);
+  check Alcotest.int "structural: no reject" 0
+    (d s2 (M.snapshot ()) "containment.prefilter_rejects")
+
+(* ----------------------------------------------------------------- *)
 (* Rewriting: same UCQs, same completeness, same trip points          *)
 (* ----------------------------------------------------------------- *)
 
@@ -560,6 +667,7 @@ let hc_counter_names =
     "hc.resets";
     "containment.memo_lookups";
     "containment.memo_hits";
+    "containment.prefilter_rejects";
     "hc.eval_memo_lookups";
     "hc.eval_memo_hits";
   ]
@@ -597,6 +705,10 @@ let test_counters_reconcile () =
       ("containment.memo_hits", "containment.memo_lookups");
       ("hc.eval_memo_hits", "hc.eval_memo_lookups");
     ];
+  (* every rejection is a memo miss *)
+  check Alcotest.bool "prefilter rejects are misses" true
+    (d "containment.prefilter_rejects"
+    <= d "containment.memo_lookups" - d "containment.memo_hits");
   (* the nodes gauge is exactly the live store size *)
   let atoms, cqs = Hc.store_size () in
   check Alcotest.int "hc.nodes gauge tracks the store" (atoms + cqs)
@@ -693,6 +805,11 @@ let suite =
       tc "fuzz: containment verdicts agree across modes" test_fuzz_containment;
       tc "fuzz: UCQ pruning agrees across modes" test_fuzz_prune_ucq;
       tc "memo coherence: cached verdicts replay" test_memo_coherence_replay;
+      tc "prefilter: rejections are sound on the fuzz pairs"
+        test_prefilter_sound_fuzz;
+      tc "prefilter: one crafted case per condition" test_prefilter_crafted;
+      tc "prefilter: never counts atoms" test_prefilter_never_counts;
+      tc "prefilter: sits inside the memo" test_prefilter_inside_memo;
       tc "rewrite: zoo differential" test_rewrite_zoo_differential;
       tc "rewrite: random-theory differential" test_rewrite_random_differential;
       tc "rewrite: fuel-trap points do not diverge" test_rewrite_fuel_trap_differential;
