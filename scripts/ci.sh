@@ -81,55 +81,32 @@ BDDFC_TEST_HC=structural dune runtest --force
 # the CLI cram suite (exit codes, diagnostics, --strategy acceptance)
 dune build @test/cli/runtest
 
-# the strategy agreement smoke: exits nonzero if the two chase
-# evaluation strategies diverge on any bench workload or zoo entry
-dune exec bench/main.exe -- --strategy-smoke
-
-# the join-engine smoke: compiled plans and the reference interpreter
-# must agree on every workload and zoo entry, and the compiled engine's
-# deterministic probe / index-op counts must stay within 10% of the
-# committed EX-17 blob (wall times are informational only)
-dune exec bench/main.exe -- --eval-smoke --bench05-check BENCH_05.json
-
-# the serve load harness: forked server children driven through
-# cold/warm/overload/faulted phases.  Gated: both children exit 0,
-# clean phases have zero errors, the overload burst sheds, warm p50 is
-# >=5x better than cold, and the deterministic request/error counts
-# (the error-rate of the seeded fault stream) match the committed
-# EX-18 blob.  Latencies are reported, never gated.
-dune exec bench/main.exe -- --serve-bench --bench06-check BENCH_06.json
-
-# the parallel-chase smoke (EX-19): every workload at 1/2/4/8 domains
-# must produce identical rounds/facts/probes/index-op counts and a
-# bit-identical instance, matching the committed BENCH_07 blob exactly.
-# The >= 2x speedup at 4 domains is gated only on machines with >= 4
-# cores; wall times are reported either way.
-dune exec bench/main.exe -- --parallel-smoke --bench07-check BENCH_07.json
-
-# the dataflow-analysis smoke (EX-20): every zoo entry's dataflow
-# report must build and its JSON must re-parse; sliced and unsliced
-# certain-answer verdicts must be identical on every slicing workload;
-# the padded workloads must keep their >= 1.5x join-probe reduction;
-# and the probe counts must stay within 10% of the committed EX-20
-# blob.  Wall times are reported, never gated.
-dune exec bench/main.exe -- --analyze-smoke --bench08-check BENCH_08.json
-
-# the hash-consing smoke (EX-21): every workload must produce
-# byte-identical verdicts under the interned and structural containment
-# backends; the depth-sweep rows must keep their >50% memo hit rate and
-# the counters must stay within 10% of the committed EX-21 blob; at
-# least one workload must show a >= 1.5x interned speedup (both arms
-# run in the same process).  Absolute wall times are never gated.
-dune exec bench/main.exe -- --hc-smoke --bench09-check BENCH_09.json
-
-# the incremental-maintenance smoke (EX-22): a churn stream of small
-# assert/retract batches, the maintained instance bit-identical to a
-# from-scratch re-chase after every batch, per-batch stats reconciling
-# with the instance size, and the deterministic counters within 10% of
-# the committed EX-22 blob.  The >= 5x maintained-vs-rechase speedup on
-# at least one workload is gated only on machines with >= 4 cores (as
-# in BENCH_07); wall times are reported either way.
-dune exec bench/main.exe -- --maintain-smoke --bench10-check BENCH_10.json
+# the bench counter gate: one process runs EX-17 to EX-22 and compares
+# their deterministic counters with the committed BENCH_gate.json (the
+# blob is validated before anything is measured).  Per experiment:
+#   EX-17 join engines: compiled probes / index ops at most +10%
+#   EX-18 serve load harness (forked server children): request and
+#         error counts exact; both children exit 0, clean phases have
+#         zero errors, the overload burst sheds, warm p50 >= 5x cold
+#   EX-19 parallel chase at 1/2/4/8 domains: every counter exact and
+#         identical across domain counts, the instance bit-identical to
+#         the sequential engine; >= 2x at 4 domains gated only on
+#         machines with >= 4 cores
+#   EX-20 rule slicing: probes at most +10%, verdicts exact, sliced and
+#         unsliced verdicts identical, >= 1.5x probe reduction on the
+#         padded workloads, every zoo dataflow report builds and its
+#         JSON re-parses
+#   EX-21 hash-consing: memo/eval counters within 10%, verdicts exact,
+#         hit rate not >10% below the committed one, interned and
+#         structural verdicts identical, > 50% hit rate on the
+#         depth-sweep rows, >= 1.5x interned speedup somewhere
+#   EX-22 maintenance churn: counters within 10%, every batch
+#         bit-identical to a re-chase, stats reconcile with instance
+#         size; >= 5x speedup gated only on machines with >= 4 cores
+# Wall times are reported, never compared with the blob.  The strategy
+# and join-engine agreement on the bench workloads is checked by
+# `test differential` above.
+dune exec bench/main.exe -- --check BENCH_gate.json
 
 # the observability smoke: tracing must be semantically inert (same
 # results, same counter deltas) and the disabled path within noise;
