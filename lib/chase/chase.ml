@@ -41,9 +41,13 @@
    [max_rounds]/[max_elements] knobs are local ceilings layered on top of
    the caller's governor.
 
-   Whatever the strategy, a trigger fires through [commit], the only
-   place the chase mutates an instance (Maintain's repair fires through
-   it too), and [run], [resume] and [certain] share one round driver. *)
+   Whatever the strategy, a trigger fires through [guarded_commit], the
+   only place the chase mutates an instance (Maintain's repair fires
+   through it too, via [commit]), and [run], [resume] and [certain]
+   share one round driver.  Each rule is prepared once per run into a
+   [trigger]: rounds, witness checks, demand keys and commits then work
+   on body register environments, never on variable names (DESIGN.md
+   section 7a). *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -129,101 +133,273 @@ let instantiate inst binding fresh atom =
   in
   Fact.make (Atom.pred atom) (Array.of_list (List.map id_of (Atom.args atom)))
 
-(* The frontier part of a body binding: what a witness must agree on. *)
-let frontier_binding frontier binding =
-  Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
+(* ------------------------------------------------------------------ *)
+(* Triggers                                                            *)
+(* ------------------------------------------------------------------ *)
 
-(* Witness check: does the round's visible state satisfy
-   [exists Z. head] under the frontier part of [binding]?  Under the
-   semi-naive strategy [snapshot] is the live instance and [upto] trims
-   the join to the committed prefix (births < round). *)
-let witness_exists ?upto ?eval snapshot rule binding =
-  Eval.satisfiable
-    ~init:(frontier_binding (Rule.frontier rule) binding)
-    ?upto ?engine:eval snapshot (Rule.head rule)
+(* A rule's trigger path works on the body plan's register environment
+   (Eval.iter_env), never on variable names: everything a firing needs
+   is resolved to body registers once, when the rule is prepared. *)
 
-(* Key identifying the demanded head instance: predicate names and frontier
-   arguments, with existential slots anonymized.  Two triggers demanding
-   the same head instance create a single witness. *)
-let demand_key rule binding =
-  let render_atom a =
-    let render = function
-      | Term.Cst c -> "c:" ^ c
-      | Term.Var x -> (
-          match Smap.find_opt x binding with
-          | Some id -> "e:" ^ string_of_int id
-          | None -> "z:" ^ x)
-    in
-    Pred.name (Atom.pred a) ^ "("
-    ^ String.concat "," (List.map render (Atom.args a))
-    ^ ")"
+(* A head argument, resolved against the body registers. *)
+type hslot =
+  | H_body of int (* a frontier variable's body register *)
+  | H_cst of string
+  | H_exist of int (* an existential variable, numbered by first occurrence *)
+
+(* The dedup key of an existential trigger: an interned shape and the
+   element ids that fill it. *)
+type key = { k_shape : int; k_ids : int array }
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let rec ids_equal a1 a2 i =
+    i >= Array.length a1 || (a1.(i) = a2.(i) && ids_equal a1 a2 (i + 1))
+
+  let equal k1 k2 =
+    k1.k_shape = k2.k_shape
+    && Array.length k1.k_ids = Array.length k2.k_ids
+    && ids_equal k1.k_ids k2.k_ids 0
+
+  (* the linear fold puts neighbouring ids a fixed stride apart;
+     [Hashtbl.hash] of the result mixes them into the low bits *)
+  let hash k =
+    let h = ref k.k_shape in
+    for i = 0 to Array.length k.k_ids - 1 do
+      h := ((!h * 31) + k.k_ids.(i) + 1) land max_int
+    done;
+    Hashtbl.hash !h
+end)
+
+(* Shapes are interned per run: keys are only ever compared within one
+   run's demand tables, and the shapes of generated rules (fresh
+   existential names) would otherwise pile up for the life of a serving
+   process. *)
+let intern_shape shapes s =
+  match Hashtbl.find_opt shapes s with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length shapes in
+      Hashtbl.add shapes s id;
+      id
+
+type trigger = {
+  t_rule : Rule.t;
+  t_datalog : bool;
+  t_body : Eval.prepared;
+  t_head : Eval.prepared option;
+      (* the witness check's plan: restricted existential rules only *)
+  t_fill : (int * int) array; (* (head register, body register): frontier *)
+  t_atoms : (Pred.t * hslot array) list; (* the head, instantiated per firing *)
+  t_nexist : int;
+  t_parent : int; (* body register of the nulls' skeleton parent; -1: none *)
+  t_key_shape : int;
+  t_key_regs : int array; (* body registers filling the key's shape *)
+}
+
+(* The dedup key of a restricted trigger is the demanded head instance:
+   the head rendered with its constants, its existential variables by
+   name and its frontier slots by element id.  The rendering of
+   everything but the ids is the shape; the ids, in rendering order, go
+   in [k_ids].  Two triggers (of any rules) demanding the same head
+   instance thus create a single witness.  The oblivious key is the
+   whole body homomorphism — rule name and every body variable, in
+   name order — one witness per homomorphism.  [key] carries the run's
+   shape table and variant; without it (a single commit) the trigger has
+   neither key nor witness plan. *)
+let prepare_trigger ?key rule =
+  let datalog = Rule.is_datalog rule in
+  let body = Eval.prepare (Rule.body rule) in
+  let head =
+    match key with
+    | Some (_, Restricted) when not datalog ->
+        Some (Eval.prepare (Rule.head rule))
+    | Some _ | None -> None
   in
-  String.concat "&" (List.map render_atom (Rule.head rule))
+  let bplan = Eval.plan body in
+  let exist = ref [] in
+  let slot = function
+    | Term.Cst c -> H_cst c
+    | Term.Var x -> (
+        match Plan.reg_of_var bplan x with
+        | Some r -> H_body r
+        | None -> (
+            match List.assoc_opt x !exist with
+            | Some k -> H_exist k
+            | None ->
+                let k = List.length !exist in
+                exist := (x, k) :: !exist;
+                H_exist k))
+  in
+  let atoms =
+    List.map
+      (fun a -> (Atom.pred a, Array.of_list (List.map slot (Atom.args a))))
+      (Rule.head rule)
+  in
+  let fill =
+    match head with
+    | None -> []
+    | Some head ->
+        let hplan = Eval.plan head in
+        List.filter_map
+          (fun r ->
+            Option.map
+              (fun b -> (r, b))
+              (Plan.reg_of_var bplan (Plan.var_name hplan r)))
+          (List.init (Plan.nvars hplan) Fun.id)
+  in
+  let body_regs =
+    List.concat_map
+      (fun (_, slots) ->
+        List.filter_map
+          (function H_body r -> Some r | H_cst _ | H_exist _ -> None)
+          (Array.to_list slots))
+      atoms
+  in
+  let key_shape, key_regs =
+    match key with
+    | None -> (-1, [])
+    | Some (shapes, Restricted) ->
+        let render_atom a =
+          let render = function
+            | Term.Cst c -> "c:" ^ c
+            | Term.Var x -> (
+                match Plan.reg_of_var bplan x with
+                | Some _ -> "e:"
+                | None -> "z:" ^ x)
+          in
+          Pred.name (Atom.pred a) ^ "("
+          ^ String.concat "," (List.map render (Atom.args a))
+          ^ ")"
+        in
+        ( intern_shape shapes
+            (String.concat "&" (List.map render_atom (Rule.head rule))),
+          body_regs )
+    | Some (shapes, Oblivious) ->
+        let vars =
+          List.sort
+            (fun (x, _) (y, _) -> String.compare x y)
+            (List.init (Plan.nvars bplan) (fun r -> (Plan.var_name bplan r, r)))
+        in
+        ( intern_shape shapes
+            (Rule.name rule ^ "#"
+            ^ String.concat "," (List.map (fun (x, _) -> x ^ ":") vars)),
+          List.map snd vars )
+  in
+  {
+    t_rule = rule;
+    t_datalog = datalog;
+    t_body = body;
+    t_head = head;
+    t_fill = Array.of_list fill;
+    t_atoms = atoms;
+    t_nexist = List.length !exist;
+    t_parent = (match body_regs with r :: _ -> r | [] -> -1);
+    t_key_shape = key_shape;
+    t_key_regs = Array.of_list key_regs;
+  }
 
-(* The dedup key of an existential trigger: the demanded head instance
-   (restricted), or the whole body homomorphism (oblivious: one witness
-   per homomorphism). *)
-let trigger_key variant rule binding =
-  match variant with
-  | Restricted -> demand_key rule binding
-  | Oblivious ->
-      Rule.name rule ^ "#"
-      ^ String.concat ","
-          (List.map
-             (fun (x, id) -> x ^ ":" ^ string_of_int id)
-             (Smap.bindings binding))
+let trigger_key tg env =
+  {
+    k_shape = tg.t_key_shape;
+    k_ids = Array.map (fun r -> env.(r)) tg.t_key_regs;
+  }
+
+(* Witness check: does the round's visible state satisfy [exists Z. head]
+   under the frontier of the body environment [env]?  Under the
+   semi-naive strategy [snapshot] is the live instance and the windows
+   trim the join to the committed prefix (births < round).  The
+   interpreter (the differential oracle) checks through named bindings,
+   as it always did. *)
+let witness_exists ?eval ~upto ~wsince ~wupto snapshot tg head env =
+  match eval with
+  | Some Eval.Interp ->
+      let hplan = Eval.plan head in
+      let init =
+        Array.fold_left
+          (fun b (h, r) -> Smap.add (Plan.var_name hplan h) env.(r) b)
+          Smap.empty tg.t_fill
+      in
+      Eval.satisfiable ~init ?upto ~engine:Eval.Interp snapshot
+        (Rule.head tg.t_rule)
+  | Some Eval.Compiled | None ->
+      Eval.satisfiable_filled ~fill:tg.t_fill ~src:env ~wsince ~wupto snapshot
+        head
+
+(* The witness check's per-atom windows: the whole committed prefix. *)
+let head_windows tg upto =
+  let n = max 1 (List.length (Rule.head tg.t_rule)) in
+  (Array.make n 0, Array.make n (Option.value upto ~default:max_int))
 
 (* [true] the first time [key] is demanded in [table]. *)
 let first_demand table key =
-  (not (Hashtbl.mem table key)) && (Hashtbl.replace table key (); true)
+  (not (Key_tbl.mem table key)) && (Key_tbl.replace table key (); true)
 
 type record =
   round:int -> rule:Rule.t -> binding:Eval.binding -> Fact.t -> unit
 
 type tally = { mutable added : int; mutable nulls : int }
 
-(* The skeleton-forest parent of a trigger's nulls: the first frontier
-   element appearing in a head atom. *)
-let null_parent rule binding =
-  List.find_map
-    (fun a ->
-      List.find_map
-        (function Term.Var x -> Smap.find_opt x binding | Term.Cst _ -> None)
-        (Atom.args a))
-    (Rule.head rule)
-
-(* The commit: fire [rule]'s trigger under the body [binding] at birth
-   [round].  Existential variables get one shared set of fresh nulls;
-   every head fact actually added is counted, recorded, then charged.
+(* The commit: fire [tg]'s trigger under the body environment [env] at
+   birth [round].  Existential variables get one shared set of fresh
+   nulls, parented at the first frontier element of the head; every head
+   fact actually added is counted, recorded, then charged.  [binding]
+   names [env] for the recorder and is only called when there is one.
    [guard] runs before each mutation (phase C's discipline check). *)
-let guarded_commit ~guard ?record ~budget ~round tally inst rule binding =
-  let nulls = ref [] in
-  let fresh x =
-    match List.assoc_opt x !nulls with
-    | Some id -> id
-    | None ->
-        guard ();
-        Budget.charge budget Budget.Elements 1;
-        let id =
-          Instance.fresh_null inst ~birth:round ~rule:(Rule.name rule)
-            ~parent:(null_parent rule binding)
-        in
-        tally.nulls <- tally.nulls + 1;
-        nulls := (x, id) :: !nulls;
-        id
+let guarded_commit ~guard ?record ~budget ~round tally inst tg env ~binding =
+  let rule = tg.t_rule in
+  let record =
+    Option.map
+      (fun fn ->
+        let binding = binding () in
+        fun f -> fn ~round ~rule ~binding f)
+      record
+  in
+  let nulls = Array.make tg.t_nexist (-1) in
+  let arg = function
+    | H_body r -> env.(r)
+    | H_cst c -> Instance.const inst c
+    | H_exist k ->
+        if nulls.(k) >= 0 then nulls.(k)
+        else begin
+          guard ();
+          Budget.charge budget Budget.Elements 1;
+          let id =
+            Instance.fresh_null inst ~birth:round ~rule:(Rule.name rule)
+              ~parent:(if tg.t_parent < 0 then None else Some env.(tg.t_parent))
+          in
+          tally.nulls <- tally.nulls + 1;
+          nulls.(k) <- id;
+          id
+        end
   in
   List.iter
-    (fun atom ->
-      let f = instantiate inst binding fresh atom in
+    (fun (p, slots) ->
+      let f = Fact.make p (Array.map arg slots) in
       guard ();
       if Instance.add_fact ~birth:round inst f then begin
         tally.added <- tally.added + 1;
-        Option.iter (fun fn -> fn ~round ~rule ~binding f) record;
+        Option.iter (fun fn -> fn f) record;
         Budget.charge budget Budget.Facts 1
       end)
-    (Rule.head rule)
+    tg.t_atoms
 
-let commit = guarded_commit ~guard:ignore
+(* The commit behind a named body binding (Maintain's repair). *)
+let commit ?record ~budget ~round tally inst rule binding =
+  let tg = prepare_trigger rule in
+  let bplan = Eval.plan tg.t_body in
+  let env =
+    Array.init
+      (max 1 (Plan.nvars bplan))
+      (fun r ->
+        if r >= Plan.nvars bplan then -1
+        else
+          Option.value ~default:(-1)
+            (Smap.find_opt (Plan.var_name bplan r) binding))
+  in
+  guarded_commit ~guard:ignore ?record ~budget ~round tally inst tg env
+    ~binding:(fun () -> binding)
 
 (* ------------------------------------------------------------------ *)
 (* The parallel round                                                  *)
@@ -237,7 +413,8 @@ let commit = guarded_commit ~guard:ignore
                             of the sequential enumeration), and chunk the
                             candidate ranges into jobs;
      phase B (pool)         evaluate jobs read-only against the committed
-                            prefix: enumerate bindings (Eval.pass_run),
+                            prefix: enumerate body environments
+                            (Eval.pass_run),
                             run witness checks and compute demand keys,
                             collect the triggers that may fire into
                             per-job slots (counters divert to per-domain
@@ -260,89 +437,78 @@ let commit = guarded_commit ~guard:ignore
    section 11). *)
 
 type pjob = {
-  pj_rule : Rule.t;
-  pj_datalog : bool;
-  pj_frontier : Rule.SS.t;
-  pj_head_prep : Eval.prepared option; (* restricted existential only *)
+  pj_trigger : trigger;
+  pj_wsince : int array;
+  pj_wupto : int array; (* the witness check's windows *)
   pj_pass : Eval.pass;
   pj_lo : int;
   pj_hi : int; (* root-candidate range [lo, hi) *)
-  mutable pj_out : (Eval.binding * string option) list;
-      (* triggers that may fire, in enumeration order; existential ones
-         carry their demand key *)
+  mutable pj_out : (Element.id array * key option) list;
+      (* triggers that may fire, in enumeration order, with a copy of
+         their body environment; existential ones carry their demand
+         key *)
 }
 
 let chunks_per_domain = 4
 
-let parallel_round ~variant ~domains ~datalog_only ~demanded ~since ?record
-    ~budget ~round_no tally theory inst =
+let parallel_round ~domains ~demanded ~since ?record ~budget ~round_no tally
+    triggers inst =
   let upto = round_no in
   let pool = Shard.shared_pool domains in
   (* phase A *)
   let jobs = ref [] in
   List.iter
-    (fun rule ->
-      if (not datalog_only) || Rule.is_datalog rule then begin
-        let body_prep = Eval.prepare (Rule.body rule) in
-        let is_datalog = Rule.is_datalog rule in
-        let head_prep =
-          if is_datalog || variant = Oblivious then None
-          else Some (Eval.prepare (Rule.head rule))
-        in
-        let frontier = Rule.frontier rule in
-        List.iter
-          (fun pass ->
-            let ncands = Eval.pass_candidates pass in
-            if ncands > 0 then begin
-              let nchunks = min ncands (domains * chunks_per_domain) in
-              let base = ncands / nchunks and rem = ncands mod nchunks in
-              let lo = ref 0 in
-              for c = 0 to nchunks - 1 do
-                let len = base + if c < rem then 1 else 0 in
-                jobs :=
-                  {
-                    pj_rule = rule;
-                    pj_datalog = is_datalog;
-                    pj_frontier = frontier;
-                    pj_head_prep = head_prep;
-                    pj_pass = pass;
-                    pj_lo = !lo;
-                    pj_hi = !lo + len;
-                    pj_out = [];
-                  }
-                  :: !jobs;
-                lo := !lo + len
-              done
-            end)
-          (Eval.passes ~since ~upto inst body_prep)
-      end)
-    (Theory.rules theory);
+    (fun tg ->
+      let wsince, wupto = head_windows tg (Some upto) in
+      List.iter
+        (fun pass ->
+          let ncands = Eval.pass_candidates pass in
+          if ncands > 0 then begin
+            let nchunks = min ncands (domains * chunks_per_domain) in
+            let base = ncands / nchunks and rem = ncands mod nchunks in
+            let lo = ref 0 in
+            for c = 0 to nchunks - 1 do
+              let len = base + if c < rem then 1 else 0 in
+              jobs :=
+                {
+                  pj_trigger = tg;
+                  pj_wsince = wsince;
+                  pj_wupto = wupto;
+                  pj_pass = pass;
+                  pj_lo = !lo;
+                  pj_hi = !lo + len;
+                  pj_out = [];
+                }
+                :: !jobs;
+              lo := !lo + len
+            done
+          end)
+        (Eval.passes ~since ~upto inst tg.t_body))
+    triggers;
   let jobs = Array.of_list (List.rev !jobs) in
   Shard.Check.phase_a ~facts:(Instance.num_facts inst)
     ~elements:(Instance.num_elements inst);
   (* phase B *)
   let work j =
     let job = jobs.(j) in
+    let tg = job.pj_trigger in
     Shard.Check.observe ~facts:(Instance.num_facts inst)
       ~elements:(Instance.num_elements inst);
     if not (Budget.deadline_expired budget) then begin
       let out = ref [] in
       let yield =
-        if job.pj_datalog then fun binding -> out := (binding, None) :: !out
-        else fun binding ->
+        if tg.t_datalog then fun env -> out := (Array.copy env, None) :: !out
+        else fun env ->
           let fire =
-            match job.pj_head_prep with
-            | None -> true
-            | Some head_prep ->
+            match tg.t_head with
+            | None -> true (* oblivious: no witness check *)
+            | Some head ->
                 not
-                  (Eval.satisfiable_prepared
-                     ~init:(frontier_binding job.pj_frontier binding)
-                     ~upto inst head_prep)
+                  (Eval.satisfiable_filled ~fill:tg.t_fill ~src:env
+                     ~wsince:job.pj_wsince ~wupto:job.pj_wupto inst head)
           in
           if fire then
-            out :=
-              (binding, Some (trigger_key variant job.pj_rule binding))
-              :: !out
+            out := (Array.copy env, Some (trigger_key tg env)) :: !out
       in
       let c = ref job.pj_lo in
       while !c < job.pj_hi && not (Budget.deadline_expired budget) do
@@ -366,51 +532,51 @@ let parallel_round ~variant ~domains ~datalog_only ~demanded ~since ?record
   (* phase C *)
   Array.iter
     (fun job ->
+      let tg = job.pj_trigger in
       List.iter
-        (fun (binding, key) ->
+        (fun (env, key) ->
           if Option.fold key ~none:true ~some:(first_demand demanded) then
             guarded_commit ~guard:Shard.Check.mutating ?record ~budget
-              ~round:round_no tally inst job.pj_rule binding)
+              ~round:round_no tally inst tg env ~binding:(fun () ->
+                Eval.binding_of_prepared tg.t_body env))
         job.pj_out)
     jobs
 
 (* One simultaneous chase round on [inst].  Body evaluation and witness
    checks read the state at the start of the round: a full copy under the
    Naive strategy, the committed prefix of [inst] itself (births <
-   round_no, in place) under Seminaive and Parallel.  Fresh elements and
-   added facts are charged to [budget]; a trip mid-round leaves a partial
-   round behind (best effort). *)
-let sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded ~since
-    ?record ~budget ~round_no tally theory inst =
-  let snapshot, upto =
+   round_no, in place) under Seminaive and Parallel.  Under Seminaive
+   only bindings with >= 1 body atom in the previous round's delta are
+   enumerated — every other binding already fired (or was
+   witness-blocked) in an earlier round.  Fresh elements and added facts
+   are charged to [budget]; a trip mid-round leaves a partial round
+   behind (best effort). *)
+let sequential_round ~strategy ?eval ~demanded ~since ?record ~budget
+    ~round_no tally triggers inst =
+  let snapshot, upto, since =
     match strategy with
-    | Naive -> (Instance.copy inst, None)
-    | Seminaive | Parallel _ -> (inst, Some round_no)
-  in
-  (* Under Seminaive only bindings with >= 1 body atom in the previous
-     round's delta are enumerated — every other binding already fired (or
-     was witness-blocked) in an earlier round. *)
-  let iter_bindings rule yield =
-    match strategy with
-    | Naive -> Eval.iter_solutions ?engine:eval snapshot (Rule.body rule) yield
-    | Seminaive | Parallel _ ->
-        Eval.iter_solutions_delta ~since ~upto:round_no ?engine:eval inst
-          (Rule.body rule) yield
+    | Naive -> (Instance.copy inst, None, 0)
+    | Seminaive | Parallel _ -> (inst, Some round_no, since)
   in
   List.iter
-    (fun rule ->
-      let datalog = Rule.is_datalog rule in
-      let fires binding =
-        datalog
-        || (variant = Oblivious
-           || not (witness_exists ?upto ?eval snapshot rule binding))
-           && first_demand demanded (trigger_key variant rule binding)
+    (fun tg ->
+      let wsince, wupto = head_windows tg upto in
+      let fires env =
+        tg.t_datalog
+        || (match tg.t_head with
+           | None -> true (* oblivious: no witness check *)
+           | Some head ->
+               not
+                 (witness_exists ?eval ~upto ~wsince ~wupto snapshot tg head
+                    env))
+           && first_demand demanded (trigger_key tg env)
       in
-      if (not datalog_only) || datalog then
-        iter_bindings rule (fun binding ->
-            if fires binding then
-              commit ?record ~budget ~round:round_no tally inst rule binding))
-    (Theory.rules theory)
+      Eval.iter_env ?engine:eval ~since ?upto snapshot tg.t_body (fun env ->
+          if fires env then
+            guarded_commit ~guard:ignore ?record ~budget ~round:round_no tally
+              inst tg env ~binding:(fun () ->
+                Eval.binding_of_prepared tg.t_body env)))
+    triggers
 
 (* Dispatch one round and return its tally.  [Parallel n] with [n <= 1]
    is literally the sequential Seminaive code path (one domain, no pool,
@@ -422,11 +588,11 @@ let sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded ~since
    the restricted variant because the created witness blocks the trigger
    in later rounds.  The tally reaches the registry even when a budget
    trips mid-round. *)
-let round ?(variant = Restricted) ~strategy ?eval ?(datalog_only = false)
-    ?fired ?since ?record ~budget ~round_no theory inst =
+let round ~strategy ?eval ?fired ?since ?record ~budget ~round_no triggers
+    inst =
   Obs.Metrics.incr m_rounds;
   let since = Option.value since ~default:(round_no - 1) in
-  let demanded = match fired with Some t -> t | None -> Hashtbl.create 64 in
+  let demanded = match fired with Some t -> t | None -> Key_tbl.create 64 in
   let tally = { added = 0; nulls = 0 } in
   Fun.protect
     ~finally:(fun () ->
@@ -435,12 +601,22 @@ let round ?(variant = Restricted) ~strategy ?eval ?(datalog_only = false)
     (fun () ->
       (match strategy with
       | Parallel n when n >= 2 ->
-          parallel_round ~variant ~domains:n ~datalog_only ~demanded ~since
-            ?record ~budget ~round_no tally theory inst
+          parallel_round ~domains:n ~demanded ~since ?record ~budget
+            ~round_no tally triggers inst
       | Naive | Seminaive | Parallel _ ->
-          sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded
-            ~since ?record ~budget ~round_no tally theory inst);
+          sequential_round ~strategy ?eval ~demanded ~since ?record ~budget
+            ~round_no tally triggers inst);
       tally)
+
+(* The rules a run fires, prepared once per run, their key shapes
+   interned in one table. *)
+let prepare_triggers ?(datalog_only = false) ~variant theory =
+  let shapes = Hashtbl.create 16 in
+  List.filter_map
+    (fun rule ->
+      if datalog_only && not (Rule.is_datalog rule) then None
+      else Some (prepare_trigger ~key:(shapes, variant) rule))
+    (Theory.rules theory)
 
 (* The round driver shared by [run], [resume] and [certain]: starting
    after round [from], each iteration checks the deadline, charges one
@@ -526,14 +702,15 @@ let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
      the delta windows *)
   Instance.reset_fact_births inst;
   let base_facts = Instance.facts base in
-  let fired = if variant = Oblivious then Some (Hashtbl.create 64) else None in
+  let fired = if variant = Oblivious then Some (Key_tbl.create 64) else None in
+  let triggers = prepare_triggers ~datalog_only ~variant theory in
   let watch_round = ref None in
   let watch_hit i =
     match watch with
     | None -> false
     | Some p ->
         !watch_round = None
-        && Instance.facts_with_pred inst p <> []
+        && Instance.card_with_pred inst p > 0
         && begin
              watch_round := Some i;
              true
@@ -544,8 +721,7 @@ let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
     else
       drive ~budget ~from:0 ~frontier:(List.length base_facts)
         (fun round_no ->
-          round ~variant ~strategy ?eval ~datalog_only ?fired ?record ~budget
-            ~round_no theory inst)
+          round ~strategy ?eval ?fired ?record ~budget ~round_no triggers inst)
         (fun round_no added ->
           if watch_hit round_no then Some Watched
           else if added = 0 then Some Fixpoint
@@ -596,10 +772,10 @@ let resume ?strategy ?eval ?record ?budget ?max_rounds ?max_elements
     Obs.Trace.attr "strategy" (Obs.Str (strategy_tag strategy));
     Obs.Trace.attr "from_round" (Obs.Int from_round)
   end;
-  let first_theory =
-    if full_first then
-      Theory.make (List.filter rule_filter (Theory.rules theory))
-    else theory
+  let triggers = prepare_triggers ~variant:Restricted theory in
+  let first_triggers =
+    if full_first then List.filter (fun tg -> rule_filter tg.t_rule) triggers
+    else triggers
   in
   let staged =
     if full_first then Instance.num_facts inst
@@ -618,7 +794,7 @@ let resume ?strategy ?eval ?record ?budget ?max_rounds ?max_elements
         round ~strategy ?eval
           ?since:(if first then Some 0 else None)
           ?record ~budget ~round_no
-          (if first then first_theory else theory)
+          (if first then first_triggers else triggers)
           inst)
       (fun _ added -> if added = 0 then Some Fixpoint else None)
   in
@@ -670,12 +846,13 @@ let certain ?strategy ?eval ?budget ?max_rounds ?max_elements theory base q =
   Obs.Trace.span "chase.certain" @@ fun () ->
   let inst = Instance.copy base in
   Instance.reset_fact_births inst;
+  let triggers = prepare_triggers ~variant:Restricted theory in
   if Eval.holds ?engine:eval inst q then Entailed 0
   else
     match
       drive ~budget ~from:0 ~frontier:(Instance.num_facts inst)
         (fun round_no ->
-          round ~strategy ?eval ~budget ~round_no theory inst)
+          round ~strategy ?eval ~budget ~round_no triggers inst)
         (fun round_no added ->
           if Eval.holds ?engine:eval inst q then Some (Entailed round_no)
           else if added = 0 then Some Not_entailed

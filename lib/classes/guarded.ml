@@ -144,6 +144,8 @@ let to_binary ?(max_copies = 512) theory =
   in
   let e_pred r = Pred.make ("e_" ^ Rule.name r) 2 in
   let w_pred r = Pred.make ("w_" ^ Rule.name r) 1 in
+  (* keyed by (name, arity), not by the symbol: the fold below orders the
+     synchronization rules, and a symbol's hash is its interning id *)
   let monadics = Hashtbl.create 16 in
   let monadic q tags =
     let name =
@@ -151,7 +153,7 @@ let to_binary ?(max_copies = 512) theory =
       ^ String.concat "" (List.map string_of_int tags)
     in
     let p = Pred.make name 1 in
-    Hashtbl.replace monadics p (q, tags);
+    Hashtbl.replace monadics (Pred.name p, Pred.arity p) (p, (q, tags));
     p
   in
   (* Replace a TGP atom in a body by its F/W expansion (step vi).  The
@@ -303,7 +305,7 @@ let to_binary ?(max_copies = 512) theory =
   in
   (* synchronization rules (step vii): every monadic fact spreads to every
      element sharing the same parents under any occurring tag tuple *)
-  let mon_list = Hashtbl.fold (fun p qt acc -> (p, qt) :: acc) monadics [] in
+  let mon_list = Hashtbl.fold (fun _ pqt acc -> pqt :: acc) monadics [] in
   let sync_rules =
     List.concat_map
       (fun (pi, (q, ti)) ->

@@ -303,9 +303,9 @@ and construct_at ~params ~budget ~hidden ~t2 ~kappa ?(terminating = false)
       in
       let entailed =
         chase.Chase.outcome = Chase.Watched
-        || Instance.facts_with_pred chase.Chase.instance
+        || Instance.card_with_pred chase.Chase.instance
              hidden.Normalize.query_pred
-           <> []
+           > 0
       in
       let stats0 =
         { empty_stats with
@@ -427,7 +427,7 @@ and construct_at ~params ~budget ~hidden ~t2 ~kappa ?(terminating = false)
               (Fmt.str "saturation incomplete (%a)" Chase.pp_outcome
                  sat.Chase.outcome)
           else if
-            Instance.facts_with_pred m1 hidden.Normalize.query_pred <> []
+            Instance.card_with_pred m1 hidden.Normalize.query_pred > 0
           then fail "hidden predicate derived after saturation"
           else if
             (match params.hc with
@@ -511,9 +511,9 @@ let slice_fast_path ?(params = default_params) (sl : Dataflow.slice) db
         in
         let entailed =
           chase.Chase.outcome = Chase.Watched
-          || Instance.facts_with_pred chase.Chase.instance
+          || Instance.card_with_pred chase.Chase.instance
                hidden.Normalize.query_pred
-             <> []
+             > 0
         in
         if entailed then
           Some

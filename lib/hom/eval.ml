@@ -198,16 +198,14 @@ let iter_compiled ?(init = Smap.empty) ?upto inst atoms yield =
   Plan.exec ~init ?upto inst plan (fun env ->
       yield (binding_of_env plan init env))
 
-let iter_compiled_delta ?(init = Smap.empty) ~since ?upto inst atoms yield =
-  let plan = Plan.of_atoms atoms in
-  let n = List.length atoms in
+(* The semi-naive passes of a compiled body, yielding the live register
+   environment: pass k pins atom k to the delta [since, u), atoms before
+   k to the pre-delta prefix [0, since), atoms after k to [0, u). *)
+let compiled_delta ?init ~since ?upto inst plan n yield =
   let u = match upto with None -> max_int | Some u -> u in
-  let yield env = yield (binding_of_env plan init env) in
   let wsince = Array.make (max n 1) 0 in
   let wupto = Array.make (max n 1) u in
   for k = 0 to n - 1 do
-    (* pass k: atom k pinned to the delta [since, u), atoms before k to
-       the pre-delta prefix [0, since), atoms after k to [0, u) *)
     for i = 0 to n - 1 do
       if i = k then begin
         wsince.(i) <- since;
@@ -222,8 +220,13 @@ let iter_compiled_delta ?(init = Smap.empty) ~since ?upto inst atoms yield =
         wupto.(i) <- u
       end
     done;
-    Plan.exec_windowed ~init ~wsince ~wupto inst plan yield
+    Plan.exec_windowed ?init ~wsince ~wupto inst plan yield
   done
+
+let iter_compiled_delta ?(init = Smap.empty) ~since ?upto inst atoms yield =
+  let plan = Plan.of_atoms atoms in
+  compiled_delta ~init ~since ?upto inst plan (List.length atoms) (fun env ->
+      yield (binding_of_env plan init env))
 
 (* ---------------------------------------------------------------- *)
 (* Prepared bodies (worker-domain execution)                        *)
@@ -237,15 +240,22 @@ let iter_compiled_delta ?(init = Smap.empty) ~since ?upto inst atoms yield =
    [Plan.exec_windowed] allocates its environment, trail and resolved
    constants fresh per call and only reads the plan and the instance, so
    concurrent executions over a read-only instance are safe. *)
-type prepared = { p_natoms : int; p_plan : Plan.t }
+type prepared = { p_atoms : Atom.t list; p_natoms : int; p_plan : Plan.t }
 
 let prepare atoms =
-  { p_natoms = List.length atoms; p_plan = Plan.of_atoms atoms }
+  {
+    p_atoms = atoms;
+    p_natoms = List.length atoms;
+    p_plan = Plan.of_atoms atoms;
+  }
 
-let satisfiable_prepared ?(init = Smap.empty) ?upto inst p =
+let plan p = p.p_plan
+let binding_of_prepared p env = binding_of_env p.p_plan Smap.empty env
+
+let satisfiable_filled ~fill ~src ~wsince ~wupto inst p =
   let result = ref false in
   (try
-     Plan.exec ~init ?upto inst p.p_plan (fun _ ->
+     Plan.exec_filled ~fill ~src ~wsince ~wupto inst p.p_plan (fun _ ->
          result := true;
          raise Found)
    with Found -> ());
@@ -306,15 +316,14 @@ let passes ~since ~upto inst p =
        can have matched the delta, matching [iter_solutions_delta] *)
   else List.init n (fun k -> mk ~k)
 
-let pass_run inst p ~cand (yield : binding -> unit) =
+let pass_run inst p ~cand yield =
   match p.ps_root with
-  | None -> yield Smap.empty
+  | None -> yield (Array.make (max (Plan.nvars p.ps_plan) 1) (-1))
   | Some r ->
       Plan.exec_from_root ~wsince:p.ps_wsince ~wupto:p.ps_wupto
         ~root:r.Plan.root_atom
         r.Plan.root_facts.(cand)
-        inst p.ps_plan
-        (fun env -> yield (binding_of_env p.ps_plan Smap.empty env))
+        inst p.ps_plan yield
 
 (* ---------------------------------------------------------------- *)
 (* Engine-dispatching entry points                                  *)
@@ -356,6 +365,26 @@ let iter_solutions_delta ?init ~since ?upto ?(engine = Compiled) inst atoms
             in
             iter_solutions_windowed ?init inst watoms yield)
           atoms
+
+(* The solutions of a prepared body as register environments (the
+   plan's numbering): those of [iter_solutions_delta] (of
+   [iter_solutions] when [since <= 0]), in the same order.  The
+   interpreter's named bindings are translated register by register, so
+   both engines feed the chase the same environments. *)
+let iter_env ?(engine = Compiled) ?(since = 0) ?upto inst p yield =
+  match engine with
+  | Compiled ->
+      if since <= 0 then Plan.exec ?upto inst p.p_plan yield
+      else compiled_delta ~since ?upto inst p.p_plan p.p_natoms yield
+  | Interp ->
+      let plan = p.p_plan in
+      let n = Plan.nvars plan in
+      let env = Array.make (max n 1) (-1) in
+      iter_solutions_delta ~since ?upto ~engine:Interp inst p.p_atoms (fun b ->
+          for r = 0 to n - 1 do
+            env.(r) <- Smap.find (Plan.var_name plan r) b
+          done;
+          yield env)
 
 let first_solution ?init ?upto ?engine inst atoms =
   let result = ref None in

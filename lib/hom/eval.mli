@@ -59,25 +59,46 @@ val holds_at : ?engine:engine -> Instance.t -> Cq.t -> string -> Element.id -> b
 (** [holds_at inst q y e]: the paper's [C |= exists x. Psi(x, e)] — the
     query with its free variable [y] bound to [e]. *)
 
-(** {1 Prepared bodies — worker-domain execution}
+(** {1 Prepared bodies — the chase's entry points}
 
     A {!prepared} is a body pre-resolved to its compiled plan on the
     coordinating domain.  {!prepare} and {!passes} may touch the
     (unsynchronized) plan cache and the instance indexes and must only be
     called from one domain before a fork; {!pass_run} and
-    {!satisfiable_prepared} only read the plan and the instance, so any
+    {!satisfiable_filled} only read the plan and the instance, so any
     number of worker domains may run them concurrently over a read-only
-    instance. *)
+    instance.
+
+    Solutions come out as {e register environments}: an
+    [Element.id array] indexed by the registers of {!plan} (see
+    {!Plan.var_name}).  The yielded array is live — read it during the
+    callback, copy it to keep it. *)
 
 type prepared
 
 val prepare : Atom.t list -> prepared
 (** Resolve a body to its cached compiled plan (coordinator only). *)
 
-val satisfiable_prepared :
-  ?init:binding -> ?upto:int -> Instance.t -> prepared -> bool
-(** Worker-safe [satisfiable] on a prepared body, all atoms windowed to
-    [\[0, upto)]. *)
+val plan : prepared -> Plan.t
+
+val binding_of_prepared : prepared -> Element.id array -> binding
+(** The named binding of a register environment (bound registers
+    only). *)
+
+val iter_env :
+  ?engine:engine -> ?since:int -> ?upto:int -> Instance.t -> prepared ->
+  (Element.id array -> unit) -> unit
+(** The solutions of [iter_solutions ?upto] ([since <= 0], the default)
+    or of [iter_solutions_delta ~since ?upto], same order, as register
+    environments.  Under [Interp] each named binding is translated into
+    the plan's registers. *)
+
+val satisfiable_filled :
+  fill:(int * int) array -> src:Element.id array -> wsince:int array ->
+  wupto:int array -> Instance.t -> prepared -> bool
+(** Worker-safe satisfiability of a prepared body under per-atom birth
+    windows, its registers seeded from another environment
+    ({!Plan.exec_filled}) — the restricted chase's witness check. *)
 
 type pass
 (** One pass of the semi-naive decomposition of a prepared body: atom [k]
@@ -94,8 +115,10 @@ val passes : since:int -> upto:int -> Instance.t -> prepared -> pass list
 val pass_candidates : pass -> int
 (** Number of root candidates — the units worker domains shard. *)
 
-val pass_run : Instance.t -> pass -> cand:int -> (binding -> unit) -> unit
-(** Enumerate the bindings of one root candidate.  Running [cand] over
+val pass_run :
+  Instance.t -> pass -> cand:int -> (Element.id array -> unit) -> unit
+(** Enumerate the solutions of one root candidate, as register
+    environments.  Running [cand] over
     [0 .. pass_candidates - 1] in ascending order, across the passes in
     list order, yields exactly the bindings of {!iter_solutions_delta},
     in the same order — the parallel chase's determinism invariant.

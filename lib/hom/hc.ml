@@ -103,7 +103,7 @@ module Atom_key = struct
 
   let hash (a : Atom.t) =
     let p = Atom.pred a in
-    let h = ref (Hashtbl.hash (Pred.name p, Pred.arity p)) in
+    let h = ref (Pred.hash p) in
     let mix c = h := ((!h * 31) + Char.code c + 1) land max_int in
     List.iter
       (fun t ->

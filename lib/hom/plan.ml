@@ -155,70 +155,81 @@ let resolve_consts inst plan =
 
 (* Most-constrained-atom scoring for one search node: the cheapest access
    path of every not-yet-used atom, scored by windowed bucket cardinality
-   in O(arity).  Shared between [exec_windowed]'s recursion and
-   [choose_root] so a split execution scores (and counts index ops)
-   exactly like a monolithic one. *)
-let score_node inst plan const_ids env used ~wsince ~wupto ~best ~best_score
-    ~best_pos ~best_id =
+   in O(arity).  Returns the winning atom and writes its score, access
+   position (-1: the predicate bucket) and element into
+   [out = [|score; pos; id|]].  Shared between [exec_windowed]'s
+   recursion and [choose_root] so a split execution scores (and counts
+   index ops) exactly like a monolithic one. *)
+let score_node inst plan const_ids env used ~wsince ~wupto out =
   let natoms = Array.length plan.atoms in
+  let best = ref (-1) in
+  out.(0) <- max_int;
+  out.(1) <- -1;
+  out.(2) <- no_const;
   for i = 0 to natoms - 1 do
     if not used.(i) then begin
       let ca = plan.atoms.(i) in
       let since = wsince.(i) and upto = wupto.(i) in
-      let score = ref max_int in
-      let pos = ref (-1) in
-      let id = ref no_const in
-      Array.iteri
-        (fun j slot ->
-          let v =
-            match slot with
-            | S_reg r -> env.(r)
-            | S_cst k -> const_ids.(k)
+      let score = ref max_int and pos = ref (-1) and id = ref no_const in
+      let slots = ca.c_slots in
+      for j = 0 to Array.length slots - 1 do
+        let v =
+          match slots.(j) with S_reg r -> env.(r) | S_cst k -> const_ids.(k)
+        in
+        if v = no_const then begin
+          (* unknown constant: the atom can never match *)
+          score := 0;
+          pos := j;
+          id := v
+        end
+        else if v <> unbound then begin
+          Obs.Metrics.incr index_ops;
+          let c =
+            Instance.card_with_arg_window inst ca.c_pred j v ~since ~upto
           in
-          if v = no_const then begin
-            (* unknown constant: the atom can never match *)
-            score := 0;
+          if c < !score then begin
+            score := c;
             pos := j;
             id := v
           end
-          else if v <> unbound then begin
-            Obs.Metrics.incr index_ops;
-            let c =
-              Instance.card_with_arg_window inst ca.c_pred j v ~since ~upto
-            in
-            if c < !score then begin
-              score := c;
-              pos := j;
-              id := v
-            end
-          end)
-        ca.c_slots;
+        end
+      done;
       if !score = max_int then begin
         Obs.Metrics.incr index_ops;
         score := Instance.card_with_pred_window inst ca.c_pred ~since ~upto;
         pos := -1
       end;
-      if !score < !best_score then begin
+      if !score < out.(0) then begin
         best := i;
-        best_score := !score;
-        best_pos := !pos;
-        best_id := !id
+        out.(0) <- !score;
+        out.(1) <- !pos;
+        out.(2) <- !id
       end
     end
-  done
+  done;
+  !best
 
-let exec_windowed_gen ?(init = Smap.empty) ~wsince ~wupto ?pin inst plan
-    yield =
+(* Seeding the register environment before a walk: from a named binding
+   (variables outside the plan are ignored), or from another plan's
+   registers through a precomputed (destination, source) list — the
+   chase's witness check, which never touches a variable name. *)
+let seed_of_init plan init env =
+  Smap.iter
+    (fun x id ->
+      match reg_of_var plan x with Some r -> env.(r) <- id | None -> ())
+    init
+
+let seed_of_fill fill src env =
+  Array.iter (fun (dst, s) -> env.(dst) <- src.(s)) fill
+
+let exec_windowed_gen ~seed ~wsince ~wupto ?pin inst plan yield =
   let natoms = Array.length plan.atoms in
   let const_ids = resolve_consts inst plan in
   let env = Array.make (max plan.nvars 1) unbound in
   let used = Array.make (max natoms 1) false in
   let trail = Array.make (max plan.nvars 1) 0 in
   let trail_top = ref 0 in
-  Smap.iter
-    (fun x id ->
-      match reg_of_var plan x with Some r -> env.(r) <- id | None -> ())
-    init;
+  seed env;
   let undo mark =
     while !trail_top > mark do
       decr trail_top;
@@ -231,43 +242,34 @@ let exec_windowed_gen ?(init = Smap.empty) ~wsince ~wupto ?pin inst plan
   let probe_ok slots f mark =
     let args = Fact.args f in
     let arity = Array.length args in
-    let rec go i =
-      if i >= arity then true
-      else
-        let v = args.(i) in
-        match slots.(i) with
-        | S_cst k -> const_ids.(k) = v && go (i + 1)
-        | S_reg r ->
-            let cur = env.(r) in
-            if cur = v then go (i + 1)
-            else if cur = unbound then begin
-              env.(r) <- v;
-              trail.(!trail_top) <- r;
-              incr trail_top;
-              go (i + 1)
-            end
-            else false
-    in
-    if go 0 then true
-    else begin
-      undo mark;
-      false
-    end
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < arity do
+      let v = args.(!i) in
+      (match slots.(!i) with
+      | S_cst k -> if const_ids.(k) <> v then ok := false
+      | S_reg r ->
+          let cur = env.(r) in
+          if cur = unbound then begin
+            env.(r) <- v;
+            trail.(!trail_top) <- r;
+            incr trail_top
+          end
+          else if cur <> v then ok := false);
+      incr i
+    done;
+    if not !ok then undo mark;
+    !ok
   in
+  let out = Array.make 3 0 in
   let rec go ndone =
     if ndone = natoms then yield env
     else begin
       (* Most-constrained atom first: the cheapest access path of each
          remaining atom, scored by bucket cardinality in O(arity). *)
-      let best = ref (-1) in
-      let best_score = ref max_int in
-      let best_pos = ref (-1) in
-      let best_id = ref no_const in
-      score_node inst plan const_ids env used ~wsince ~wupto ~best
-        ~best_score ~best_pos ~best_id;
-      if !best_score = 0 then () (* some atom cannot match at all: prune *)
+      let i = score_node inst plan const_ids env used ~wsince ~wupto out in
+      if out.(0) = 0 then () (* some atom cannot match at all: prune *)
       else begin
-        let i = !best in
+        let best_pos = out.(1) and best_id = out.(2) in
         let ca = plan.atoms.(i) in
         used.(i) <- true;
         let since = wsince.(i) in
@@ -281,9 +283,9 @@ let exec_windowed_gen ?(init = Smap.empty) ~wsince ~wupto ?pin inst plan
             undo mark
           end
         in
-        (if !best_pos >= 0 then
-           Instance.iter_with_arg_window ~since ?upto inst ca.c_pred !best_pos
-             !best_id probe
+        (if best_pos >= 0 then
+           Instance.iter_with_arg_window ~since ?upto inst ca.c_pred best_pos
+             best_id probe
          else Instance.iter_with_pred_window ~since ?upto inst ca.c_pred probe);
         used.(i) <- false
       end
@@ -304,8 +306,13 @@ let exec_windowed_gen ?(init = Smap.empty) ~wsince ~wupto ?pin inst plan
         undo 0
       end
 
-let exec_windowed ?init ~wsince ~wupto inst plan yield =
-  exec_windowed_gen ?init ~wsince ~wupto inst plan yield
+let exec_windowed ?(init = Smap.empty) ~wsince ~wupto inst plan yield =
+  exec_windowed_gen ~seed:(seed_of_init plan init) ~wsince ~wupto inst plan
+    yield
+
+let exec_filled ~fill ~src ~wsince ~wupto inst plan yield =
+  exec_windowed_gen ~seed:(seed_of_fill fill src) ~wsince ~wupto inst plan
+    yield
 
 let exec ?init ?upto inst plan yield =
   let n = Array.length plan.atoms in
@@ -333,28 +340,21 @@ let choose_root ?(init = Smap.empty) ~wsince ~wupto inst plan =
     let const_ids = resolve_consts inst plan in
     let env = Array.make (max plan.nvars 1) unbound in
     let used = Array.make natoms false in
-    Smap.iter
-      (fun x id ->
-        match reg_of_var plan x with Some r -> env.(r) <- id | None -> ())
-      init;
-    let best = ref (-1) in
-    let best_score = ref max_int in
-    let best_pos = ref (-1) in
-    let best_id = ref no_const in
-    score_node inst plan const_ids env used ~wsince ~wupto ~best ~best_score
-      ~best_pos ~best_id;
-    let i = !best in
+    seed_of_init plan init env;
+    let out = Array.make 3 0 in
+    let i = score_node inst plan const_ids env used ~wsince ~wupto out in
+    let best_pos = out.(1) and best_id = out.(2) in
     let facts =
-      if !best_score = 0 then [||] (* some atom cannot match: empty walk *)
+      if out.(0) = 0 then [||] (* some atom cannot match: empty walk *)
       else begin
         let ca = plan.atoms.(i) in
         let since = wsince.(i) in
         let upto = if wupto.(i) = max_int then None else Some wupto.(i) in
         let acc = ref [] in
         let collect f = acc := f :: !acc in
-        (if !best_pos >= 0 then
+        (if best_pos >= 0 then
            Instance.iter_with_arg_window ~since ?upto inst ca.c_pred
-             !best_pos !best_id collect
+             best_pos best_id collect
          else
            Instance.iter_with_pred_window ~since ?upto inst ca.c_pred collect);
         Array.of_list (List.rev !acc)
@@ -363,5 +363,7 @@ let choose_root ?(init = Smap.empty) ~wsince ~wupto inst plan =
     Some { root_atom = i; root_facts = facts }
   end
 
-let exec_from_root ?init ~wsince ~wupto ~root fact inst plan yield =
-  exec_windowed_gen ?init ~wsince ~wupto ~pin:(root, fact) inst plan yield
+let exec_from_root ?(init = Smap.empty) ~wsince ~wupto ~root fact inst plan
+    yield =
+  exec_windowed_gen ~seed:(seed_of_init plan init) ~wsince ~wupto
+    ~pin:(root, fact) inst plan yield

@@ -42,6 +42,14 @@ val exec_windowed :
     upper bound means unbounded — the semi-naive delta decomposition's
     building block. *)
 
+val exec_filled :
+  fill:(int * int) array -> src:Element.id array -> wsince:int array ->
+  wupto:int array -> Instance.t -> t -> (Element.id array -> unit) -> unit
+(** [exec_windowed] with the registers seeded from another environment:
+    each [(dst, s)] of [fill] starts register [dst] at [src.(s)].  The
+    chase checks witnesses this way, straight from the body's
+    registers. *)
+
 (** {1 Split execution}
 
     A windowed execution's first step — which atom is probed first, and

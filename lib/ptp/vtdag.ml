@@ -23,16 +23,22 @@ let check inst =
   if Bgraph.topo_order g = None then violations := [ Cyclic ];
   for e = 0 to n - 1 do
     if Instance.is_null inst e then begin
-      (* (1): group incoming non-constant predecessors by relation *)
+      (* (1): group incoming non-constant predecessors by relation, keyed
+         by (name, arity) so the report order follows the names, not the
+         symbols' interning ids *)
       let by_pred = Hashtbl.create 4 in
       List.iter
         (fun (p, d) ->
-          if Instance.is_null inst d then
-            Hashtbl.replace by_pred p
-              (d :: Option.value ~default:[] (Hashtbl.find_opt by_pred p)))
+          if Instance.is_null inst d then begin
+            let k = (Pred.name p, Pred.arity p) in
+            let ds =
+              Option.fold ~none:[] ~some:snd (Hashtbl.find_opt by_pred k)
+            in
+            Hashtbl.replace by_pred k (p, d :: ds)
+          end)
         (Bgraph.in_edges g e);
       Hashtbl.iter
-        (fun p ds ->
+        (fun _ (p, ds) ->
           if List.length (List.sort_uniq compare ds) > 1 then
             violations := Multiple_predecessors (p, e) :: !violations)
         by_pred;

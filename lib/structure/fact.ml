@@ -13,10 +13,13 @@ let pred f = f.pred
 let args f = f.args
 let arity f = Pred.arity f.pred
 
+let rec args_equal a1 a2 i n =
+  i >= n || (a1.(i) = a2.(i) && args_equal a1 a2 (i + 1) n)
+
 let equal f1 f2 =
   Pred.equal f1.pred f2.pred
   && Array.length f1.args = Array.length f2.args
-  && Array.for_all2 ( = ) f1.args f2.args
+  && args_equal f1.args f2.args 0 (Array.length f1.args)
 
 let compare f1 f2 =
   let c = Pred.compare f1.pred f2.pred in
@@ -25,11 +28,18 @@ let compare f1 f2 =
 (* [Hashtbl.hash] stops after 10 "meaningful" nodes, so hashing the raw
    args array would ignore every argument past the first few and collapse
    higher-arity fact tables into collision chains.  Fold over the full
-   array instead, seeded with the predicate. *)
+   array instead, seeded with the predicate's interned id: no string is
+   hashed and nothing is allocated.  The fold is linear in the ids, so
+   chase-shaped facts such as e(x, x+1) land a fixed stride apart;
+   [Hashtbl.hash] of the folded int (a non-allocating mixer) spreads them
+   over the low bits the table indexes by. *)
 let hash f =
-  let h = ref (Hashtbl.hash (Pred.name f.pred, Pred.arity f.pred)) in
-  Array.iter (fun id -> h := ((!h * 31) + id + 1) land max_int) f.args;
-  !h
+  let args = f.args in
+  let h = ref (Pred.hash f.pred) in
+  for i = 0 to Array.length args - 1 do
+    h := ((!h * 31) + args.(i) + 1) land max_int
+  done;
+  Hashtbl.hash !h
 
 let elements f = Array.to_list f.args
 

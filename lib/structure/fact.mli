@@ -13,7 +13,10 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Folds over the full argument array (unlike a bare [Hashtbl.hash],
     which stops after 10 meaningful nodes and would collide all
-    higher-arity facts sharing a prefix). *)
+    higher-arity facts sharing a prefix), seeded with the predicate's
+    interned id: no string is hashed, nothing is allocated.  Fact hashes
+    therefore depend on interning order — key tables with them, never
+    iterate one where order is observable. *)
 val elements : t -> Element.id list
 val pp : t Fmt.t
 val show : t -> string

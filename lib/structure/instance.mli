@@ -1,9 +1,14 @@
 (** Finite relational structures ("database instances").
 
-    The store is mutable and maintains three indexes: a fact table for
-    duplicate detection, facts by predicate, and facts by
-    (predicate, position, element).  Constants are interned by name;
-    labelled nulls carry provenance for skeleton extraction. *)
+    The store is mutable and dense.  One fact table maps every fact to
+    its birth round (duplicate detection and {!fact_birth}); every read
+    goes through {e buckets}: the facts of a predicate (found by its
+    interned {!Pred.id}), and the facts of a (predicate, position,
+    element).  A bucket keeps its facts and their births in parallel
+    arrays in arrival order, so reads are newest first, windowed reads
+    are two binary searches plus an index loop, and {!copy} clones
+    buckets instead of re-inserting facts.  Constants are interned by
+    name; labelled nulls carry provenance for skeleton extraction. *)
 
 open Bddfc_logic
 
@@ -65,6 +70,9 @@ val num_facts : t -> int
 val facts : t -> Fact.t list
 val iter_facts : (Fact.t -> unit) -> t -> unit
 val facts_with_pred : t -> Pred.t -> Fact.t list
+(** A fresh list, newest first.  Hot paths iterate
+    ({!iter_with_pred_window}) or count ({!card_with_pred}) instead. *)
+
 val facts_with_arg : t -> Pred.t -> int -> Element.id -> Fact.t list
 
 val card_with_pred : t -> Pred.t -> int
@@ -102,7 +110,8 @@ val max_fact_birth : t -> int
 (** The largest birth stamped so far (0 on a fresh or reset instance). *)
 
 val reset_fact_births : t -> unit
-(** Forget all birth stamps: every fact becomes a round-0 base fact.  The
+(** Forget all birth stamps: every fact becomes a round-0 base fact, in
+    the fact table and in every bucket the windowed reads use.  The
     chase calls this on its working copy so delta windows of a new run
     never see stamps from a previous one. *)
 
@@ -117,7 +126,9 @@ val facts_with_arg_window :
 val iter_with_pred_window :
   ?since:int -> ?upto:int -> t -> Pred.t -> (Fact.t -> unit) -> unit
 (** Iterate [facts_with_pred_window] without materializing the window —
-    the compiled join engine's probe loop. *)
+    the compiled join engine's probe loop.  The bucket is read as it
+    stood when the call began: facts the callback adds (the chase
+    commits from inside its joins) are not visited. *)
 
 val iter_with_arg_window :
   ?since:int -> ?upto:int -> t -> Pred.t -> int -> Element.id ->
@@ -141,7 +152,9 @@ val to_atoms : t -> Atom.t list
 
 val copy : t -> t
 (** A deep copy sharing nothing with the original; element ids coincide
-    and fact births (and insertion order) are preserved. *)
+    and fact births (and insertion order) are preserved.  Buckets are
+    cloned array by array; no fact is re-hashed.  Like the restrictions,
+    the copy's {!preds} are the predicates that still have facts. *)
 
 val restrict_preds : t -> Pred.Set.t -> t
 (** The paper's [C |` Sigma]: keep all elements, filter facts. *)

@@ -23,6 +23,13 @@ fi
 # the budget / fault-injection suite, explicitly
 dune exec test/main.exe -- test budget
 
+# the structure suite, explicitly: the instance oracle (random add,
+# remove, copy, restrict and birth-reset sequences against a plain
+# (fact, birth) list, every windowed list, iterator and cardinality
+# compared after each step), the reset-births regression and
+# predicate interning across 2 domains
+dune exec test/main.exe -- test structure
+
 # the naive vs semi-naive differential oracle, explicitly
 dune exec test/main.exe -- test differential
 

@@ -219,6 +219,396 @@ let test_fact_hash_full_arity () =
   check Alcotest.bool "64 late-arg variants give >1 distinct hash" true
     (Hashtbl.length tbl > 1)
 
+(* ------------------------------------------------------------------ *)
+(* Birth resets                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Regression: reset_fact_births used to clear the fact table's births
+   but leave each index bucket's birth array stale.  The compiled join
+   scores windows from the buckets, so a re-chase of a chased instance
+   read a stale birth as an empty window and pruned the branch that
+   derives k(b); the interpreter (which read the table) found it. *)
+let test_reset_births_reach_buckets () =
+  let module Chase = Bddfc_chase.Chase in
+  let module Eval = Bddfc_hom.Eval in
+  let p1 = Parser.parse_program "e(X,Y) -> f(X,Y). f(X,Y) -> g(Y,X). e(a,b)." in
+  let r1 =
+    Chase.run (Theory.make p1.Parser.rules) (Instance.of_atoms p1.Parser.facts)
+  in
+  let staged = r1.Chase.instance in
+  check Alcotest.int "births 0/1/2" 2 (Instance.max_fact_birth staged);
+  let t2 = Parser.parse_theory "f(X,Y) -> h(X). f(X,Y), h(X) -> k(Y)." in
+  let run eval base = (Chase.run ~eval t2 base).Chase.instance in
+  let compiled = run Eval.Compiled staged in
+  let interp = run Eval.Interp staged in
+  let fresh =
+    run Eval.Compiled (Instance.of_atoms (Instance.to_atoms staged))
+  in
+  check Alcotest.int "compiled derives k(b)" 5 (Instance.num_facts compiled);
+  check Alcotest.bool "compiled = interp" true
+    (Instance.equal_facts compiled interp);
+  check Alcotest.bool "compiled = fresh copy" true
+    (Instance.equal_facts compiled fresh);
+  (* and directly: after a reset every fact sits in the round-0 window *)
+  let c = Instance.copy staged in
+  Instance.reset_fact_births c;
+  let f = Pred.make "f" 2 in
+  check Alcotest.int "round-0 window after reset" 1
+    (Instance.card_with_pred_window c f ~since:0 ~upto:1);
+  check Alcotest.int "round-0 list after reset" 1
+    (List.length (Instance.facts_with_pred_window ~upto:1 c f));
+  check Alcotest.int "no later window after reset" 0
+    (Instance.card_with_pred_window c f ~since:1 ~upto:max_int);
+  check Alcotest.int "no later list after reset" 0
+    (List.length (Instance.facts_with_pred_window ~since:1 c f))
+
+(* ------------------------------------------------------------------ *)
+(* Instance against a reference model                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The model is the plain arrival-ordered list of (fact, birth) pairs,
+   plus the two pieces of bookkeeping the interface documents: the
+   predicates ever filed, and whether births arrived monotonically (the
+   condition under which windowed cardinalities are exact). *)
+type model = {
+  m_facts : (Fact.t * int) list; (* arrival order *)
+  m_preds : Pred.Set.t;
+  m_max : int;
+  m_mono : bool;
+}
+
+type op =
+  | Add of int * int array * int (* predicate index, args, birth *)
+  | Remove of (int * int array) list
+  | Copy
+  | Restrict_preds of bool array
+  | Restrict_elements of bool array
+  | Reset
+
+let m_preds = [| Pred.make "p" 1; Pred.make "p" 2; Pred.make "e" 2 |]
+let m_elems = 4
+
+let m_fact (pi, args) = Fact.make m_preds.(pi) args
+
+let every_fact =
+  List.concat_map
+    (fun pi ->
+      let ar = Pred.arity m_preds.(pi) in
+      let rec tuples k =
+        if k = 0 then [ [] ]
+        else
+          List.concat_map
+            (fun t -> List.init m_elems (fun x -> x :: t))
+            (tuples (k - 1))
+      in
+      List.map (fun t -> m_fact (pi, Array.of_list t)) (tuples ar))
+    [ 0; 1; 2 ]
+
+let summarize facts =
+  List.fold_left
+    (fun m (f, b) ->
+      {
+        m with
+        m_preds = Pred.Set.add (Fact.pred f) m.m_preds;
+        m_max = max m.m_max b;
+        m_mono = m.m_mono && b >= m.m_max;
+      })
+    { m_facts = facts; m_preds = Pred.Set.empty; m_max = 0; m_mono = true }
+    facts
+
+let step_model m = function
+  | Add (pi, args, b) ->
+      let f = m_fact (pi, args) in
+      if List.exists (fun (g, _) -> Fact.equal f g) m.m_facts then m
+      else
+        {
+          m_facts = m.m_facts @ [ (f, b) ];
+          m_preds = Pred.Set.add (Fact.pred f) m.m_preds;
+          m_max = max m.m_max b;
+          m_mono = m.m_mono && b >= m.m_max;
+        }
+  | Remove fs ->
+      let dead = List.map m_fact fs in
+      {
+        m with
+        m_facts =
+          List.filter
+            (fun (f, _) -> not (List.exists (Fact.equal f) dead))
+            m.m_facts;
+      }
+  | Copy -> summarize m.m_facts
+  | Restrict_preds keep ->
+      summarize
+        (List.filter
+           (fun (f, _) ->
+             let i = ref (-1) in
+             Array.iteri
+               (fun j p -> if Pred.equal p (Fact.pred f) then i := j)
+               m_preds;
+             keep.(!i))
+           m.m_facts)
+  | Restrict_elements keep ->
+      summarize
+        (List.filter
+           (fun (f, _) -> Array.for_all (fun x -> keep.(x)) (Fact.args f))
+           m.m_facts)
+  | Reset ->
+      {
+        m with
+        m_facts = List.map (fun (f, _) -> (f, 0)) m.m_facts;
+        m_max = 0;
+        m_mono = true;
+      }
+
+let step_inst inst = function
+  | Add (pi, args, birth) ->
+      ignore (Instance.add_fact ~birth inst (m_fact (pi, args)));
+      inst
+  | Remove fs ->
+      ignore (Instance.remove_facts inst (List.map m_fact fs));
+      inst
+  | Copy -> Instance.copy inst
+  | Restrict_preds keep ->
+      let set = ref Pred.Set.empty in
+      Array.iteri
+        (fun i p -> if keep.(i) then set := Pred.Set.add p !set)
+        m_preds;
+      Instance.restrict_preds inst !set
+  | Restrict_elements keep ->
+      let set = ref Element.Id_set.empty in
+      Array.iteri
+        (fun x k -> if k then set := Element.Id_set.add x !set)
+        keep;
+      Instance.restrict_elements inst !set
+  | Reset ->
+      Instance.reset_fact_births inst;
+      inst
+
+let windows =
+  List.concat_map
+    (fun since ->
+      List.map (fun upto -> (since, upto)) [ None; Some 1; Some 3; Some 5 ])
+    [ 0; 1; 2; 4 ]
+
+(* Every accessor against the model; [Error] names the first mismatch. *)
+let agrees inst m =
+  let fail fmt = Printf.ksprintf (fun s -> raise (Failure s)) fmt in
+  let in_window b since upto =
+    b >= since && match upto with None -> true | Some u -> b < u
+  in
+  (* newest first, as every index read returns them *)
+  let model_window keep since upto =
+    List.rev
+      (List.filter_map
+         (fun (f, b) ->
+           if keep f && in_window b since upto then Some f else None)
+         m.m_facts)
+  in
+  let same_list what l1 l2 =
+    if not (List.length l1 = List.length l2 && List.for_all2 Fact.equal l1 l2)
+    then fail "%s: got [%s], want [%s]" what
+        (String.concat " " (List.map Fact.show l1))
+        (String.concat " " (List.map Fact.show l2))
+  in
+  let same_card what got want =
+    if (m.m_mono && got <> want) || got < want then
+      fail "%s: card %d, true count %d (monotone %b)" what got want m.m_mono
+  in
+  try
+    if Instance.num_facts inst <> List.length m.m_facts then
+      fail "num_facts %d, want %d" (Instance.num_facts inst)
+        (List.length m.m_facts);
+    same_list "facts" (Instance.facts inst) (List.map fst m.m_facts);
+    if not (Pred.Set.equal (Instance.preds inst) m.m_preds) then fail "preds";
+    List.iter
+      (fun f ->
+        let want = List.find_opt (fun (g, _) -> Fact.equal f g) m.m_facts in
+        if Instance.mem_fact inst f <> (want <> None) then
+          fail "mem_fact %s" (Fact.show f);
+        let b = match want with Some (_, b) -> b | None -> 0 in
+        if Instance.fact_birth inst f <> b then
+          fail "fact_birth %s: %d, want %d" (Fact.show f)
+            (Instance.fact_birth inst f) b)
+      every_fact;
+    Array.iter
+      (fun p ->
+        let of_pred f = Pred.equal (Fact.pred f) p in
+        let check_access what keep list iter card card_win =
+          same_list what (list ~since:0 ~upto:None) (model_window keep 0 None);
+          if card () <> List.length (model_window keep 0 None) then
+            fail "%s: unwindowed card" what;
+          List.iter
+            (fun (since, upto) ->
+              let want = model_window keep since upto in
+              let what =
+                Printf.sprintf "%s [%d,%s)" what since
+                  (match upto with None -> "-" | Some u -> string_of_int u)
+              in
+              same_list what (list ~since ~upto) want;
+              let acc = ref [] in
+              iter ~since ~upto (fun f -> acc := f :: !acc);
+              same_list (what ^ " iter") (List.rev !acc) want;
+              same_card what
+                (card_win ~since ~upto:(Option.value upto ~default:max_int))
+                (List.length want))
+            windows
+        in
+        check_access (Pred.show p) of_pred
+          (fun ~since ~upto ->
+            if since = 0 && upto = None then Instance.facts_with_pred inst p
+            else Instance.facts_with_pred_window ~since ?upto inst p)
+          (fun ~since ~upto fn ->
+            Instance.iter_with_pred_window ~since ?upto inst p fn)
+          (fun () -> Instance.card_with_pred inst p)
+          (fun ~since ~upto ->
+            Instance.card_with_pred_window inst p ~since ~upto);
+        for pos = 0 to Pred.arity p - 1 do
+          for x = 0 to m_elems - 1 do
+            check_access
+              (Printf.sprintf "%s@%d=%d" (Pred.show p) pos x)
+              (fun f -> of_pred f && (Fact.args f).(pos) = x)
+              (fun ~since ~upto ->
+                if since = 0 && upto = None then
+                  Instance.facts_with_arg inst p pos x
+                else Instance.facts_with_arg_window ~since ?upto inst p pos x)
+              (fun ~since ~upto fn ->
+                Instance.iter_with_arg_window ~since ?upto inst p pos x fn)
+              (fun () -> Instance.card_with_arg inst p pos x)
+              (fun ~since ~upto ->
+                Instance.card_with_arg_window inst p pos x ~since ~upto)
+          done
+        done)
+      m_preds;
+    Ok ()
+  with Failure msg -> Error msg
+
+let show_mask k =
+  String.init (Array.length k) (fun i -> if k.(i) then '1' else '0')
+
+let show_op = function
+  | Add (pi, args, b) ->
+      Printf.sprintf "add %s@%d" (Fact.show (m_fact (pi, args))) b
+  | Remove fs ->
+      "remove "
+      ^ String.concat "," (List.map (fun f -> Fact.show (m_fact f)) fs)
+  | Copy -> "copy"
+  | Restrict_preds k -> "restrict_preds " ^ show_mask k
+  | Restrict_elements k -> "restrict_elements " ^ show_mask k
+  | Reset -> "reset"
+
+(* An op sequence: monotone cases draw each birth as the previous one
+   plus 0 or 1; the others draw births at random. *)
+let ops_gen =
+  let open QCheck.Gen in
+  let fact_gen =
+    int_range 0 2 >>= fun pi ->
+    array_repeat (Pred.arity m_preds.(pi)) (int_range 0 (m_elems - 1))
+    >|= fun args -> (pi, args)
+  in
+  bool >>= fun monotone ->
+  int_range 5 40 >>= fun len ->
+  let rec go k birth acc =
+    if k = 0 then return (List.rev acc)
+    else
+      frequency
+        [ (12, return `Add); (2, return `Remove); (1, return `Copy);
+          (1, return `Rp); (1, return `Re); (1, return `Reset) ]
+      >>= function
+      | `Add ->
+          fact_gen >>= fun (pi, args) ->
+          (if monotone then int_range 0 1 >|= ( + ) birth else int_range 0 5)
+          >>= fun b -> go (k - 1) b (Add (pi, args, b) :: acc)
+      | `Remove ->
+          list_size (int_range 1 3) fact_gen >>= fun fs ->
+          go (k - 1) birth (Remove fs :: acc)
+      | `Copy -> go (k - 1) birth (Copy :: acc)
+      | `Rp ->
+          array_repeat 3 bool >>= fun keep ->
+          go (k - 1) birth (Restrict_preds keep :: acc)
+      | `Re ->
+          array_repeat m_elems bool >>= fun keep ->
+          go (k - 1) birth (Restrict_elements keep :: acc)
+      | `Reset -> go (k - 1) 0 (Reset :: acc)
+  in
+  go len 0 []
+
+let prop_instance_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150
+       ~name:"instance agrees with a (fact, birth) list"
+       (QCheck.make ops_gen ~print:(fun ops ->
+            String.concat "; " (List.map show_op ops)))
+       (fun ops ->
+         let inst = Instance.create () in
+         for x = 0 to m_elems - 1 do
+           ignore (Instance.const inst (string_of_int x))
+         done;
+         let m0 = summarize [] in
+         (* every instance a copy or restriction was taken from, with its
+            model at that moment: the derived instance must share nothing
+            with it, so it must still agree at the end *)
+         let sources = ref [] in
+         let rec go inst m = function
+           | [] -> true
+           | op :: rest -> (
+               let inst' = step_inst inst op and m' = step_model m op in
+               if inst' != inst then sources := (op, inst, m) :: !sources;
+               match agrees inst' m' with
+               | Ok () -> go inst' m' rest
+               | Error msg ->
+                   QCheck.Test.fail_reportf "after %s: %s" (show_op op) msg)
+         in
+         go inst m0 ops
+         && List.for_all
+              (fun (op, inst, m) ->
+                match agrees inst m with
+                | Ok () -> true
+                | Error msg ->
+                    QCheck.Test.fail_reportf "source of %s, at the end: %s"
+                      (show_op op) msg)
+              !sources))
+
+(* ------------------------------------------------------------------ *)
+(* Predicate interning                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_pred_ids () =
+  let p = Pred.make "pid_p" 1 in
+  check Alcotest.int "same (name, arity), same id" (Pred.id p)
+    (Pred.id (Pred.make "pid_p" 1));
+  check Alcotest.bool "p/1 and p/2 differ" true
+    (Pred.id p <> Pred.id (Pred.make "pid_p" 2));
+  check Alcotest.bool "p/1 <> p/2" false
+    (Pred.equal p (Pred.make "pid_p" 2))
+
+let test_pred_order () =
+  (* interned in the reverse of their (name, arity) order *)
+  let z = Pred.make "pord_z" 1 in
+  let a2 = Pred.make "pord_a" 2 in
+  let a1 = Pred.make "pord_a" 1 in
+  let names l = List.map Pred.show l in
+  check Alcotest.(list string) "sort by (name, arity)"
+    [ "pord_a/1"; "pord_a/2"; "pord_z/1" ]
+    (names (List.sort Pred.compare [ z; a2; a1 ]));
+  check Alcotest.(list string) "set order"
+    [ "pord_a/1"; "pord_a/2"; "pord_z/1" ]
+    (names (Pred.Set.elements (Pred.Set.of_list [ z; a2; a1 ])))
+
+let test_pred_intern_domains () =
+  let names = Array.init 200 (fun i -> Printf.sprintf "pdom_%d" i) in
+  let intern order () =
+    Array.map (fun i -> Pred.id (Pred.make names.(i) 2)) order
+  in
+  let up = Array.init 200 Fun.id in
+  let down = Array.init 200 (fun i -> 199 - i) in
+  let d1 = Domain.spawn (intern up) and d2 = Domain.spawn (intern down) in
+  let ids1 = Domain.join d1 and ids2 = Domain.join d2 in
+  for i = 0 to 199 do
+    check Alcotest.int names.(i) ids1.(i) ids2.(199 - i)
+  done;
+  check Alcotest.int "200 distinct ids" 200
+    (List.length (List.sort_uniq compare (Array.to_list ids1)))
+
 let suite =
   ( "structure",
     [ tc "const interning" test_const_interning;
@@ -240,4 +630,9 @@ let suite =
       tc "canonical constants rigid" test_canonical_constants_rigid;
       tc "canonical key stable" test_canonical_key_stable;
       tc "fact hash full arity" test_fact_hash_full_arity;
+      tc "reset births reach the buckets" test_reset_births_reach_buckets;
+      prop_instance_model;
+      tc "pred ids" test_pred_ids;
+      tc "pred order" test_pred_order;
+      tc "pred interning across 2 domains" test_pred_intern_domains;
     ] )
