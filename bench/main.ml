@@ -18,10 +18,10 @@ module I = Structure.Instance
    tables then show budget-exhausted outcomes instead of hanging. *)
 let governor : Budget.t option ref = ref None
 
-(* --check FILE runs every gated experiment (EX-17 to EX-22, see "The
-   counter gate" below) and compares its deterministic counters with the
-   committed blob, exiting 1 on any violation; --write FILE re-records
-   that blob.  Without either flag the harness prints every table.
+(* --check FILE runs every gated experiment (EX-17, EX-18 and EX-20 to
+   EX-22, see "The counter gate" below) and compares its deterministic
+   counters with the committed blob, exiting 1 on any violation; --write
+   FILE re-records that blob.  Without either flag the harness prints every table.
    --obs-smoke runs only the observability smoke: tracing must be
    semantically inert and the disabled path free of measurable overhead.
    --metrics-out writes the final metrics-registry snapshot as a
@@ -560,7 +560,6 @@ let micro () =
 let strategy_name = function
   | Chase.Chase.Naive -> "naive"
   | Chase.Chase.Seminaive -> "seminaive"
-  | Chase.Chase.Parallel n -> Printf.sprintf "parallel:%d" n
 
 (* The scaling workloads: datalog saturation (transitive closure, where
    delta-driven evaluation shines) and a restricted chase with
@@ -614,9 +613,10 @@ let ex14_strategies () =
 (* The counter gate: one row type, one blob, one comparison            *)
 (* ------------------------------------------------------------------ *)
 
-(* Each gated experiment (EX-17 to EX-22) prints its table, enforces its
-   structural claims in process, and reduces its measurements to rows of
-   deterministic counters, plus a verdict string where the row has one.
+(* Each gated experiment (EX-17, EX-18 and EX-20 to EX-22) prints its
+   table, enforces its structural claims in process, and reduces its
+   measurements to rows of deterministic counters, plus a verdict string
+   where the row has one.
    --write records the rows as one blob (BENCH_gate.json); --check
    re-runs the experiments and compares every row with its committed
    twin under the experiment's tolerance, a constant in code.  Wall
@@ -625,7 +625,7 @@ let ex14_strategies () =
 type row = {
   experiment : string;
   workload : string;
-  config : string; (* the measured arm: join engine, domain count, ... *)
+  config : string; (* the measured arm, e.g. the join engine *)
   cores : int option; (* the core count the row was recorded on *)
   counters : (string * int) list;
   verdict : string option;
@@ -1457,178 +1457,6 @@ let run_ex18 () =
     r.r_phases
 
 (* ------------------------------------------------------------------ *)
-(* EX-19: domain-sharded parallel chase rounds                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel engine's two claims, in one table:
-
-     1. determinism — every counter (rounds, facts, elements, join
-        probes, index ops) is identical at every domain count, and the
-        final instance is bit-identical (element ids included) to the
-        sequential semi-naive run;
-     2. speedup — on a machine with cores to spare, sharding the
-        root-split work items across domains cuts wall time.
-
-   Claim 1 is portable and gates unconditionally (here, and exactly
-   against the committed blob).  Claim 2 is gated only when the machine
-   reports >= 4 cores: on an undersized box the pool degrades to
-   time-slicing and wall times are reported, never gated.  No recorded
-   run backs the >= 2x figure yet: the committed rows were measured on
-   1 core (0.37-1.35x), and on a 2-core VM the 4-domain speedup is
-   0.94-1.48x for diamond and 0.38-0.61x for tc/digraph. *)
-
-type ex19_row = {
-  n_workload : string;
-  n_domains : int;
-  n_rounds : int;
-  n_facts : int;
-  n_elements : int;
-  n_probes : int;
-  n_index_ops : int;
-  n_wall_s : float;
-}
-
-let ex19_domain_counts = [ 1; 2; 4; 8 ]
-
-(* Transitive closure on a denser digraph than EX-17's (long rounds of
-   independent join work — the shape that shards well) and a wide-body
-   diamond closure (expensive sub-walks per root candidate, so each
-   work item carries real grain). *)
-let ex19_workloads () =
-  let tc = Logic.Parser.parse_theory "e(X,Y), e(Y,Z) -> e(X,Z)." in
-  let diamond =
-    Logic.Parser.parse_theory
-      "e(X,Y), e(X,Z), e(Y,W), e(Z,W) -> d(X,W). d(X,Y), d(Y,Z) -> d(X,Z)."
-  in
-  [ ("tc/digraph", tc, Gen.random_digraph ~nodes:120 ~edges:360 ~seed:11 ());
-    ("diamond", diamond, Gen.random_digraph ~nodes:60 ~edges:180 ~seed:5 ());
-  ]
-
-let ex19_run strategy theory db =
-  Chase.Chase.saturate_datalog ~strategy ?budget:!governor theory db
-
-let ex19_measure () =
-  List.concat_map
-    (fun (name, theory, db) ->
-      List.map
-        (fun domains ->
-          (* Parallel 1 is the sequential code path, so the domains=1
-             row is the honest baseline *)
-          let before = Obs.Metrics.snapshot () in
-          let r, t =
-            time_it (fun () ->
-                ex19_run (Chase.Chase.Parallel domains) theory db)
-          in
-          let delta =
-            Obs.Metrics.ints_delta ~before ~after:(Obs.Metrics.snapshot ())
-          in
-          let get k = Option.value (List.assoc_opt k delta) ~default:0 in
-          { n_workload = name;
-            n_domains = domains;
-            n_rounds = r.Chase.Chase.rounds;
-            n_facts = I.num_facts r.Chase.Chase.instance;
-            n_elements = I.num_elements r.Chase.Chase.instance;
-            n_probes = get "eval.join_probes";
-            n_index_ops = get "eval.index_ops";
-            n_wall_s = t;
-          })
-        ex19_domain_counts)
-    (ex19_workloads ())
-
-let ex19_baseline rows row =
-  List.find_opt
-    (fun r -> r.n_workload = row.n_workload && r.n_domains = 1)
-    rows
-
-let ex19_table rows =
-  header "EX-19: domain-sharded parallel chase (determinism + speedup)";
-  Fmt.pr "%-14s %-8s %-8s %-8s %-12s %-12s %-9s %s@." "workload" "domains"
-    "rounds" "facts" "probes" "index ops" "time(s)" "speedup";
-  List.iter
-    (fun row ->
-      let speedup =
-        match ex19_baseline rows row with
-        | Some b when row.n_wall_s > 0. ->
-            Printf.sprintf "%.2fx" (b.n_wall_s /. row.n_wall_s)
-        | _ -> "-"
-      in
-      Fmt.pr "%-14s %-8d %-8d %-8d %-12d %-12d %-9.3f %s@." row.n_workload
-        row.n_domains row.n_rounds row.n_facts row.n_probes row.n_index_ops
-        row.n_wall_s speedup)
-    rows
-
-(* The unconditional gates: identical deterministic fields at every
-   domain count, and a bit-identical instance (fact set with element
-   ids, per-fact births) at 4 domains vs the sequential engine. *)
-let ex19_structural rows =
-  let fail fmt = gate_fail "EX-19" fmt in
-  List.iter
-    (fun row ->
-      match ex19_baseline rows row with
-      | None -> fail "%s lacks a domains=1 row" row.n_workload
-      | Some b ->
-          if
-            (row.n_rounds, row.n_facts, row.n_elements, row.n_probes,
-             row.n_index_ops)
-            <> (b.n_rounds, b.n_facts, b.n_elements, b.n_probes, b.n_index_ops)
-          then
-            fail "%s @%d domains diverges from the sequential baseline"
-              row.n_workload row.n_domains)
-    rows;
-  List.iter
-    (fun (name, theory, db) ->
-      let a = ex19_run Chase.Chase.Seminaive theory db in
-      let p = ex19_run (Chase.Chase.Parallel 4) theory db in
-      if not (I.equal_facts a.Chase.Chase.instance p.Chase.Chase.instance)
-      then fail "%s @4 domains is not bit-identical" name;
-      I.iter_facts
-        (fun f ->
-          if
-            I.fact_birth a.Chase.Chase.instance f
-            <> I.fact_birth p.Chase.Chase.instance f
-          then fail "%s @4 domains birth stamps differ" name)
-        a.Chase.Chase.instance)
-    (ex19_workloads ());
-  let cores = Domain.recommended_domain_count () in
-  List.iter
-    (fun (name, _, _) ->
-      let wall n =
-        match
-          List.find_opt
-            (fun r -> r.n_workload = name && r.n_domains = n)
-            rows
-        with
-        | Some r -> r.n_wall_s
-        | None -> 0.
-      in
-      let speedup = if wall 4 > 0. then wall 1 /. wall 4 else 0. in
-      if cores >= 4 then begin
-        if speedup < 2. then
-          fail "%s speedup at 4 domains only %.2fx on %d cores (want >= 2x)"
-            name speedup cores
-      end
-      else
-        Fmt.pr
-          "EX-19: %s speedup %.2fx reported only (%d core(s) — the >= 2x \
-           gate needs 4)@."
-          name speedup cores)
-    (ex19_workloads ())
-
-(* Every counter is gated exactly: the runs are counter-identical, not
-   statistics. *)
-let run_ex19 () =
-  let rows = ex19_measure () in
-  ex19_table rows;
-  ex19_structural rows;
-  List.map
-    (fun row ->
-      gate_row "EX-19" ~config:(string_of_int row.n_domains) row.n_workload
-        [ ("rounds", row.n_rounds); ("facts", row.n_facts);
-          ("elements", row.n_elements); ("probes", row.n_probes);
-          ("index_ops", row.n_index_ops) ])
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* EX-20: query-directed rule slicing                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -2150,7 +1978,7 @@ let ex22_speedup row =
   else 0.
 
 (* Transitive closure over a sparse digraph (deep closure, long
-   re-chase) and EX-19's wide-body diamond closure (expensive joins per
+   re-chase) and a wide-body diamond closure (expensive joins per
    round).  60 nodes keeps the closure in the thousands of facts, where
    a 1-3 fact batch is genuinely "small churn". *)
 let ex22_workloads () =
@@ -2276,7 +2104,7 @@ let ex22_table rows =
 
 (* Unconditional gates: per-batch bit-identity with the re-chase and
    stats-vs-size reconciliation.  The >= 5x speedup floor is gated only
-   behind the cores check, like EX-19's scaling claim. *)
+   on machines with >= 4 cores; below that it is reported. *)
 let ex22_structural rows =
   let fail fmt = gate_fail "EX-22" fmt in
   List.iter
@@ -2318,15 +2146,12 @@ let run_ex22 () =
           ("probes_maintained", row.c_probes_maint) ])
     rows
 
-(* EX-18 forks its server children first: once EX-19 has started the
-   parallel chase's worker domains, Unix.fork refuses to run. *)
 let gated =
   let gate ?(relate = fun ~committed:_ _ -> None) id tolerance run =
     { id; tolerance; relate; run }
   in
   [ gate "EX-17" (At_most 0.10) run_ex17;
     gate "EX-18" Exact run_ex18;
-    gate "EX-19" Exact run_ex19;
     gate "EX-20" (At_most 0.10) run_ex20;
     gate "EX-21" (Within 0.10) run_ex21 ~relate:ex21_rate_floor;
     gate "EX-22" (Within 0.10) run_ex22;

@@ -143,57 +143,19 @@ let budget_term =
   in
   Term.(const make $ timeout $ fuel $ trap)
 
-(* --domains must be a positive integer; anything else is a usage error
-   (exit 2, like every other bad input). *)
-let domains_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "invalid domain count %s (expected a positive \
-                             integer)" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let domains_term =
+(* The batch subcommands accept --strategy so scripts can A/B the chase
+   evaluation paths uniformly; those that never chase (rewrite,
+   classify) accept and ignore it. *)
+let strategy_term =
   Arg.(
     value
-    & opt (some domains_conv) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Evaluate chase rounds across $(docv) domains (default 1: \
-              sequential).  The result is bit-identical to the \
-              sequential semi-naive strategy for every $(docv) — only \
-              wall-clock time changes.")
-
-(* Every subcommand accepts --strategy/--domains so scripts can A/B the
-   chase evaluation paths uniformly; commands that never chase (rewrite,
-   classify) accept and ignore them.  --domains N with N >= 2 upgrades
-   the (default) semi-naive strategy to the domain-sharded parallel
-   engine; the naive reference stays sequential.  With neither flag the
-   library default applies, which honours BDDFC_TEST_DOMAINS. *)
-let strategy_term =
-  let strategy =
-    Arg.(
-      value
-      & opt (enum [ ("seminaive", Chase.Chase.Seminaive);
-                    ("naive", Chase.Chase.Naive) ])
-          Chase.Chase.Seminaive
-      & info [ "strategy" ] ~docv:"STRATEGY"
-          ~doc:"Chase evaluation strategy: $(b,seminaive) (delta-driven, \
-                the default) or $(b,naive) (per-round snapshot re-join; \
-                reference implementation).  Combine with $(b,--domains) \
-                to shard semi-naive rounds across a domain pool.")
-  in
-  let combine strategy domains =
-    match (strategy, domains) with
-    | Chase.Chase.Seminaive, Some n when n >= 2 -> Chase.Chase.Parallel n
-    | s, Some _ -> s
-    | Chase.Chase.Seminaive, None -> Chase.Chase.default_strategy ()
-    | s, None -> s
-  in
-  Term.(const combine $ strategy $ domains_term)
+    & opt (enum [ ("seminaive", Chase.Chase.Seminaive);
+                  ("naive", Chase.Chase.Naive) ])
+        Chase.Chase.Seminaive
+    & info [ "strategy" ] ~docv:"STRATEGY"
+        ~doc:"Chase evaluation strategy: $(b,seminaive) (delta-driven, \
+              the default) or $(b,naive) (per-round snapshot re-join; \
+              reference implementation).")
 
 (* Every subcommand accepts --eval so scripts can A/B the compiled join
    engine against the reference interpreter uniformly; commands that
@@ -796,16 +758,9 @@ let serve_cmd =
                 answer $(b,fault_injected) and evict their session; the \
                 server itself must survive.")
   in
-  let run socket max_inflight rounds domains hc timeout fuel inject obs
-      verbose =
+  let run socket max_inflight rounds hc timeout fuel inject obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"serve" obs @@ fun () ->
-    let strategy =
-      match domains with
-      | Some n when n >= 2 -> Chase.Chase.Parallel n
-      | Some _ -> Chase.Chase.Seminaive
-      | None -> Chase.Chase.default_strategy ()
-    in
     let config =
       { Serve.Server.default_config with
         deadline_s = timeout;
@@ -813,7 +768,6 @@ let serve_cmd =
         max_inflight;
         chase_rounds = rounds;
         faults = Option.map (fun seed -> Serve.Faults.seeded ~seed) inject;
-        strategy;
         hc;
       }
     in
@@ -857,8 +811,8 @@ let serve_cmd =
           bounded in-flight admission."
        ~exits)
     Term.(
-      const run $ socket $ max_inflight $ rounds $ domains_term $ hc_term
-      $ timeout $ fuel $ inject $ obs_term $ verbose_arg)
+      const run $ socket $ max_inflight $ rounds $ hc_term $ timeout $ fuel
+      $ inject $ obs_term $ verbose_arg)
 
 let main =
   let info =

@@ -147,13 +147,6 @@ let check_deadline t =
   tick_trap t Deadline;
   tick_deadline t
 
-(* Pure probe for worker domains: no trap tick, no trip, no exception —
-   workers bail out early and the coordinating domain performs the one
-   canonical (trap-ticking, trace-emitting) [check_deadline] after the
-   join, so exhaustion stays deterministic across domain counts. *)
-let deadline_expired t =
-  match t.deadline with Some d -> now () > d | None -> false
-
 let charge t r n =
   tick_trap t r;
   tick_deadline t;

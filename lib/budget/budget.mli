@@ -98,14 +98,6 @@ val check_deadline : t -> unit
 (** A charge point that consumes no fuel.
     @raise Exhausted on a passed deadline or a firing trap. *)
 
-val deadline_expired : t -> bool
-(** Non-raising, non-trap-ticking deadline probe, safe to poll from
-    worker domains.  Unlike {!check_deadline} it neither consumes a trap
-    charge point nor emits the [budget.tripped] telemetry, so polling
-    frequency cannot perturb deterministic fault injection: workers that
-    see [true] bail out early and the coordinator performs the single
-    canonical {!check_deadline} after the join. *)
-
 val exhausted_now : t -> resource option
 (** Non-raising probe: the first resource that is already spent (passed
     deadline, or a fuel counter at 0).  Used by orchestrators to

@@ -41,7 +41,7 @@
    [max_rounds]/[max_elements] knobs are local ceilings layered on top of
    the caller's governor.
 
-   Whatever the strategy, a trigger fires through [guarded_commit], the
+   Whatever the strategy, a trigger fires through [commit_env], the
    only place the chase mutates an instance (Maintain's repair fires
    through it too, via [commit]), and [run], [resume] and [certain]
    share one round driver.  Each rule is prepared once per run into a
@@ -61,22 +61,6 @@ type variant =
 type strategy =
   | Naive
   | Seminaive
-  | Parallel of int
-
-(* The default strategy honours BDDFC_TEST_DOMAINS (n >= 2 -> Parallel n)
-   so the CI multi-domain lane can push the whole tier-1 suite through
-   the parallel engine without touching call sites; read once, lazily. *)
-let default_strategy =
-  let v =
-    lazy
-      (match Sys.getenv_opt "BDDFC_TEST_DOMAINS" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n when n >= 2 -> Parallel n
-          | _ -> Seminaive)
-      | None -> Seminaive)
-  in
-  fun () -> Lazy.force v
 
 type outcome =
   | Fixpoint (* no trigger fired: the result is a model *)
@@ -345,9 +329,8 @@ type tally = { mutable added : int; mutable nulls : int }
    birth [round].  Existential variables get one shared set of fresh
    nulls, parented at the first frontier element of the head; every head
    fact actually added is counted, recorded, then charged.  [binding]
-   names [env] for the recorder and is only called when there is one.
-   [guard] runs before each mutation (phase C's discipline check). *)
-let guarded_commit ~guard ?record ~budget ~round tally inst tg env ~binding =
+   names [env] for the recorder and is only called when there is one. *)
+let commit_env ?record ~budget ~round tally inst tg env ~binding =
   let rule = tg.t_rule in
   let record =
     Option.map
@@ -363,7 +346,6 @@ let guarded_commit ~guard ?record ~budget ~round tally inst tg env ~binding =
     | H_exist k ->
         if nulls.(k) >= 0 then nulls.(k)
         else begin
-          guard ();
           Budget.charge budget Budget.Elements 1;
           let id =
             Instance.fresh_null inst ~birth:round ~rule:(Rule.name rule)
@@ -377,7 +359,6 @@ let guarded_commit ~guard ?record ~budget ~round tally inst tg env ~binding =
   List.iter
     (fun (p, slots) ->
       let f = Fact.make p (Array.map arg slots) in
-      guard ();
       if Instance.add_fact ~birth:round inst f then begin
         tally.added <- tally.added + 1;
         Option.iter (fun fn -> fn f) record;
@@ -398,214 +379,57 @@ let commit ?record ~budget ~round tally inst rule binding =
           Option.value ~default:(-1)
             (Smap.find_opt (Plan.var_name bplan r) binding))
   in
-  guarded_commit ~guard:ignore ?record ~budget ~round tally inst tg env
+  commit_env ?record ~budget ~round tally inst tg env
     ~binding:(fun () -> binding)
 
-(* ------------------------------------------------------------------ *)
-(* The parallel round                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The [Parallel n] round is the semi-naive round, fork-joined:
-
-     phase A (coordinator)  build each rule's passes with their root
-                            access paths and materialized root candidates
-                            (Eval.passes — the deterministic first step
-                            of the sequential enumeration), and chunk the
-                            candidate ranges into jobs;
-     phase B (pool)         evaluate jobs read-only against the committed
-                            prefix: enumerate body environments
-                            (Eval.pass_run),
-                            run witness checks and compute demand keys,
-                            collect the triggers that may fire into
-                            per-job slots (counters divert to per-domain
-                            shards, merged at the barrier);
-     phase C (coordinator)  replay the candidates in job order — which is
-                            (rule, pass, root candidate, sub-walk) order,
-                            i.e. exactly the sequential enumeration
-                            order — through the demand dedup and [commit].
-
-   Everything order-sensitive (fact insertion, demand dedup, null ids,
-   fuel-trap charge points) happens in phase C on one domain in the
-   sequential order, so the result instance is bit-identical to the
-   Seminaive strategy's for every domain count and any scheduling.
-   Workers never charge the governor (they poll the non-ticking
-   Budget.deadline_expired and bail early); the canonical trip happens at
-   a coordinator charge point.  Phase B may only *read* the instance:
-   mid-round commits do not exist yet, and the birth windows already
-   guarantee the sequential round's evaluation never sees its own round's
-   writes — the invariant that makes this fork-join sound (DESIGN.md
-   section 11). *)
-
-type pjob = {
-  pj_trigger : trigger;
-  pj_wsince : int array;
-  pj_wupto : int array; (* the witness check's windows *)
-  pj_pass : Eval.pass;
-  pj_lo : int;
-  pj_hi : int; (* root-candidate range [lo, hi) *)
-  mutable pj_out : (Element.id array * key option) list;
-      (* triggers that may fire, in enumeration order, with a copy of
-         their body environment; existential ones carry their demand
-         key *)
-}
-
-let chunks_per_domain = 4
-
-let parallel_round ~domains ~demanded ~since ?record ~budget ~round_no tally
-    triggers inst =
-  let upto = round_no in
-  let pool = Shard.shared_pool domains in
-  (* phase A *)
-  let jobs = ref [] in
-  List.iter
-    (fun tg ->
-      let wsince, wupto = head_windows tg (Some upto) in
-      List.iter
-        (fun pass ->
-          let ncands = Eval.pass_candidates pass in
-          if ncands > 0 then begin
-            let nchunks = min ncands (domains * chunks_per_domain) in
-            let base = ncands / nchunks and rem = ncands mod nchunks in
-            let lo = ref 0 in
-            for c = 0 to nchunks - 1 do
-              let len = base + if c < rem then 1 else 0 in
-              jobs :=
-                {
-                  pj_trigger = tg;
-                  pj_wsince = wsince;
-                  pj_wupto = wupto;
-                  pj_pass = pass;
-                  pj_lo = !lo;
-                  pj_hi = !lo + len;
-                  pj_out = [];
-                }
-                :: !jobs;
-              lo := !lo + len
-            done
-          end)
-        (Eval.passes ~since ~upto inst tg.t_body))
-    triggers;
-  let jobs = Array.of_list (List.rev !jobs) in
-  Shard.Check.phase_a ~facts:(Instance.num_facts inst)
-    ~elements:(Instance.num_elements inst);
-  (* phase B *)
-  let work j =
-    let job = jobs.(j) in
-    let tg = job.pj_trigger in
-    Shard.Check.observe ~facts:(Instance.num_facts inst)
-      ~elements:(Instance.num_elements inst);
-    if not (Budget.deadline_expired budget) then begin
-      let out = ref [] in
-      let yield =
-        if tg.t_datalog then fun env -> out := (Array.copy env, None) :: !out
-        else fun env ->
-          let fire =
-            match tg.t_head with
-            | None -> true (* oblivious: no witness check *)
-            | Some head ->
-                not
-                  (Eval.satisfiable_filled ~fill:tg.t_fill ~src:env
-                     ~wsince:job.pj_wsince ~wupto:job.pj_wupto inst head)
-          in
-          if fire then
-            out := (Array.copy env, Some (trigger_key tg env)) :: !out
-      in
-      let c = ref job.pj_lo in
-      while !c < job.pj_hi && not (Budget.deadline_expired budget) do
-        Eval.pass_run inst job.pj_pass ~cand:!c yield;
-        incr c
-      done;
-      job.pj_out <- List.rev !out
-    end
-  in
-  Obs.Metrics.Shard.start ();
-  Fun.protect
-    ~finally:(fun () -> Obs.Metrics.Shard.stop_and_merge ())
-    (fun () -> Shard.run pool ~njobs:(Array.length jobs) work);
-  (* Workers bail (truncating their pj_out) when the deadline passes; a
-     truncated round must surface as exhaustion, never as a bogus
-     zero-added fixpoint, so the canonical raising check sits at the
-     join — guarded by the pure probe, because check_deadline also
-     ticks the fuel trap and an unconditional call would shift trap
-     points relative to the sequential engine. *)
-  if Budget.deadline_expired budget then Budget.check_deadline budget;
-  (* phase C *)
-  Array.iter
-    (fun job ->
-      let tg = job.pj_trigger in
-      List.iter
-        (fun (env, key) ->
-          if Option.fold key ~none:true ~some:(first_demand demanded) then
-            guarded_commit ~guard:Shard.Check.mutating ?record ~budget
-              ~round:round_no tally inst tg env ~binding:(fun () ->
-                Eval.binding_of_prepared tg.t_body env))
-        job.pj_out)
-    jobs
-
-(* One simultaneous chase round on [inst].  Body evaluation and witness
-   checks read the state at the start of the round: a full copy under the
-   Naive strategy, the committed prefix of [inst] itself (births <
-   round_no, in place) under Seminaive and Parallel.  Under Seminaive
-   only bindings with >= 1 body atom in the previous round's delta are
-   enumerated — every other binding already fired (or was
+(* One simultaneous chase round on [inst], returning its tally.  Body
+   evaluation and witness checks read the state at the start of the
+   round: a full copy under the Naive strategy, the committed prefix of
+   [inst] itself (births < round_no, in place) under Seminaive.  Under
+   Seminaive only bindings with >= 1 body atom in the previous round's
+   delta are enumerated — every other binding already fired (or was
    witness-blocked) in an earlier round.  Fresh elements and added facts
    are charged to [budget]; a trip mid-round leaves a partial round
-   behind (best effort). *)
-let sequential_round ~strategy ?eval ~demanded ~since ?record ~budget
-    ~round_no tally triggers inst =
-  let snapshot, upto, since =
-    match strategy with
-    | Naive -> (Instance.copy inst, None, 0)
-    | Seminaive | Parallel _ -> (inst, Some round_no, since)
-  in
-  List.iter
-    (fun tg ->
-      let wsince, wupto = head_windows tg upto in
-      let fires env =
-        tg.t_datalog
-        || (match tg.t_head with
-           | None -> true (* oblivious: no witness check *)
-           | Some head ->
-               not
-                 (witness_exists ?eval ~upto ~wsince ~wupto snapshot tg head
-                    env))
-           && first_demand demanded (trigger_key tg env)
-      in
-      Eval.iter_env ?engine:eval ~since ?upto snapshot tg.t_body (fun env ->
-          if fires env then
-            guarded_commit ~guard:ignore ?record ~budget ~round:round_no tally
-              inst tg env ~binding:(fun () ->
-                Eval.binding_of_prepared tg.t_body env)))
-    triggers
-
-(* Dispatch one round and return its tally.  [Parallel n] with [n <= 1]
-   is literally the sequential Seminaive code path (one domain, no pool,
-   no sharded counters) — the parallel machinery only engages at
-   [n >= 2], always with the compiled engine ([?eval] is a
-   sequential-only knob).  [fired] persists dedup keys across rounds
-   (needed for the oblivious variant, where a trigger must fire exactly
-   once ever); without it the table is per-round, which is enough for
-   the restricted variant because the created witness blocks the trigger
-   in later rounds.  The tally reaches the registry even when a budget
-   trips mid-round. *)
+   behind (best effort), and the tally reaches the registry anyway.
+   [fired] persists dedup keys across rounds (needed for the oblivious
+   variant, where a trigger must fire exactly once ever); without it the
+   table is per-round, which is enough for the restricted variant
+   because the created witness blocks the trigger in later rounds. *)
 let round ~strategy ?eval ?fired ?since ?record ~budget ~round_no triggers
     inst =
   Obs.Metrics.incr m_rounds;
-  let since = Option.value since ~default:(round_no - 1) in
   let demanded = match fired with Some t -> t | None -> Key_tbl.create 64 in
+  let snapshot, upto, since =
+    match strategy with
+    | Naive -> (Instance.copy inst, None, 0)
+    | Seminaive ->
+        (inst, Some round_no, Option.value since ~default:(round_no - 1))
+  in
   let tally = { added = 0; nulls = 0 } in
   Fun.protect
     ~finally:(fun () ->
       Obs.Metrics.add m_facts tally.added;
       Obs.Metrics.add m_nulls tally.nulls)
     (fun () ->
-      (match strategy with
-      | Parallel n when n >= 2 ->
-          parallel_round ~domains:n ~demanded ~since ?record ~budget
-            ~round_no tally triggers inst
-      | Naive | Seminaive | Parallel _ ->
-          sequential_round ~strategy ?eval ~demanded ~since ?record ~budget
-            ~round_no tally triggers inst);
+      List.iter
+        (fun tg ->
+          let wsince, wupto = head_windows tg upto in
+          let fires env =
+            tg.t_datalog
+            || (match tg.t_head with
+               | None -> true (* oblivious: no witness check *)
+               | Some head ->
+                   not
+                     (witness_exists ?eval ~upto ~wsince ~wupto snapshot tg
+                        head env))
+               && first_demand demanded (trigger_key tg env)
+          in
+          Eval.iter_env ?engine:eval ~since ?upto snapshot tg.t_body
+            (fun env ->
+              if fires env then
+                commit_env ?record ~budget ~round:round_no tally inst tg env
+                  ~binding:(fun () -> Eval.binding_of_prepared tg.t_body env)))
+        triggers;
       tally)
 
 (* The rules a run fires, prepared once per run, their key shapes
@@ -675,17 +499,15 @@ let effective_budget ?budget ?max_rounds ?max_elements () =
         ~elements:(Option.value max_elements ~default:default_elements)
         ()
 
-let resolve_strategy = function Some s -> s | None -> default_strategy ()
-
 let strategy_tag = function
   | Naive -> "naive"
   | Seminaive -> "seminaive"
-  | Parallel n -> "parallel:" ^ string_of_int n
+
 let variant_tag = function Restricted -> "restricted" | Oblivious -> "oblivious"
 
-let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
-    ?watch ?record ?budget ?max_rounds ?max_elements theory base =
-  let strategy = resolve_strategy strategy in
+let run ?(variant = Restricted) ?(strategy = Seminaive) ?eval
+    ?(datalog_only = false) ?watch ?record ?budget ?max_rounds ?max_elements
+    theory base =
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.time t_run @@ fun () ->
@@ -761,10 +583,9 @@ let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
 
    Restricted variant only: the oblivious chase's fired-trigger table
    does not survive across runs. *)
-let resume ?strategy ?eval ?record ?budget ?max_rounds ?max_elements
-    ?(full_first = false) ?(rule_filter = fun _ -> true) ~from_round theory
-    inst =
-  let strategy = resolve_strategy strategy in
+let resume ?(strategy = Seminaive) ?eval ?record ?budget ?max_rounds
+    ?max_elements ?(full_first = false) ?(rule_filter = fun _ -> true)
+    ~from_round theory inst =
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Trace.span "chase.resume" @@ fun () ->
@@ -840,8 +661,8 @@ type certainty =
   | Unknown of Budget.resource * int
       (* this budget exhausted after that many rounds *)
 
-let certain ?strategy ?eval ?budget ?max_rounds ?max_elements theory base q =
-  let strategy = resolve_strategy strategy in
+let certain ?(strategy = Seminaive) ?eval ?budget ?max_rounds ?max_elements
+    theory base q =
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Trace.span "chase.certain" @@ fun () ->
   let inst = Instance.copy base in

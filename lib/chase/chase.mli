@@ -37,26 +37,6 @@ type variant =
 type strategy =
   | Naive (** per-round snapshot copy + full re-join (reference) *)
   | Seminaive (** delta-driven, in-place frontier (default) *)
-  | Parallel of int
-      (** the semi-naive round, fork-joined over that many domains.
-          Rule [x] delta work is root-split along the compiled plans'
-          first access path ({!Bddfc_hom.Plan.choose_root}), shards are
-          evaluated read-only against the committed prefix on a warm
-          domain pool ({!Shard}), and candidates are replayed on the
-          coordinating domain in sequential enumeration order — so the
-          result (fact set, null identities, birth stamps, budget trip
-          points) is bit-identical to [Seminaive] under the default
-          compiled engine, for every domain count and any scheduling
-          (DESIGN.md section 11).  [Parallel n] with [n <= 1] *is* the
-          sequential code path.  The parallel path always uses the
-          compiled engine; [?eval] only affects sequential strategies. *)
-
-val default_strategy : unit -> strategy
-(** [Seminaive], unless the [BDDFC_TEST_DOMAINS] environment variable
-    holds an integer [n >= 2] — then [Parallel n].  This is how the CI
-    multi-domain lane pushes every entry point (and the tier-1 suite)
-    through the parallel engine without touching call sites; read once,
-    lazily.  Entry points below default their [?strategy] to this. *)
 
 type outcome =
   | Fixpoint (** no trigger fired: the result is a model *)
@@ -90,9 +70,7 @@ type record =
     the trigger matched under (for existential rules the binding covers
     the body variables only — the invented nulls are in the fact).  It
     is called from {!commit}, the only site where the chase mutates an
-    instance, in the sequential enumeration order — so the recorded
-    stream is bit-identical across [Seminaive] and [Parallel n].
-    {!Provenance} and incremental maintenance ({!Maintain}) record
+    instance, in enumeration order.  {!Provenance} and incremental maintenance ({!Maintain}) record
     through it. *)
 
 type tally = { mutable added : int; mutable nulls : int }

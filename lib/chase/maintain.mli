@@ -19,8 +19,7 @@
     A maintained [Fixpoint] state is a universal model of the updated
     database, hom-equivalent (both directions) to a from-scratch chase —
     the differential suite (test/test_maintain.ml) holds it to that
-    across the zoo, fuzzed theories, domain counts and containment
-    backends.  DESIGN.md section 14 has the correctness argument.
+    across the zoo, fuzzed theories and containment backends.  DESIGN.md section 14 has the correctness argument.
 
     Counters: maintain.runs, maintain.facts_deleted,
     maintain.facts_rederived, maintain.facts_inserted,

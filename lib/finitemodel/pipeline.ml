@@ -75,7 +75,7 @@ let default_params =
     rewrite_max_steps = 2_000;
     saturation_rounds = 10_000;
     budget = None;
-    strategy = Chase.default_strategy ();
+    strategy = Chase.Seminaive;
     eval = Eval.Compiled;
     hc = Hc.default_mode ();
     preflight = true;

@@ -229,17 +229,12 @@ let iter_compiled_delta ?(init = Smap.empty) ~since ?upto inst atoms yield =
       yield (binding_of_env plan init env))
 
 (* ---------------------------------------------------------------- *)
-(* Prepared bodies (worker-domain execution)                        *)
+(* Prepared bodies                                                  *)
 (* ---------------------------------------------------------------- *)
 
-(* A body pre-resolved to its compiled plan on the coordinating domain.
-   Worker domains of a parallel chase round must never call
-   [Plan.of_atoms]: the plan cache is an unsynchronized hashtable (and
-   evicts wholesale at its cap), so all cache traffic happens in
-   [prepare] before the fork and workers only *execute* the plan —
-   [Plan.exec_windowed] allocates its environment, trail and resolved
-   constants fresh per call and only reads the plan and the instance, so
-   concurrent executions over a read-only instance are safe. *)
+(* A body resolved to its compiled plan once, so that a chase run looks
+   the plan up once per rule rather than once per round and witness
+   check. *)
 type prepared = { p_atoms : Atom.t list; p_natoms : int; p_plan : Plan.t }
 
 let prepare atoms =
@@ -260,70 +255,6 @@ let satisfiable_filled ~fill ~src ~wsince ~wupto inst p =
          raise Found)
    with Found -> ());
   !result
-
-(* A pass of the semi-naive decomposition of one prepared body, with its
-   root access path chosen and the root candidates materialized.  The
-   coordinator builds the passes ({!passes} reads cardinalities and
-   counts index ops exactly as the monolithic enumeration would); worker
-   domains then run {!pass_run} on disjoint candidate ranges.  Replaying
-   candidate indexes in ascending order across the passes in list order
-   yields exactly the bindings of [iter_solutions_delta], in the same
-   order — the invariant the parallel chase's determinism rests on. *)
-type pass = {
-  ps_plan : Plan.t;
-  ps_wsince : int array;
-  ps_wupto : int array;
-  ps_root : Plan.root option; (* None: empty body, yield init once *)
-}
-
-let pass_candidates p =
-  match p.ps_root with None -> 1 | Some r -> Array.length r.Plan.root_facts
-
-let pass_windows ~n ~k ~since ~upto =
-  let wsince = Array.make (max n 1) 0 in
-  let wupto = Array.make (max n 1) upto in
-  for i = 0 to n - 1 do
-    if i = k then begin
-      wsince.(i) <- since;
-      wupto.(i) <- upto
-    end
-    else if i < k then begin
-      wsince.(i) <- 0;
-      wupto.(i) <- since
-    end
-    else begin
-      wsince.(i) <- 0;
-      wupto.(i) <- upto
-    end
-  done;
-  (wsince, wupto)
-
-let passes ~since ~upto inst p =
-  let n = p.p_natoms in
-  let mk ~k =
-    let ps_wsince, ps_wupto = pass_windows ~n ~k ~since ~upto in
-    let ps_root =
-      Plan.choose_root ~wsince:ps_wsince ~wupto:ps_wupto inst p.p_plan
-    in
-    { ps_plan = p.p_plan; ps_wsince; ps_wupto; ps_root }
-  in
-  if since <= 0 then [ mk ~k:0 ]
-    (* every binding is new: one pass, all atoms windowed to [0, upto) —
-       for n = 0 this is the single trivial pass yielding the empty
-       binding once, matching [iter_solutions] *)
-  else if n = 0 then []
-    (* the delta decomposition of an empty body has no passes: nothing
-       can have matched the delta, matching [iter_solutions_delta] *)
-  else List.init n (fun k -> mk ~k)
-
-let pass_run inst p ~cand yield =
-  match p.ps_root with
-  | None -> yield (Array.make (max (Plan.nvars p.ps_plan) 1) (-1))
-  | Some r ->
-      Plan.exec_from_root ~wsince:p.ps_wsince ~wupto:p.ps_wupto
-        ~root:r.Plan.root_atom
-        r.Plan.root_facts.(cand)
-        inst p.ps_plan yield
 
 (* ---------------------------------------------------------------- *)
 (* Engine-dispatching entry points                                  *)

@@ -61,13 +61,8 @@ val holds_at : ?engine:engine -> Instance.t -> Cq.t -> string -> Element.id -> b
 
 (** {1 Prepared bodies — the chase's entry points}
 
-    A {!prepared} is a body pre-resolved to its compiled plan on the
-    coordinating domain.  {!prepare} and {!passes} may touch the
-    (unsynchronized) plan cache and the instance indexes and must only be
-    called from one domain before a fork; {!pass_run} and
-    {!satisfiable_filled} only read the plan and the instance, so any
-    number of worker domains may run them concurrently over a read-only
-    instance.
+    A {!prepared} is a body resolved once to its compiled plan, so a
+    chase run looks each rule's plan up once, not once per round.
 
     Solutions come out as {e register environments}: an
     [Element.id array] indexed by the registers of {!plan} (see
@@ -77,7 +72,7 @@ val holds_at : ?engine:engine -> Instance.t -> Cq.t -> string -> Element.id -> b
 type prepared
 
 val prepare : Atom.t list -> prepared
-(** Resolve a body to its cached compiled plan (coordinator only). *)
+(** Resolve a body to its cached compiled plan. *)
 
 val plan : prepared -> Plan.t
 
@@ -96,33 +91,9 @@ val iter_env :
 val satisfiable_filled :
   fill:(int * int) array -> src:Element.id array -> wsince:int array ->
   wupto:int array -> Instance.t -> prepared -> bool
-(** Worker-safe satisfiability of a prepared body under per-atom birth
-    windows, its registers seeded from another environment
-    ({!Plan.exec_filled}) — the restricted chase's witness check. *)
-
-type pass
-(** One pass of the semi-naive decomposition of a prepared body: atom [k]
-    pinned to the delta [\[since, upto)], atoms before [k] to the
-    pre-delta prefix, atoms after [k] to [\[0, upto)] — with the pass's
-    deterministic root access path chosen and its candidate facts
-    materialized ({!Plan.choose_root}). *)
-
-val passes : since:int -> upto:int -> Instance.t -> prepared -> pass list
-(** The decomposition the sequential engine runs: one pass per atom when
-    [since > 0], a single full-window pass otherwise (where an empty body
-    yields the empty binding once).  Coordinator only. *)
-
-val pass_candidates : pass -> int
-(** Number of root candidates — the units worker domains shard. *)
-
-val pass_run :
-  Instance.t -> pass -> cand:int -> (Element.id array -> unit) -> unit
-(** Enumerate the solutions of one root candidate, as register
-    environments.  Running [cand] over
-    [0 .. pass_candidates - 1] in ascending order, across the passes in
-    list order, yields exactly the bindings of {!iter_solutions_delta},
-    in the same order — the parallel chase's determinism invariant.
-    Worker-safe. *)
+(** Satisfiability of a prepared body under per-atom birth windows, its
+    registers seeded from another environment ({!Plan.exec_filled}) —
+    the restricted chase's witness check. *)
 
 (** {1 Instrumentation} *)
 

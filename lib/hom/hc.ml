@@ -15,9 +15,8 @@
    are invariant under α-renaming of the queries involved.  So a hit for
    an α-variant pair returns exactly what recomputation would.
 
-   The store is global and unsynchronized — coordinator-domain only,
-   same rule as the Plan cache.  Parallel chase workers never reach it:
-   they run prepared Eval passes, not containment. *)
+   The store is global and unsynchronized, like the Plan cache: the
+   program runs on one domain. *)
 
 open Bddfc_logic
 open Bddfc_structure

@@ -16,9 +16,8 @@
     verdicts the caches store are invariant under exactly that
     equivalence, which is the coherence argument (DESIGN.md §13).
 
-    The store is process-global and unsynchronized: like the {!Plan}
-    cache it must only be touched from the coordinating domain (parallel
-    chase workers run {!Eval} only, never containment).  {!reset} drops
+    The store is process-global and unsynchronized, like the {!Plan}
+    cache: touch it from one domain only.  {!reset} drops
     everything — the [serve] warm-session eviction hook, and the
     re-intern-from-empty point the obs tests pivot on. *)
 

@@ -139,6 +139,8 @@ let of_atoms atom_list =
       Cache.replace cache atom_list plan;
       plan
 
+let reset_cache () = Cache.reset cache
+
 (* Sentinels: registers use -1 for "unbound"; resolved constants use -2
    for "name not interned in this instance" (distinct from every element
    id and from the unbound marker). *)
@@ -157,9 +159,7 @@ let resolve_consts inst plan =
    path of every not-yet-used atom, scored by windowed bucket cardinality
    in O(arity).  Returns the winning atom and writes its score, access
    position (-1: the predicate bucket) and element into
-   [out = [|score; pos; id|]].  Shared between [exec_windowed]'s
-   recursion and [choose_root] so a split execution scores (and counts
-   index ops) exactly like a monolithic one. *)
+   [out = [|score; pos; id|]]. *)
 let score_node inst plan const_ids env used ~wsince ~wupto out =
   let natoms = Array.length plan.atoms in
   let best = ref (-1) in
@@ -222,7 +222,7 @@ let seed_of_init plan init env =
 let seed_of_fill fill src env =
   Array.iter (fun (dst, s) -> env.(dst) <- src.(s)) fill
 
-let exec_windowed_gen ~seed ~wsince ~wupto ?pin inst plan yield =
+let exec_windowed_gen ~seed ~wsince ~wupto inst plan yield =
   let natoms = Array.length plan.atoms in
   let const_ids = resolve_consts inst plan in
   let env = Array.make (max plan.nvars 1) unbound in
@@ -291,20 +291,7 @@ let exec_windowed_gen ~seed ~wsince ~wupto ?pin inst plan yield =
       end
     end
   in
-  match pin with
-  | None -> go 0
-  | Some (root, fact) ->
-      (* Resume a split execution below its root: atom [root] is consumed
-         by probing exactly [fact], then the walk continues with the
-         normal dynamic scoring.  Counter-identical to the corresponding
-         slice of [exec_windowed]'s root loop. *)
-      used.(root) <- true;
-      Obs.Metrics.incr probes;
-      Obs.Metrics.incr index_ops;
-      if probe_ok plan.atoms.(root).c_slots fact 0 then begin
-        go 1;
-        undo 0
-      end
+  go 0
 
 let exec_windowed ?(init = Smap.empty) ~wsince ~wupto inst plan yield =
   exec_windowed_gen ~seed:(seed_of_init plan init) ~wsince ~wupto inst plan
@@ -319,51 +306,3 @@ let exec ?init ?upto inst plan yield =
   let u = match upto with None -> max_int | Some u -> u in
   exec_windowed ?init ~wsince:(Array.make (max n 1) 0)
     ~wupto:(Array.make (max n 1) u) inst plan yield
-
-(* ---------------------------------------------------------------- *)
-(* Split execution: the parallel chase's building blocks             *)
-(* ---------------------------------------------------------------- *)
-
-type root = { root_atom : int; root_facts : Fact.t array }
-
-(* The deterministic first step of [exec_windowed]: score the root node
-   exactly as the recursion would (same index-op accounting), then
-   *materialize* the winning access path's candidate facts in iteration
-   order instead of probing them.  [exec_from_root] on each fact, in
-   array order, then enumerates exactly the solutions of the monolithic
-   execution, in the same order — the decomposition the parallel chase
-   shards across domains. *)
-let choose_root ?(init = Smap.empty) ~wsince ~wupto inst plan =
-  let natoms = Array.length plan.atoms in
-  if natoms = 0 then None
-  else begin
-    let const_ids = resolve_consts inst plan in
-    let env = Array.make (max plan.nvars 1) unbound in
-    let used = Array.make natoms false in
-    seed_of_init plan init env;
-    let out = Array.make 3 0 in
-    let i = score_node inst plan const_ids env used ~wsince ~wupto out in
-    let best_pos = out.(1) and best_id = out.(2) in
-    let facts =
-      if out.(0) = 0 then [||] (* some atom cannot match: empty walk *)
-      else begin
-        let ca = plan.atoms.(i) in
-        let since = wsince.(i) in
-        let upto = if wupto.(i) = max_int then None else Some wupto.(i) in
-        let acc = ref [] in
-        let collect f = acc := f :: !acc in
-        (if best_pos >= 0 then
-           Instance.iter_with_arg_window ~since ?upto inst ca.c_pred
-             best_pos best_id collect
-         else
-           Instance.iter_with_pred_window ~since ?upto inst ca.c_pred collect);
-        Array.of_list (List.rev !acc)
-      end
-    in
-    Some { root_atom = i; root_facts = facts }
-  end
-
-let exec_from_root ?(init = Smap.empty) ~wsince ~wupto ~root fact inst plan
-    yield =
-  exec_windowed_gen ~seed:(seed_of_init plan init) ~wsince ~wupto
-    ~pin:(root, fact) inst plan yield

@@ -24,6 +24,12 @@ val of_atoms : Atom.t list -> t
     query bodies are immutable and persist across rounds, so each body
     compiles once per process. *)
 
+val reset_cache : unit -> unit
+(** Empty the plan cache.  The cache also empties itself whenever it
+    reaches its cap; a caller that compares [eval.plans_compiled] or
+    [eval.plan_cache_hits] across runs resets it first, so no cap reset
+    can land between the runs it compares. *)
+
 val nvars : t -> int
 val var_name : t -> int -> string
 val reg_of_var : t -> string -> int option
@@ -49,37 +55,3 @@ val exec_filled :
     each [(dst, s)] of [fill] starts register [dst] at [src.(s)].  The
     chase checks witnesses this way, straight from the body's
     registers. *)
-
-(** {1 Split execution}
-
-    A windowed execution's first step — which atom is probed first, and
-    off which access path — is a deterministic function of the instance
-    and the windows.  {!choose_root} performs exactly that step (same
-    index-op accounting as the monolithic execution) and materializes the
-    root candidates in iteration order; {!exec_from_root} then resumes
-    the walk below one root candidate.  Running it on every
-    [root_facts.(i)] in array order enumerates exactly the solutions of
-    {!exec_windowed}, in the same order — this is the decomposition the
-    parallel chase shards across domains.  [exec_from_root] only reads
-    the plan and the instance, so concurrent calls over a read-only
-    instance are safe. *)
-
-type root = {
-  root_atom : int; (** index of the atom the monolithic walk probes first *)
-  root_facts : Fact.t array;
-      (** its candidate facts, in the monolithic probe order; empty when
-          some atom cannot match at all *)
-}
-
-val choose_root :
-  ?init:Element.id Smap.t -> wsince:int array -> wupto:int array ->
-  Instance.t -> t -> root option
-(** [None] iff the plan has no atoms (the empty body yields [init] once;
-    callers handle that directly). *)
-
-val exec_from_root :
-  ?init:Element.id Smap.t -> wsince:int array -> wupto:int array ->
-  root:int -> Fact.t -> Instance.t -> t -> (Element.id array -> unit) -> unit
-(** The sub-walk of one root candidate: probe [fact] against atom [root],
-    and on match continue with the normal dynamic ordering over the
-    remaining atoms. *)

@@ -12,11 +12,11 @@
 
 type t = { name : string; arity : int; id : int }
 
-(* The intern table is process-wide and may be reached from several
-   domains at once (parallel chase workers, serve sessions), so it is
-   only touched under one mutex.  Each domain reads through its own
-   cache first, so the common case (a symbol seen before) takes no lock;
-   parsing interns every atom it reads. *)
+(* The intern table is process-wide.  Nothing in the program runs more
+   than one domain, but a library user may, so the table is only touched
+   under one mutex.  Each domain reads through its own cache first, so
+   the common case (a symbol seen before) takes no lock; parsing interns
+   every atom it reads. *)
 module Key = struct
   type t = string * int
 

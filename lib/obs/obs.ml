@@ -248,10 +248,7 @@ let pp_value ppf = function
 (* ------------------------------------------------------------------ *)
 
 module Metrics = struct
-  (* Counters carry a small dense id so a worker domain can account its
-     increments in a flat per-domain array (the [Shard] machinery below)
-     instead of racing on the shared record. *)
-  type counter = { mutable c : int; id : int }
+  type counter = { mutable c : int }
 
   type gauge = { mutable g : int }
 
@@ -267,10 +264,6 @@ module Metrics = struct
     | Timer of timer
 
   let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
-
-  (* Dense counter ids, for the per-domain shard arrays. *)
-  let next_counter_id = ref 0
-  let counters_by_id : (int, counter) Hashtbl.t = Hashtbl.create 64
 
   let kind_name = function
     | Counter _ -> "counter"
@@ -294,10 +287,7 @@ module Metrics = struct
   let counter name =
     register name
       (fun () ->
-        let id = !next_counter_id in
-        Stdlib.incr next_counter_id;
-        let c = { c = 0; id } in
-        Hashtbl.replace counters_by_id id c;
+        let c = { c = 0 } in
         (c, Counter c))
       (function Counter c -> Some c | _ -> None)
 
@@ -315,90 +305,12 @@ module Metrics = struct
         (t, Timer t))
       (function Timer t -> Some t | _ -> None)
 
-  (* ------------------------- counter sharding ----------------------- *)
-
-  (* During a parallel chase round, counter increments from worker
-     domains must neither race on the shared records nor be lost.  While
-     [sharding] is on, {!incr}/{!add} divert to a per-domain flat array
-     indexed by counter id (domain-local storage, so no synchronization
-     on the hot path beyond one atomic flag read); {!Shard.stop_and_merge}
-     folds every domain's array back into the registry after the
-     fork-join barrier, so snapshot totals are exactly what a sequential
-     run would have counted.  The flag is flipped only by the
-     coordinating domain, strictly around the fork-join window; the
-     pool's handoff mutex orders the flip before any worker reads it. *)
-  module Shard = struct
-    let sharding = Atomic.make false
-
-    (* Per-domain shard: counter-id-indexed accumulator, grown on
-       demand.  Each domain's ref is registered (once) in a global list
-       so the coordinator can merge and zero it after the join — by
-       then the joined/parked workers' writes are visible. *)
-    let shard_key : int array ref Domain.DLS.key =
-      Domain.DLS.new_key (fun () -> ref [||])
-
-    let all_shards : int array ref list ref = ref []
-    let shards_mu = Mutex.create ()
-
-    let slot id =
-      let r = Domain.DLS.get shard_key in
-      if Array.length !r <= id then begin
-        let fresh = Array.length !r = 0 in
-        let a = Array.make (max 64 (id + 1)) 0 in
-        Array.blit !r 0 a 0 (Array.length !r);
-        r := a;
-        if fresh then begin
-          Mutex.lock shards_mu;
-          all_shards := r :: !all_shards;
-          Mutex.unlock shards_mu
-        end
-      end;
-      !r
-
-    let active () = Atomic.get sharding
-    let start () = Atomic.set sharding true
-
-    let stop_and_merge () =
-      Atomic.set sharding false;
-      Mutex.lock shards_mu;
-      let shards = !all_shards in
-      Mutex.unlock shards_mu;
-      List.iter
-        (fun r ->
-          let a = !r in
-          Array.iteri
-            (fun id n ->
-              if n <> 0 then begin
-                a.(id) <- 0;
-                match Hashtbl.find_opt counters_by_id id with
-                | Some c -> c.c <- c.c + n
-                | None -> ()
-              end)
-            a)
-        shards
-
-    let domains_seen () =
-      Mutex.lock shards_mu;
-      let n = List.length !all_shards in
-      Mutex.unlock shards_mu;
-      n
-  end
-
   (* Counters are monotonic between resets: negative increments are a
      programming error, not a way to decrease. *)
-  let incr c =
-    if Atomic.get Shard.sharding then begin
-      let a = Shard.slot c.id in
-      a.(c.id) <- a.(c.id) + 1
-    end
-    else c.c <- c.c + 1
+  let incr c = c.c <- c.c + 1
 
   let add c n =
     if n < 0 then invalid_arg "Obs.Metrics.add: negative increment"
-    else if Atomic.get Shard.sharding then begin
-      let a = Shard.slot c.id in
-      a.(c.id) <- a.(c.id) + n
-    end
     else c.c <- c.c + n
 
   let value c = c.c

@@ -119,36 +119,6 @@ module Metrics : sig
       [{"name":..,"value":..,"unit":"count"|"s"}] samples. *)
 
   val pp_text : Format.formatter -> snapshot -> unit
-
-  (** Per-domain counter sharding for parallel chase rounds.
-
-      While sharding is active, {!incr}/{!add} divert to a flat
-      domain-local accumulator (one atomic flag read on the hot path, no
-      locking), so worker domains can keep charging the same handles the
-      sequential engines use without racing on the shared records.
-      {!Shard.stop_and_merge} folds every domain's accumulator back into
-      the registry; called after the round's fork-join barrier it makes
-      snapshot totals identical to a sequential run's.  The flag must be
-      flipped only by the coordinating domain, strictly around the
-      fork-join window; {!value}/{!snapshot} taken while sharding is
-      active do not see the not-yet-merged worker increments. *)
-  module Shard : sig
-    val active : unit -> bool
-
-    val start : unit -> unit
-    (** Divert subsequent {!incr}/{!add} (on any domain) to per-domain
-        accumulators. *)
-
-    val stop_and_merge : unit -> unit
-    (** Re-enable direct counting, then add every domain's accumulated
-        increments into the registry and zero the accumulators.  Must be
-        called by the coordinator after the worker domains have quiesced
-        at a barrier (their writes are visible then). *)
-
-    val domains_seen : unit -> int
-    (** Number of distinct domains that have ever accumulated into a
-        shard (test visibility). *)
-  end
 end
 
 (** The span tracer: a tree of timed, attributed spans plus structured

@@ -40,13 +40,9 @@ type config = {
   chase_rounds : int;
   max_line_bytes : int;
   faults : Faults.t option;
-  strategy : Chase.strategy;
-      (* chase strategy for every request; [Parallel n] reuses one warm
-         domain pool across requests.  Results are bit-identical to
-         [Seminaive] regardless, so --domains never changes replies. *)
   hc : Hc.mode;
       (* containment backend for every request; verdicts are identical
-         across modes, so --hc never changes replies either *)
+         across modes, so --hc never changes replies *)
 }
 
 let default_config =
@@ -57,7 +53,6 @@ let default_config =
     chase_rounds = 16;
     max_line_bytes = 1 lsl 20;
     faults = None;
-    strategy = Chase.default_strategy ();
     hc = Hc.default_mode ();
   }
 
@@ -264,8 +259,8 @@ let dispatch t ~fault (r : Protocol.request) =
         | Some st -> (true, st)
         | None ->
             let st =
-              Maintain.saturate ~strategy:t.config.strategy ~budget:b
-                ~max_rounds:rounds w.Session.theory w.Session.db
+              Maintain.saturate ~budget:b ~max_rounds:rounds
+                w.Session.theory w.Session.db
             in
             (* a prefix truncated at the requested depth is the queryable
                object; any other exhaustion is a failed request and the
@@ -309,9 +304,8 @@ let dispatch t ~fault (r : Protocol.request) =
         (fun k ->
           let st = Hashtbl.find w.Session.chase k in
           let st', stats =
-            Maintain.apply ~strategy:t.config.strategy ~budget:b
-              ~max_rounds:k w.Session.theory ~db:w.Session.db st ~insert
-              ~retract
+            Maintain.apply ~budget:b ~max_rounds:k w.Session.theory
+              ~db:w.Session.db st ~insert ~retract
           in
           (match st'.Maintain.outcome with
           | Chase.Exhausted Budget.Rounds | Chase.Fixpoint | Chase.Watched ->
@@ -347,7 +341,6 @@ let dispatch t ~fault (r : Protocol.request) =
             pipeline_params =
               { Pipeline.default_params with
                 budget = Some b;
-                strategy = t.config.strategy;
                 hc = t.config.hc;
                 slice = Dataflow.is_proper sl;
               };
@@ -366,7 +359,6 @@ let dispatch t ~fault (r : Protocol.request) =
         let params =
           { Pipeline.default_params with
             budget = Some b;
-            strategy = t.config.strategy;
             hc = t.config.hc;
           }
         in

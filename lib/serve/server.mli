@@ -38,9 +38,6 @@ type config = {
   chase_rounds : int; (** default resident chase-prefix depth *)
   max_line_bytes : int; (** request lines above this are rejected *)
   faults : Faults.t option; (** fault injection, off by default *)
-  strategy : Bddfc_chase.Chase.strategy;
-      (** chase strategy for every request ([--domains] on the CLI);
-          replies are bit-identical across strategies *)
   hc : Bddfc_hom.Hc.mode;
       (** containment backend for every request ([--hc] on the CLI);
           replies are bit-identical across modes *)
@@ -48,8 +45,8 @@ type config = {
 
 val default_config : config
 (** No deadline, no fuel, 64 in-flight, 16 chase rounds, 1 MiB lines,
-    no faults, {!Bddfc_chase.Chase.default_strategy},
-    {!Bddfc_hom.Hc.default_mode}. *)
+    no faults, {!Bddfc_hom.Hc.default_mode}.  Every request chases with
+    the default [Seminaive] strategy. *)
 
 type t
 

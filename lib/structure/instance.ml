@@ -112,8 +112,9 @@ let no_index = { p_all = empty; p_args = [||] }
 (* Every instance carries a process-unique creation token plus a mutation
    counter: together they give memo layers (Bddfc_hom.Hc) a sound cache
    key for "this exact structure in this exact state" without hashing the
-   fact set.  The token supply is atomic so instances created on worker
-   domains can never alias. *)
+   fact set.  The token supply is atomic so instances created on
+   different domains (a library user may run several) can never
+   alias. *)
 let token_supply = Atomic.make 0
 
 type t = {

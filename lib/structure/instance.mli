@@ -17,8 +17,8 @@ type t
 val create : ?capacity:int -> unit -> t
 
 val token : t -> int
-(** Process-unique creation stamp (atomic supply, distinct across
-    domains).  Together with {!version} it keys memo tables over
+(** Process-unique creation stamp (atomic supply, so distinct even
+    across domains).  Together with {!version} it keys memo tables over
     mutable instances: two reads with equal [(token, version)] are
     guaranteed to observe the same elements and facts. *)
 

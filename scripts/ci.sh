@@ -27,7 +27,8 @@ dune exec test/main.exe -- test budget
 # remove, copy, restrict and birth-reset sequences against a plain
 # (fact, birth) list, every windowed list, iterator and cardinality
 # compared after each step), the reset-births regression and
-# predicate interning across 2 domains
+# predicate interning across 2 domains (the intern table keeps its
+# mutex for library users who run several)
 dune exec test/main.exe -- test structure
 
 # the naive vs semi-naive differential oracle, explicitly
@@ -36,11 +37,6 @@ dune exec test/main.exe -- test differential
 # the serve robustness suite, explicitly: the isolation barrier,
 # fault-injection sweep, eviction, overload and metrics reconciliation
 dune exec test/main.exe -- test serve
-
-# the parallel-chase differential/chaos suite, explicitly: bit-identity
-# to the sequential engine at 1/2/4/8 domains over the zoo and 100
-# random theories, chaos scheduling inertness, fuel-trap determinism
-dune exec test/main.exe -- test parallel
 
 # the hash-consing differential suite, explicitly: unique-table
 # properties, the containment fuzzing battery, memo-coherence replay,
@@ -57,7 +53,7 @@ dune exec test/main.exe -- test rewrite
 # the incremental-maintenance differential suite, explicitly: zoo +
 # random churn batches hom-equivalent (both ways) to a from-scratch
 # chase of the updated database, counter reconciliation, bailout
-# bit-identity, strategy bit-identity and poisoned-state determinism
+# bit-identity and poisoned-state determinism
 dune exec test/main.exe -- test maintain
 
 # the provenance suite, explicitly: Maintain files its derivation edges
@@ -73,12 +69,6 @@ dune exec test/main.exe -- test provenance
 # and naive.* counter reconciliation
 dune exec test/main.exe -- test absence
 
-# the multi-domain lane: the whole tier-1 suite again with every
-# defaulted chase strategy forced to Parallel 4 (the env hook behind
-# Chase.default_strategy), so each suite doubles as a differential
-# oracle against its own sequential run above
-BDDFC_TEST_DOMAINS=4 dune runtest --force
-
 # the structural-containment lane: the whole tier-1 suite again with
 # the hash-consed store switched off (every defaulted --hc forced to
 # structural), so each suite doubles as a differential oracle for the
@@ -88,17 +78,14 @@ BDDFC_TEST_HC=structural dune runtest --force
 # the CLI cram suite (exit codes, diagnostics, --strategy acceptance)
 dune build @test/cli/runtest
 
-# the bench counter gate: one process runs EX-17 to EX-22 and compares
-# their deterministic counters with the committed BENCH_gate.json (the
-# blob is validated before anything is measured).  Per experiment:
+# the bench counter gate: one process runs EX-17, EX-18 and EX-20 to
+# EX-22 and compares their deterministic counters with the committed
+# BENCH_gate.json (the blob is validated before anything is measured).
+# Per experiment:
 #   EX-17 join engines: compiled probes / index ops at most +10%
 #   EX-18 serve load harness (forked server children): request and
 #         error counts exact; both children exit 0, clean phases have
 #         zero errors, the overload burst sheds, warm p50 >= 5x cold
-#   EX-19 parallel chase at 1/2/4/8 domains: every counter exact and
-#         identical across domain counts, the instance bit-identical to
-#         the sequential engine; >= 2x at 4 domains gated only on
-#         machines with >= 4 cores
 #   EX-20 rule slicing: probes at most +10%, verdicts exact, sliced and
 #         unsliced verdicts identical, >= 1.5x probe reduction on the
 #         padded workloads, every zoo dataflow report builds and its

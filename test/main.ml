@@ -18,7 +18,6 @@ let () =
       Test_budget.suite;
       Test_differential.suite;
       Test_hc.suite;
-      Test_parallel.suite;
       Test_maintain.suite;
       Test_serve.suite;
       Test_absence.suite;

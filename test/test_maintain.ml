@@ -5,11 +5,9 @@
    The oracle is hom-both-ways rather than syntactic equality: the
    resumed chase visits triggers in a different global order than a
    fresh chase, so labelled nulls are allocated differently and the
-   instances agree only up to null renaming.  Two exceptions where
-   bit-identity *is* required and checked: the bailout path (which is
-   literally a fresh chase with the same knobs as the reference), and
-   Seminaive vs Parallel maintenance of the same batch (PR 8's
-   bit-identity contract extends through the record hook).
+   instances agree only up to null renaming.  One exception where
+   bit-identity *is* required and checked: the bailout path, which is
+   literally a fresh chase with the same knobs as the reference.
 
    Counter reconciliation is checked on every non-bailout batch:
      |after| = |before| - deleted + rederived + inserted
@@ -39,16 +37,16 @@ type verdict = Checked | Bailed | Skipped
 (* Saturate [base], apply one update batch both ways — maintained and
    from scratch — and hold them to the oracle.  [Skipped] only when the
    budget-free reference itself failed to reach a comparable state. *)
-let run_case ?strategy ?(max_rounds = 8) ?(max_elements = 2_000) ?bailout
-    name theory base ~insert ~retract =
+let run_case ?(max_rounds = 8) ?(max_elements = 2_000) ?bailout name theory
+    base ~insert ~retract =
   let d = Instance.copy base in
-  let state = Maintain.saturate ?strategy ~max_rounds ~max_elements theory d in
+  let state = Maintain.saturate ~max_rounds ~max_elements theory d in
   let n0 = Instance.num_facts state.Maintain.inst in
   ignore (Maintain.update_db d ~insert ~retract);
-  let scratch = Chase.run ?strategy ~max_rounds ~max_elements theory d in
+  let scratch = Chase.run ~max_rounds ~max_elements theory d in
   match
-    Maintain.apply ?strategy ~max_rounds ~max_elements ?bailout theory ~db:d
-      state ~insert ~retract
+    Maintain.apply ~max_rounds ~max_elements ?bailout theory ~db:d state
+      ~insert ~retract
   with
   | exception Budget.Exhausted _ -> Skipped
   | st, stats -> (
@@ -340,65 +338,6 @@ let test_sequential_batches () =
     [ 2; 9; 23; 41 ]
 
 (* ----------------------------------------------------------------- *)
-(* Strategy bit-identity                                               *)
-(* ----------------------------------------------------------------- *)
-
-let test_strategy_bit_identity () =
-  (* PR 8's contract: Parallel rounds replay adds sequentially, so the
-     record stream — and hence maintenance — is bit-identical to
-     Seminaive: same facts, same null ids, same stats *)
-  List.iter
-    (fun seed ->
-      let theory = Gen.random_binary_theory ~rules:4 ~seed () in
-      let base = Gen.random_instance ~facts:4 ~seed:(seed + 1000) () in
-      let insert, retract = random_batch ~seed in
-      let go strategy =
-        let d = Instance.copy base in
-        let state =
-          Maintain.saturate ~strategy ~max_rounds:6 ~max_elements:400 theory d
-        in
-        ignore (Maintain.update_db d ~insert ~retract);
-        match
-          Maintain.apply ~strategy ~max_rounds:6 ~max_elements:400 theory
-            ~db:d state ~insert ~retract
-        with
-        | exception Budget.Exhausted r ->
-            Error (Budget.resource_name r)
-        | st, stats -> Ok (st, stats)
-      in
-      match (go Chase.Seminaive, go (Chase.Parallel 4)) with
-      | Error a, Error b ->
-          (* the poisoned-state raise itself must be bit-identical *)
-          check Alcotest.string
-            (Printf.sprintf "seed %d: same exhaustion" seed)
-            a b
-      | Error _, Ok _ | Ok _, Error _ ->
-          Alcotest.failf "seed %d: strategies disagree on exhaustion" seed
-      | Ok (st_s, stats_s), Ok (st_p, stats_p) ->
-      check Alcotest.bool
-        (Printf.sprintf "seed %d: facts bit-identical" seed)
-        true
-        (Instance.equal_facts st_s.Maintain.inst st_p.Maintain.inst);
-      check
-        Alcotest.(list int)
-        (Printf.sprintf "seed %d: stats identical" seed)
-        [
-          stats_s.Maintain.deleted;
-          stats_s.Maintain.rederived;
-          stats_s.Maintain.inserted;
-          stats_s.Maintain.resumed_rounds;
-          (if stats_s.Maintain.bailed_out then 1 else 0);
-        ]
-        [
-          stats_p.Maintain.deleted;
-          stats_p.Maintain.rederived;
-          stats_p.Maintain.inserted;
-          stats_p.Maintain.resumed_rounds;
-          (if stats_p.Maintain.bailed_out then 1 else 0);
-        ])
-    [ 0; 13; 26; 39; 52 ]
-
-(* ----------------------------------------------------------------- *)
 (* Budget exhaustion: poisoned-state determinism                       *)
 (* ----------------------------------------------------------------- *)
 
@@ -410,19 +349,16 @@ let trap_theory =
 let test_fuel_trap_determinism () =
   (* a forced exhaustion mid-maintenance must (a) surface as
      Budget.Exhausted — never a silently half-maintained state — and
-     (b) trip the same resource at the same point on every replay and
-     under both strategies *)
+     (b) trip the same resource at the same point on every replay *)
   let base = db "e(a,b). e(b,c). e(c,d). e(d,e)." in
   let insert = atoms "e(e,f)." and retract = atoms "e(b,c)." in
-  let run strategy after =
+  let run after =
     let d = Instance.copy base in
-    let state =
-      Maintain.saturate ~strategy ~max_rounds:12 trap_theory d
-    in
+    let state = Maintain.saturate ~max_rounds:12 trap_theory d in
     ignore (Maintain.update_db d ~insert ~retract);
     let b = Budget.with_fuel_trap ~after (Budget.v ()) in
     match
-      Maintain.apply ~strategy ~budget:b ~max_rounds:12 ~bailout:10.
+      Maintain.apply ~budget:b ~max_rounds:12 ~bailout:10.
         trap_theory ~db:d state ~insert ~retract
     with
     | exception Budget.Exhausted r -> "raised:" ^ Budget.resource_name r
@@ -430,20 +366,13 @@ let test_fuel_trap_determinism () =
   in
   List.iter
     (fun after ->
-      let first = run Chase.Seminaive after in
       check Alcotest.string
         (Printf.sprintf "trap %d: replay deterministic" after)
-        first
-        (run Chase.Seminaive after);
-      check Alcotest.string
-        (Printf.sprintf "trap %d: identical across strategies" after)
-        first
-        (run (Chase.Parallel 4) after))
+        (run after) (run after))
     [ 1; 2; 3; 5; 8 ];
   (* and at least one of those trap points must actually have tripped *)
   check Alcotest.bool "tight trap trips" true
-    (String.length (run Chase.Seminaive 1) > 6
-    && String.sub (run Chase.Seminaive 1) 0 7 = "raised:")
+    (String.length (run 1) > 6 && String.sub (run 1) 0 7 = "raised:")
 
 let test_deadline_exhaustion () =
   (* an already-expired deadline: apply must raise rather than return a
@@ -506,8 +435,6 @@ let suite =
       tc "zoo churn: hom-equivalent both ways" test_zoo_churn;
       tc "random sweep: 60 seeds x random batches" test_random_sweep;
       tc "sequential batches track the evolving db" test_sequential_batches;
-      tc "Seminaive and Parallel maintain bit-identically"
-        test_strategy_bit_identity;
       tc "fuel traps are deterministic and raise" test_fuel_trap_determinism;
       tc "expired deadline raises, never half-maintains"
         test_deadline_exhaustion;

@@ -125,13 +125,10 @@ let test_stream_validity () =
             400 ))
   in
   List.iter
-    (fun (strategy, tag) ->
-      List.iter
-        (fun (name, theory, d, max_rounds, max_elements) ->
-          check_stream (name ^ " " ^ tag) theory
-            (Provenance.run ~strategy ~max_rounds ~max_elements theory d))
-        cases)
-    [ (Chase.Seminaive, "seminaive"); (Chase.Parallel 2, "parallel:2") ]
+    (fun (name, theory, d, max_rounds, max_elements) ->
+      check_stream name theory
+        (Provenance.run ~max_rounds ~max_elements theory d))
+    cases
 
 let test_counters_reconcile () =
   (* recording is free of accounting side effects: the chase.* counters
