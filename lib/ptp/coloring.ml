@@ -15,21 +15,30 @@
    keys.  [distance] implements the Lemma 13 variant for bounded-degree
    structures: all colors pairwise distinct within each radius-m ball.
 
-   Cost of the lightness keys: one pass files every fact under the set of
-   its non-constant arguments; each element then takes the facts induced
-   on P(e) u C_con from the groups of the subsets of P(e) (the empty set's
-   group holds the constant-only facts), and renders them once per
-   permutation.  The total is one pass over the instance plus, per e,
-   2^|P(e)| group lookups and |facts induced on P(e) u C_con| x |perms|
-   renderings — linear in a skeleton whose P(e) are bounded
-   (Lemma 3(iv)), however many children a hub has. *)
+   Cost model.  [natural] reads a dense view built by two passes over
+   the facts: P(e) for every element, the null-to-null edges for the
+   topological order, and every fact filed under its youngest
+   (largest-id) null argument, constant-only facts kept apart.  The
+   lightness key of e scans the facts filed under the members of P(e),
+   keeps those whose nulls all lie in P(e) (a stamp array), adds the
+   constant-only facts and takes the canonical form
+   ({!Canonical.least_encoding}) of the result.  The work is the two
+   passes plus sum_e (|constant-only facts| + sum_{d in P(e)}
+   |filed(d)|): a child's edge is filed under the child, so a hub's
+   children never scan each other's edges.  In a skeleton P(e) is
+   bounded (Lemma 3(iv)) and its free elements are nearly always rigid,
+   so a form is one refinement, or one sort when P(e) holds a single
+   null besides e.  Hues take a stamped walk of m+1 hops over P for the
+   P_m conflicts and a stamp per hue for the smallest free one.
+   [materialize] (a copy of the instance plus one fact per element) is
+   what remains of the cost. *)
 
 open Bddfc_logic
 open Bddfc_structure
 module Obs = Bddfc_obs.Obs
 
 (* Facts examined while building lightness keys: the filing pass plus
-   every fact handed to a key.  Deterministic. *)
+   every filed or constant-only fact a key scans.  Deterministic. *)
 let m_facts_visited = Obs.Metrics.counter "coloring.facts_visited"
 
 type t = {
@@ -99,94 +108,253 @@ let materialize inst hue lightness =
 (* Natural colorings of VTDAGs (Definition 14)                        *)
 (* ----------------------------------------------------------------- *)
 
-(* The sorted distinct non-constant arguments of a fact. *)
-let null_args inst f =
-  Array.fold_left
-    (fun acc a -> if Instance.is_const inst a then acc else a :: acc)
-    [] (Fact.args f)
-  |> List.sort_uniq compare
+(* The dense view the natural coloring reads, from two passes over the
+   facts.  Segments are flat: the segment of e in (start, data) is
+   data.(start.(e)) .. data.(start.(e+1) - 1).
+     - P(e) of Definition 10: {e} for a constant, e and its non-constant
+       binary predecessors otherwise (as [Bgraph.pred_set]);
+     - the facts filed under e: those whose youngest (largest-id) null
+       argument is e; constant-only facts are kept apart;
+     - the null-to-null binary edges out of e, oldest fact first (the
+       order of [Bgraph.out_edges]), for the topological order. *)
+type view = {
+  null : bool array;
+  p_start : int array;
+  p_data : int array;
+  f_start : int array;
+  f_data : Fact.t array;
+  const_only : Fact.t list;
+  o_start : int array;
+  o_data : int array;
+}
 
-(* All sublists, order kept: the subsets of a sorted set, each sorted. *)
-let rec sublists = function
-  | [] -> [ [] ]
-  | x :: rest ->
-      let without = sublists rest in
-      without @ List.map (fun s -> x :: s) without
+let youngest_null null f =
+  let args = Fact.args f and y = ref (-1) in
+  for i = 0 to Array.length args - 1 do
+    if null.(args.(i)) && args.(i) > !y then y := args.(i)
+  done;
+  !y
 
-(* Per element, the canonical key of C |` (P(e) u C_con) with root e.  A
-   fact lies inside P(e) u C_con iff its non-constant arguments form a
-   subset of P(e), so filing facts by that set lists each induced fact
-   exactly once.  The groups are transient: only the keys survive. *)
-let keys_of g inst =
-  let groups = Hashtbl.create (Instance.num_facts inst + 1) in
-  let visited = ref (Instance.num_facts inst) in
+(* Turn per-element counts at [c.(e+1)] into segment starts. *)
+let prefix_sums c =
+  for i = 1 to Array.length c - 1 do
+    c.(i) <- c.(i) + c.(i - 1)
+  done
+
+let view inst =
+  let n = Instance.num_elements inst in
+  let null = Array.init n (Instance.is_null inst) in
+  let f_start = Array.make (n + 1) 0 and o_start = Array.make (n + 1) 0 in
+  let i_start = Array.make (n + 1) 0 in
+  let const_only = ref [] in
+  let null_edge f k =
+    match Fact.args f with
+    | [| x; y |] when null.(x) && null.(y) -> k x y
+    | _ -> ()
+  in
+  let count_edge x y =
+    o_start.(x + 1) <- o_start.(x + 1) + 1;
+    i_start.(y + 1) <- i_start.(y + 1) + 1
+  in
   Instance.iter_facts
     (fun f ->
-      let s = null_args inst f in
-      Hashtbl.replace groups s
-        (f :: Option.value (Hashtbl.find_opt groups s) ~default:[]))
+      let y = youngest_null null f in
+      if y < 0 then const_only := f :: !const_only
+      else f_start.(y + 1) <- f_start.(y + 1) + 1;
+      null_edge f count_edge)
     inst;
-  let consts = Instance.constants inst in
-  let keys =
-    Array.init (Instance.num_elements inst) (fun e ->
-        let p = Element.Id_set.elements (Bgraph.pred_set g e) in
-        let nulls = List.filter (Instance.is_null inst) p in
-        let facts =
-          (* beyond 8 free elements (plus the root) the key is refused
-             before anything renders: skip the 2^|P(e)| lookups *)
-          if List.length nulls > 9 then []
-          else
-            List.concat_map
-              (fun s ->
-                match Hashtbl.find_opt groups s with
-                | Some fs ->
-                    visited := !visited + List.length fs;
-                    fs
-                | None -> [])
-              (sublists nulls)
-        in
-        let elems = List.sort_uniq compare (p @ consts) in
-        Canonical.key_of_facts ~root:e inst elems facts)
+  prefix_sums f_start;
+  prefix_sums o_start;
+  prefix_sums i_start;
+  let f_data = ref [||] in
+  let o_data = Array.make o_start.(n) 0 and i_data = Array.make i_start.(n) 0 in
+  (* fill each segment from its end: the facts come newest first *)
+  let f_end = Array.sub f_start 1 n and o_end = Array.sub o_start 1 n in
+  let i_end = Array.sub i_start 1 n in
+  let put data ends e x =
+    ends.(e) <- ends.(e) - 1;
+    data.(ends.(e)) <- x
   in
-  Obs.Metrics.add m_facts_visited !visited;
+  let fill_edge x y =
+    put o_data o_end x y;
+    put i_data i_end y x
+  in
+  Instance.iter_facts
+    (fun f ->
+      let y = youngest_null null f in
+      if y >= 0 then begin
+        (* the first filed fact seeds the array *)
+        if Array.length !f_data = 0 then f_data := Array.make f_start.(n) f;
+        put !f_data f_end y f
+      end;
+      null_edge f fill_edge)
+    inst;
+  (* P(e): e, then its distinct null predecessors ([p_data] may have
+     unused room at its end) *)
+  let seen = Array.make n (-1) in
+  let p_start = Array.make (n + 1) 0 in
+  let p_data = Array.make (n + i_start.(n)) 0 and pos = ref 0 in
+  let add e d =
+    seen.(d) <- e;
+    p_data.(!pos) <- d;
+    incr pos
+  in
+  for e = 0 to n - 1 do
+    p_start.(e) <- !pos;
+    add e e;
+    for i = i_start.(e) to i_start.(e + 1) - 1 do
+      if seen.(i_data.(i)) <> e then add e i_data.(i)
+    done
+  done;
+  p_start.(n) <- !pos;
+  { null; p_start; p_data; f_start; f_data = !f_data;
+    const_only = !const_only;
+    o_start; o_data }
+
+(* [| pred id; codes of the arguments |] *)
+let encode_fact code f =
+  let args = Fact.args f in
+  let a = Array.make (Array.length args + 1) (Pred.id (Fact.pred f)) in
+  for i = 0 to Array.length args - 1 do
+    a.(i + 1) <- code args.(i)
+  done;
+  a
+
+(* Whether every null among [args] is marked a member for [e]. *)
+let nulls_inside null member e args =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length args do
+    if null.(args.(!i)) && member.(args.(!i)) <> e then ok := false;
+    incr i
+  done;
+  !ok
+
+(* Per element, in element order, [fn e key] with the canonical form of
+   C |` (P(e) u C_con) rooted at e: constants are coded by element id (one
+   instance, so id = name), the root by -1, the other nulls by local
+   indices.  A fact lies inside P(e) u C_con iff its nulls all lie in
+   P(e), and each fact is filed under its youngest null, so the facts
+   filed under the members of P(e) hold each induced fact once.  Keys
+   [fn] drops die young. *)
+let iter_keys v (fn : int -> int array -> unit) =
+  let n = Array.length v.null in
+  let null = v.null in
+  let const_code a = -2 - a in
+  (* no null root is a constant: encode the constant-only facts once *)
+  let consts_null_root = List.map (encode_fact const_code) v.const_only in
+  let num_const_only = List.length v.const_only in
+  let visited = ref (Array.length v.f_data + num_const_only) in
+  let member = Array.make n (-1) and local = Array.make n 0 in
+  let key_of e =
+    if not null.(e) then
+      Canonical.least_encoding 0
+        (List.map
+           (encode_fact (fun a -> if a = e then -1 else const_code a))
+           v.const_only)
+    else begin
+      for i = v.p_start.(e) to v.p_start.(e + 1) - 1 do
+        member.(v.p_data.(i)) <- e;
+        local.(v.p_data.(i)) <- 0
+      done;
+      (* local index + 1 of the free nulls met so far; 0 = unmet *)
+      let free = ref 0 in
+      let code a =
+        if a = e then -1
+        else if not null.(a) then const_code a
+        else begin
+          if local.(a) = 0 then begin
+            incr free;
+            local.(a) <- !free
+          end;
+          local.(a) - 1
+        end
+      in
+      let facts = ref consts_null_root in
+      for i = v.p_start.(e) to v.p_start.(e + 1) - 1 do
+        let d = v.p_data.(i) in
+        for j = v.f_start.(d) to v.f_start.(d + 1) - 1 do
+          let f = v.f_data.(j) in
+          if nulls_inside null member e (Fact.args f) then
+            facts := encode_fact code f :: !facts
+        done;
+        visited := !visited + v.f_start.(d + 1) - v.f_start.(d)
+      done;
+      Canonical.least_encoding !free !facts
+    end
+  in
+  for e = 0 to n - 1 do
+    visited := !visited + num_const_only;
+    fn e (key_of e)
+  done;
+  Obs.Metrics.add m_facts_visited !visited
+
+let neighbourhood_keys inst =
+  let v = view inst in
+  let keys = Array.make (Array.length v.null) [||] in
+  iter_keys v (fun e key -> keys.(e) <- key);
   keys
 
-let neighbourhood_keys inst = keys_of (Bgraph.make inst) inst
-
 let natural ~m inst =
-  let g = Bgraph.make inst in
-  let n = Instance.num_elements inst in
+  let v = view inst in
+  let n = Array.length v.null in
   let hue = Array.make (max n 1) 0 in
   let lightness = Array.make (max n 1) 0 in
-  (* lightness: canonical neighbourhood keys, interned in element order *)
-  let lkeys = Hashtbl.create 64 in
-  let lnext = ref 0 in
-  Array.iteri
-    (fun e key ->
+  (* lightness: canonical neighbourhood forms, interned in element order *)
+  let lkeys = Canonical.Table.create 64 in
+  iter_keys v (fun e key ->
       lightness.(e) <-
-        (match Hashtbl.find_opt lkeys key with
+        (match Canonical.Table.find_opt lkeys key with
         | Some id -> id
         | None ->
-            let id = !lnext in
-            incr lnext;
-            Hashtbl.replace lkeys key id;
-            id))
-    (keys_of g inst);
+            let id = Canonical.Table.length lkeys in
+            Canonical.Table.replace lkeys key id;
+            id));
   (* hue: greedy proper coloring of the "P_m-conflict" relation, walking
-     ancestors before descendants when the non-constant part is acyclic *)
-  let order =
-    match Bgraph.topo_order g with
-    | Some topo ->
-        List.filter (Instance.is_const inst) (Instance.elements inst) @ topo
-    | None -> Instance.elements inst
+     ancestors before descendants when the non-constant part is acyclic.
+     The conflicts of e are the elements within m+1 hops of P from e
+     ([Bgraph.pred_set_k g m e] minus e), found by a stamped walk; the
+     smallest hue no conflict holds is found by a stamp per hue. *)
+  let topo =
+    (* [Bgraph.topo_order]'s order, over the view's edges *)
+    Bgraph.topo_sort n
+      ~relevant:(fun e -> v.null.(e))
+      ~iter_succ:(fun e f ->
+        for i = v.o_start.(e) to v.o_start.(e + 1) - 1 do
+          f v.o_data.(i)
+        done)
   in
-  List.iter
+  let order =
+    match topo with
+    | Some topo ->
+        let consts = List.filter (fun e -> not v.null.(e)) (List.init n Fun.id) in
+        Array.append (Array.of_list consts) topo
+    | None -> Array.init n Fun.id
+  in
+  let stamp = Array.make n 0 and used = Array.make (n + 1) 0 in
+  let queue = Array.make n 0 in
+  Array.iter
     (fun e ->
-      let conflicts = Element.Id_set.remove e (Bgraph.pred_set_k g m e) in
-      let used =
-        Element.Id_set.fold (fun d acc -> hue.(d) :: acc) conflicts []
-      in
-      let rec smallest h = if List.mem h used then smallest (h + 1) else h in
+      let mark = e + 1 in
+      stamp.(e) <- mark;
+      queue.(0) <- e;
+      let lo = ref 0 and tail = ref 1 in
+      for _ = 1 to max m 0 + 1 do
+        let hi = !tail in
+        for q = !lo to hi - 1 do
+          let x = queue.(q) in
+          for i = v.p_start.(x) to v.p_start.(x + 1) - 1 do
+            let d = v.p_data.(i) in
+            if stamp.(d) <> mark then begin
+              stamp.(d) <- mark;
+              used.(hue.(d)) <- mark;
+              queue.(!tail) <- d;
+              incr tail
+            end
+          done
+        done;
+        lo := hi
+      done;
+      let rec smallest h = if used.(h) = mark then smallest (h + 1) else h in
       hue.(e) <- smallest 0)
     order;
   materialize inst hue lightness
@@ -237,13 +405,13 @@ let check_natural ~m inst (c : t) =
   let size e =
     Element.Id_set.cardinal (Element.Id_set.union (Bgraph.pred_set g e) consts)
   in
-  let keys = keys_of g inst in
+  let keys = neighbourhood_keys inst in
   let first = Hashtbl.create 64 in
   for e = 0 to n - 1 do
     match Hashtbl.find_opt first (c.hue.(e), c.lightness.(e)) with
     | None -> Hashtbl.replace first (c.hue.(e), c.lightness.(e)) e
     | Some rep ->
-        if size rep <> size e || not (String.equal keys.(rep) keys.(e)) then
+        if size rep <> size e || keys.(rep) <> keys.(e) then
           violations := Lightness_clash (rep, e) :: !violations
   done;
   !violations

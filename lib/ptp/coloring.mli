@@ -25,16 +25,21 @@ val uncolor : Instance.t -> Instance.t
 val materialize : Instance.t -> int array -> int array -> t
 (** Build a coloring from explicit hue and lightness arrays. *)
 
-val neighbourhood_keys : Instance.t -> string array
-(** Per element e, the canonical key ({!Canonical.key} with root e) of
-    [C |` (P(e) u C_con)]: the string [natural] interns into lightness.
-    Costs one pass over the facts plus, per element, the facts induced on
-    its neighbourhood times the permutations of P(e). *)
+val neighbourhood_keys : Instance.t -> int array array
+(** Per element e, the canonical form ({!Canonical.least_encoding}) of
+    [C |` (P(e) u C_con)] with root e, constants coded by element id:
+    the arrays [natural] interns into lightness.  Two forms are equal iff
+    the neighbourhoods are isomorphic (constants fixed, root to root);
+    forms of different instances are not comparable.  Costs one filing
+    pass over the facts plus, per element, the facts filed under the
+    members of P(e) (each fact under its youngest null) and the
+    constant-only facts; no cap on |P(e)|. *)
 
 val natural : m:int -> Instance.t -> t
 (** A natural coloring (Definition 14) for parameter [m], via greedy hue
-    assignment over the P_m conflict relation and canonical neighbourhood
-    keys for lightness.  Intended for VTDAGs/forests (chase skeletons). *)
+    assignment over the P_m conflict relation (the elements
+    [Bgraph.pred_set_k g m e] returns) and canonical neighbourhood forms
+    for lightness.  No cap on |P(e)|.  Intended for VTDAGs/forests (chase skeletons). *)
 
 val distance : radius:int -> Instance.t -> t
 (** The Lemma 13 variant: hues pairwise distinct within each ball. *)

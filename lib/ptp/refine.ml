@@ -13,7 +13,16 @@
    type equivalence in general (it captures directional tree queries of
    bounded depth); the exact decision procedure is Bddfc_hom.Pebble, and
    soundness of everything built on top is re-established by model
-   checking (see DESIGN.md). *)
+   checking (see DESIGN.md).
+
+   Cost model: keys are int arrays.  class_0 is keyed by the constant's
+   id or the sorted unary predicate ids; a step keys e by its previous
+   class followed by the sorted distinct (direction, predicate id,
+   neighbour class) triples, each packed into one int.  A step is one
+   sort of each element's edge codes plus one hash lookup, O(edges log
+   degree) in all.  Keys are interned in element order, so class ids are
+   the first-occurrence numbering of the partition; that numbering is
+   what the string-keyed reference in the tests produces too. *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -33,61 +42,53 @@ type t = {
   tripped : Budget.resource option; (* budget stopped the refinement early *)
 }
 
-let intern tbl next key =
-  match Hashtbl.find_opt tbl key with
+let intern tbl key =
+  match Canonical.Table.find_opt tbl key with
   | Some id -> id
   | None ->
-      let id = !next in
-      incr next;
-      Hashtbl.replace tbl key id;
+      let id = Canonical.Table.length tbl in
+      Canonical.Table.replace tbl key id;
       id
 
+(* Constants by element id (one per name), other elements by their sorted
+   unary predicate ids: a constant's key is negative, a null's is not. *)
 let initial_classes g =
   let inst = Bgraph.instance g in
   let n = Bgraph.size g in
-  let tbl = Hashtbl.create 64 in
-  let next = ref 0 in
+  let tbl = Canonical.Table.create 64 in
   let cls = Array.make (max n 1) 0 in
   for e = 0 to n - 1 do
     let key =
-      match Instance.const_name inst e with
-      | Some c -> "c:" ^ c
-      | None ->
-          let labels =
-            List.sort_uniq String.compare
-              (List.map Pred.name (Bgraph.unary_labels g e))
-          in
-          "u:" ^ String.concat "," labels
+      if Instance.is_const inst e then [| -1 - e |]
+      else
+        Array.of_list
+          (List.sort_uniq Int.compare (List.map Pred.id (Bgraph.unary_labels g e)))
     in
-    cls.(e) <- intern tbl next key
+    cls.(e) <- intern tbl key
   done;
-  (cls, !next)
+  (cls, Canonical.Table.length tbl)
 
-let step g mode cls =
+(* One (direction, predicate, neighbour class) triple as an int; [np]
+   bounds the predicate ids of the graph's edges. *)
+let code np dir p c = (((c * np) + Pred.id p) lsl 1) lor dir
+
+let step g mode np cls =
   let n = Bgraph.size g in
-  let tbl = Hashtbl.create 64 in
-  let next = ref 0 in
+  let tbl = Canonical.Table.create 64 in
   let cls' = Array.make (max n 1) 0 in
+  let codes dir edges acc =
+    List.fold_left (fun acc (p, d) -> code np dir p cls.(d) :: acc) acc edges
+  in
   for e = 0 to n - 1 do
-    let dir_part take label =
-      let items =
-        List.map
-          (fun (p, d) -> Printf.sprintf "%s:%s:%d" label (Pred.name p) cls.(d))
-          take
-      in
-      List.sort_uniq String.compare items
+    let items =
+      (if mode = Forward then [] else codes 0 (Bgraph.in_edges g e) [])
+      |> (if mode = Backward then Fun.id else codes 1 (Bgraph.out_edges g e))
+      |> List.sort_uniq Int.compare
     in
-    let parts =
-      match mode with
-      | Backward -> dir_part (Bgraph.in_edges g e) "i"
-      | Forward -> dir_part (Bgraph.out_edges g e) "o"
-      | Bidirectional ->
-          dir_part (Bgraph.in_edges g e) "i" @ dir_part (Bgraph.out_edges g e) "o"
-    in
-    let key = string_of_int cls.(e) ^ "|" ^ String.concat ";" parts in
-    cls'.(e) <- intern tbl next key
+    (* the previous class, then the sorted distinct triples *)
+    cls'.(e) <- intern tbl (Array.of_list (cls.(e) :: items))
   done;
-  (cls', !next)
+  (cls', Canonical.Table.length tbl)
 
 let compute ?(mode = Bidirectional) ?budget ~depth g =
   let budget =
@@ -95,6 +96,11 @@ let compute ?(mode = Bidirectional) ?budget ~depth g =
     | Some b -> Budget.cap ~refine_steps:depth b
     | None -> Budget.v ~refine_steps:depth ()
   in
+  let np = ref 1 in
+  for e = 0 to Bgraph.size g - 1 do
+    List.iter (fun (p, _) -> np := max !np (Pred.id p + 1)) (Bgraph.out_edges g e)
+  done;
+  let np = !np in
   let cls0, n0 = initial_classes g in
   let rec go i cls num =
     if i >= depth then (cls, num, None)
@@ -102,7 +108,7 @@ let compute ?(mode = Bidirectional) ?budget ~depth g =
       match
         Budget.check_deadline budget;
         Budget.charge budget Budget.Refine_steps 1;
-        step g mode cls
+        step g mode np cls
       with
       | cls', num' ->
           (* early fixpoint: the partition can only refine; equal counts

@@ -61,7 +61,8 @@ let pred_set g e =
       (Element.Id_set.singleton e)
       g.in_adj.(e)
 
-(* P_k(e): k-fold iteration of P (Definition 13). *)
+(* P applied k times on top of P(e): P^(k+1)(e), so k = 0 is P(e).  The
+   natural coloring separates hues over exactly these sets. *)
 let pred_set_k g k e =
   let rec go k s =
     if k <= 0 then s
@@ -97,37 +98,48 @@ let directed_cycles_upto g max_len =
 
 let has_directed_cycle_upto g max_len = directed_cycles_upto g max_len <> []
 
+(* Kahn's algorithm over the elements [relevant] keeps: sources in id
+   order, a FIFO queue, each element's successors in [iter_succ] order.
+   None if the kept part has a directed cycle. *)
+let topo_sort n ~relevant ~iter_succ =
+  let indeg = Array.make (max n 1) 0 in
+  let total = ref 0 in
+  let bump d = indeg.(d) <- indeg.(d) + 1 in
+  for e = 0 to n - 1 do
+    if relevant e then begin
+      incr total;
+      iter_succ e bump
+    end
+  done;
+  (* the queue is also the output order *)
+  let queue = Array.make (max n 1) 0 and tail = ref 0 in
+  let push e =
+    queue.(!tail) <- e;
+    incr tail
+  in
+  for e = 0 to n - 1 do
+    if relevant e && indeg.(e) = 0 then push e
+  done;
+  let release d =
+    indeg.(d) <- indeg.(d) - 1;
+    if indeg.(d) = 0 then push d
+  in
+  let head = ref 0 in
+  while !head < !tail do
+    let e = queue.(!head) in
+    incr head;
+    iter_succ e release
+  done;
+  if !tail = !total then Some (Array.sub queue 0 !tail) else None
+
 (* Topological order of the non-constant part, roots first.  Returns None
    if the non-constant part has a directed cycle. *)
 let topo_order g =
-  let indeg = Array.make (max g.n 1) 0 in
   let relevant e = Instance.is_null g.inst e in
-  for e = 0 to g.n - 1 do
-    if relevant e then
-      List.iter
-        (fun (_, d) -> if relevant d then indeg.(d) <- indeg.(d) + 1)
-        g.out_adj.(e)
-  done;
-  let queue = Queue.create () in
-  for e = 0 to g.n - 1 do
-    if relevant e && indeg.(e) = 0 then Queue.add e queue
-  done;
-  let order = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let e = Queue.pop queue in
-    order := e :: !order;
-    incr count;
-    List.iter
-      (fun (_, d) ->
-        if relevant d then begin
-          indeg.(d) <- indeg.(d) - 1;
-          if indeg.(d) = 0 then Queue.add d queue
-        end)
-      g.out_adj.(e)
-  done;
-  let total = List.length (List.filter relevant (Instance.elements g.inst)) in
-  if !count = total then Some (List.rev !order) else None
+  topo_sort g.n ~relevant
+    ~iter_succ:(fun e f ->
+      List.iter (fun (_, d) -> if relevant d then f d) g.out_adj.(e))
+  |> Option.map Array.to_list
 
 (* Distance-bounded undirected ball around an element (ignoring edge
    direction), including [e]. *)

@@ -24,7 +24,11 @@ val pred_set : t -> Element.id -> Element.Id_set.t
     non-constant direct predecessors. *)
 
 val pred_set_k : t -> int -> Element.id -> Element.Id_set.t
-(** P_k(e) of Definition 13: the k-fold iteration of P. *)
+(** [pred_set_k g k e] applies P k more times on top of P(e): the
+    elements within k + 1 steps of P from e, so [k = 0] is P(e) itself.
+    That is P^(k+1)(e), one hop more than the k-fold iteration P^k; the
+    natural coloring's hue conflicts for parameter m are
+    [pred_set_k g m e] minus e. *)
 
 val directed_cycles_upto : t -> int -> Element.id list list
 (** Directed cycles among non-constant elements, length bounded by the
@@ -34,6 +38,17 @@ val has_directed_cycle_upto : t -> int -> bool
 
 val topo_order : t -> Element.id list option
 (** Topological order of the non-constant part; [None] if cyclic. *)
+
+val topo_sort :
+  int ->
+  relevant:(Element.id -> bool) ->
+  iter_succ:(Element.id -> (Element.id -> unit) -> unit) ->
+  Element.id array option
+(** Kahn's algorithm over the elements [0, n) that [relevant] keeps:
+    sources in id order, then a FIFO queue, each element's successors in
+    [iter_succ] order ([iter_succ] must only report kept elements).
+    [None] if they have a directed cycle.  {!topo_order} is this over
+    the nulls and the graph's edges. *)
 
 val ball : t -> Element.id -> int -> Element.Id_set.t
 (** Undirected ball of the given radius around an element, inclusive. *)

@@ -31,6 +31,16 @@ dune exec test/main.exe -- test budget
 # mutex for library users who run several)
 dune exec test/main.exe -- test structure
 
+# the ptp suite, explicitly: the lightness forms and Canonical.key
+# against the test-only permutation oracle (same partition of the
+# elements, same lightness numbering) over the zoo skeletons, 120 salted
+# random prefixes and random small structures; Refine.compute against
+# the string-keyed reference in every mode at depths 0-4 and under a
+# budget; and the hostile coloring shapes (a 40-predecessor sink, and
+# |Sigma| = 12 with 11-null neighbourhoods) color, with facts_visited
+# linear
+dune exec test/main.exe -- test ptp
+
 # the naive vs semi-naive differential oracle, explicitly
 dune exec test/main.exe -- test differential
 

@@ -1,10 +1,12 @@
-(* Test-only oracle for lightness keys: the original scan-based canonical
-   key.  Every permutation of the free elements renders the induced
-   substructure by scanning *all* instance facts, so a natural coloring
-   built from it costs O(elements x facts x perms).  The library renders
-   only each neighbourhood's induced facts (Canonical.key_of_facts, fed
-   by Coloring's grouping of facts by their non-constant arguments); the
-   differential tests hold it to this definition byte for byte. *)
+(* Test-only oracle for lightness keys: the original permutation key.
+   Every permutation of the free elements renders the induced
+   substructure by scanning *all* instance facts, and the key is the
+   least rendering, so a natural coloring built from it costs
+   O(elements x facts x perms) and stops at 8 free elements.  The
+   library computes its forms by individualization-refinement
+   (Canonical.least_encoding) over the facts filed under each
+   neighbourhood; the differential tests hold it to this definition:
+   same partition of the elements, same lightness numbering. *)
 
 open Bddfc_logic
 open Bddfc_structure
@@ -71,21 +73,3 @@ let keys inst =
   let g = Bgraph.make inst in
   Array.init (Instance.num_elements inst) (fun e ->
       key ~root:e inst (neighbourhood inst g e))
-
-(* Lightness as the natural coloring assigns it: keys interned in element
-   order. *)
-let lightness inst =
-  let ids = Hashtbl.create 64 in
-  let n = Instance.num_elements inst in
-  let out = Array.make (max n 1) 0 in
-  Array.iteri
-    (fun e k ->
-      out.(e) <-
-        (match Hashtbl.find_opt ids k with
-        | Some id -> id
-        | None ->
-            let id = Hashtbl.length ids in
-            Hashtbl.replace ids k id;
-            id))
-    (keys inst);
-  out

@@ -234,34 +234,78 @@ let test_check_natural_reports_clash () =
   check Alcotest.int "no violations once isomorphic" 0
     (List.length (Coloring.check_natural ~m:1 inst col))
 
-(* The lightness keys must equal the scan oracle's byte for byte, and the
-   natural coloring's lightness array must be the oracle's interning. *)
-let agrees_with_scan_oracle what inst =
-  let keys = Coloring.neighbourhood_keys inst in
-  check Alcotest.(array string) (what ^ ": keys") (Scan_key.keys inst) keys;
+(* Element-order interning of a keying: two keyings give equal arrays iff
+   they induce the same partition (key e1 = key e2 iff key' e1 = key' e2,
+   for every pair) — the numbering the natural coloring assigns. *)
+let interned keys =
+  let ids = Hashtbl.create 64 in
+  Array.map
+    (fun k ->
+      match Hashtbl.find_opt ids k with
+      | Some id -> id
+      | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.replace ids k id;
+          id)
+    keys
+
+(* The hue assignment as the natural coloring made it before its integer
+   rewrite: Bgraph's topological order and P_m sets, and the smallest hue
+   no conflict holds found by list membership. *)
+let reference_hue ~m inst =
   let g = Bgraph.make inst in
-  Array.iteri
-    (fun e k ->
-      check Alcotest.string (what ^ ": Canonical.key") k
-        (Canonical.key ~root:e inst (Scan_key.neighbourhood inst g e)))
-    keys;
+  let hue = Array.make (max (Instance.num_elements inst) 1) 0 in
+  let order =
+    match Bgraph.topo_order g with
+    | Some topo ->
+        List.filter (Instance.is_const inst) (Instance.elements inst) @ topo
+    | None -> Instance.elements inst
+  in
+  List.iter
+    (fun e ->
+      let conflicts = Element.Id_set.remove e (Bgraph.pred_set_k g m e) in
+      let used = Element.Id_set.fold (fun d acc -> hue.(d) :: acc) conflicts [] in
+      let rec smallest h = if List.mem h used then smallest (h + 1) else h in
+      hue.(e) <- smallest 0)
+    order;
+  hue
+
+(* The lightness forms and the string keys must partition the elements
+   exactly as the permutation oracle's keys do, the natural coloring's
+   lightness array must be the oracle's interning, and its hues those of
+   the reference greedy. *)
+let agrees_with_scan_oracle what inst =
+  let oracle = interned (Scan_key.keys inst) in
+  check Alcotest.(array int) (what ^ ": keys") oracle
+    (interned (Coloring.neighbourhood_keys inst));
+  let g = Bgraph.make inst in
+  check Alcotest.(array int) (what ^ ": Canonical.key") oracle
+    (interned
+       (Array.init (Instance.num_elements inst) (fun e ->
+            Canonical.key ~root:e inst (Scan_key.neighbourhood inst g e))));
   let col = Coloring.natural ~m:2 inst in
-  check Alcotest.(array int) (what ^ ": lightness") (Scan_key.lightness inst)
+  check Alcotest.(array int) (what ^ ": lightness") oracle
     col.Coloring.lightness;
+  check Alcotest.(array int) (what ^ ": hue") (reference_hue ~m:2 inst)
+    col.Coloring.hue;
   check Alcotest.int (what ^ ": natural") 0
     (List.length (Coloring.check_natural ~m:2 inst col))
 
+let zoo_skeletons =
+  [ ("ex1", 8); ("ex7", 10); ("ex9", 16); ("sec54", 6); ("guarded_ternary", 8) ]
+
+let zoo_skeleton name depth =
+  let z = Option.get (Zoo.find name) in
+  let chase =
+    Bddfc_chase.Chase.run ~max_rounds:depth ~max_elements:3000 z.Zoo.theory
+      (Zoo.database_instance z)
+  in
+  (Bddfc_chase.Skeleton.extract z.Zoo.theory chase).Bddfc_chase.Skeleton.skeleton
+
 let test_keys_zoo_skeletons () =
   List.iter
-    (fun (name, depth) ->
-      let z = Option.get (Zoo.find name) in
-      let chase =
-        Bddfc_chase.Chase.run ~max_rounds:depth ~max_elements:3000
-          z.Zoo.theory (Zoo.database_instance z)
-      in
-      let sk = Bddfc_chase.Skeleton.extract z.Zoo.theory chase in
-      agrees_with_scan_oracle name sk.Bddfc_chase.Skeleton.skeleton)
-    [ ("ex1", 8); ("ex7", 10); ("ex9", 16); ("sec54", 6); ("guarded_ternary", 8) ]
+    (fun (name, depth) -> agrees_with_scan_oracle name (zoo_skeleton name depth))
+    zoo_skeletons
 
 (* A chase prefix of a random theory, salted with the fact shapes the
    incidence pass must handle: 0-ary facts, repeated-null facts, ternary
@@ -328,15 +372,242 @@ let test_keys_linear_at_hubs () =
   ignore (Coloring.natural ~m:1 inst);
   let visited = Bddfc_obs.Obs.Metrics.value counter - before in
   check Alcotest.int "one filing pass plus one edge per child" 800 visited;
-  (* a sink with 40 null predecessors is past the 8-free-element limit:
-     refused at once, without walking the 2^41 subsets of P(e) *)
+  (* a sink with 40 null predecessors colors: its 40 edges are filed under
+     it, so its key scans them plus each predecessor's one edge, and the
+     count stays linear — the filing pass over 440 facts, one edge per
+     child, 80 for the sink *)
   let sink = Instance.fresh_null inst ~birth:2 ~rule:"t" ~parent:None in
   for c = 1 to 40 do
     ignore (Instance.add_fact inst (Fact.make e [| c; sink |]))
   done;
-  match Coloring.natural ~m:1 inst with
-  | _ -> Alcotest.fail "a 40-predecessor neighbourhood must be refused"
-  | exception Invalid_argument _ -> ()
+  let before = Bddfc_obs.Obs.Metrics.value counter in
+  let col = Coloring.natural ~m:1 inst in
+  let visited = Bddfc_obs.Obs.Metrics.value counter - before in
+  check Alcotest.int "filing pass, one edge per child, 80 at the sink" 920
+    visited;
+  check Alcotest.bool "the sink's lightness is its own" true
+    (col.Coloring.lightness.(sink) <> col.Coloring.lightness.(1));
+  check Alcotest.int "natural" 0
+    (List.length (Coloring.check_natural ~m:1 inst col))
+
+(* A wide signature (|Sigma| = 12) and 11-null neighbourhoods, past the
+   old permutation key's 8-element cap.  The neighbourhood mixes three
+   interchangeable s-edges (symmetric but not twins, so the key
+   branches), twins and rigid members.  A copy whose nulls are created in
+   another order, with the root older than its predecessors, gets the
+   same lightness; a copy with one s-edge dropped gets a different
+   one. *)
+let test_keys_wide_signature () =
+  let inst = Instance.create () in
+  let r i = Pred.make (Printf.sprintf "r%d" i) 2 in
+  let u i = Pred.make (Printf.sprintf "u%d" i) 1 in
+  let s = Pred.make "s" 2 in
+  let null () = Instance.fresh_null inst ~birth:0 ~rule:"t" ~parent:None in
+  let add p args = ignore (Instance.add_fact inst (Fact.make p args)) in
+  (* [build ~root_first ~perm ~drop]: x_i is xs.(perm i) *)
+  let build ~root_first ~perm ~drop =
+    let root = if root_first then null () else -1 in
+    let xs = Array.init 11 (fun _ -> null ()) in
+    let root = if root_first then root else null () in
+    let x i = xs.(perm i) in
+    for i = 0 to 5 do
+      add (r 0) [| x i; root |];
+      if i mod 2 = 0 && not (drop && i = 4) then add s [| x i; x (i + 1) |]
+    done;
+    add (r 1) [| x 6; root |];
+    add (r 1) [| x 7; root |];
+    add (r 2) [| x 8; root |];
+    add (u 0) [| x 8 |];
+    add (r 3) [| x 9; root |];
+    add (u 1) [| x 9 |];
+    add (u 2) [| x 9 |];
+    add (r 4) [| x 10; root |];
+    add (r 5) [| x 10; x 8 |];
+    add (u 3) [| x 10 |];
+    add (u 4) [| x 10 |];
+    root
+  in
+  let e1 = build ~root_first:false ~perm:Fun.id ~drop:false in
+  let e2 =
+    build ~root_first:true ~perm:(fun i -> ((i * 7) + 3) mod 11) ~drop:false
+  in
+  let e3 = build ~root_first:false ~perm:Fun.id ~drop:true in
+  check Alcotest.int "|Sigma| = 12" 12 (Pred.Set.cardinal (Instance.preds inst));
+  let g = Bgraph.make inst in
+  check Alcotest.int "11 nulls besides the root" 12
+    (Element.Id_set.cardinal (Bgraph.pred_set g e1));
+  let col = Coloring.natural ~m:1 inst in
+  let l = col.Coloring.lightness in
+  check Alcotest.bool "relabelled copy: same lightness" true (l.(e1) = l.(e2));
+  check Alcotest.bool "one fact dropped: other lightness" true (l.(e1) <> l.(e3));
+  check Alcotest.int "natural" 0
+    (List.length (Coloring.check_natural ~m:1 inst col));
+  let key e =
+    Canonical.key ~root:e inst (Element.Id_set.elements (Bgraph.pred_set g e))
+  in
+  check Alcotest.string "Canonical.key: relabelled copy" (key e1) (key e2);
+  check Alcotest.bool "Canonical.key: dropped fact" false (key e1 = key e3)
+
+(* Canonical.key against the permutation oracle on small structures,
+   pooled across instances (constants match by name).  Each structure is
+   realized twice, the second time with its nulls created and its facts
+   added in shuffled orders.  The pool holds random structures, half of
+   them doubled into two disjoint copies (symmetric, with twins), and
+   unions of directed e-cycles of the same size: colour refinement cannot
+   split those, so the key must branch, and a cell can mix elements of
+   different orbits (a 4-cycle plus a 2-cycle). *)
+let test_canonical_random () =
+  let st = Random.State.make [| 2024 |] in
+  let preds =
+    [| Pred.make "e" 2; Pred.make "f" 2; Pred.make "p" 1; Pred.make "t" 3 |]
+  in
+  let shuffle l =
+    List.map snd
+      (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+  in
+  let random_shape () =
+    let nulls = 1 + Random.State.int st 3 in
+    let consts = Random.State.int st 3 in
+    let elt () =
+      let i = Random.State.int st (nulls + consts) in
+      if i < nulls then `Null i else `Const (String.make 1 "abc".[i - nulls])
+    in
+    let facts =
+      List.init
+        (2 + Random.State.int st 5)
+        (fun _ ->
+          let p = preds.(Random.State.int st (Array.length preds)) in
+          (p, Array.init (Pred.arity p) (fun _ -> elt ())))
+    in
+    if Random.State.bool st then
+      let shift = function `Null i -> `Null (i + nulls) | c -> c in
+      (2 * nulls, facts @ List.map (fun (p, a) -> (p, Array.map shift a)) facts)
+    else (nulls, facts)
+  in
+  let cycles lengths =
+    let facts, n =
+      List.fold_left
+        (fun (acc, base) len ->
+          ( acc
+            @ List.init len (fun i ->
+                  (preds.(0), [| `Null (base + i); `Null (base + ((i + 1) mod len)) |])),
+            base + len ))
+        ([], 0) lengths
+    in
+    (n, facts)
+  in
+  let realize (n, facts) ~shuffled =
+    let inst = Instance.create () in
+    let ids = Array.make n 0 in
+    let order = List.init n Fun.id in
+    List.iter
+      (fun i ->
+        ids.(i) <- Instance.fresh_null inst ~birth:0 ~rule:"t" ~parent:None)
+      (if shuffled then shuffle order else order);
+    List.iter
+      (fun (p, args) ->
+        let arg = function
+          | `Null i -> ids.(i)
+          | `Const c -> Instance.const inst c
+        in
+        ignore (Instance.add_fact inst (Fact.make p (Array.map arg args))))
+      (if shuffled then shuffle facts else facts);
+    (inst, ids.(0))
+  in
+  let shapes =
+    List.init 300 (fun _ -> random_shape ())
+    @ List.map cycles
+        [ [ 6 ]; [ 4; 2 ]; [ 2; 4 ]; [ 3; 3 ]; [ 2; 2; 2 ]; [ 2; 2; 2; 2 ]; [ 5 ];
+          [ 3; 2 ] ]
+  in
+  let pool =
+    List.concat_map
+      (fun sh ->
+        List.concat_map
+          (fun shuffled ->
+            let inst, root = realize sh ~shuffled in
+            let elts = Instance.elements inst in
+            [ (Canonical.key inst elts, Scan_key.key inst elts);
+              (Canonical.key ~root inst elts, Scan_key.key ~root inst elts) ])
+          [ false; true; true ])
+      shapes
+    |> Array.of_list
+  in
+  check Alcotest.(array int) "same partition as the oracle"
+    (interned (Array.map snd pool))
+    (interned (Array.map fst pool))
+
+(* A root whose 18 predecessors form 9 disjoint s-pairs: refinement
+   leaves the 9 sources in one cell, no two of them are twins, and 9!
+   leaves would follow without the automorphisms the search collects.
+   The key must come back at once, equal for a copy built in another
+   order and different for a copy with one pair linked both ways. *)
+let test_keys_symmetric_pairs () =
+  let inst = Instance.create () in
+  let r = Pred.make "r" 2 and s = Pred.make "s" 2 in
+  let null () = Instance.fresh_null inst ~birth:0 ~rule:"t" ~parent:None in
+  let add p args = ignore (Instance.add_fact inst (Fact.make p args)) in
+  let build ~perm ~both =
+    let xs = Array.init 18 (fun _ -> null ()) in
+    let root = null () in
+    let x i = xs.(perm i) in
+    for i = 0 to 17 do
+      add r [| x i; root |]
+    done;
+    for k = 0 to 8 do
+      add s [| x (2 * k); x ((2 * k) + 1) |];
+      if both && k = 8 then add s [| x ((2 * k) + 1); x (2 * k) |]
+    done;
+    root
+  in
+  let e1 = build ~perm:Fun.id ~both:false in
+  let e2 = build ~perm:(fun i -> ((i * 5) + 7) mod 18) ~both:false in
+  let e3 = build ~perm:Fun.id ~both:true in
+  let col = Coloring.natural ~m:1 inst in
+  let l = col.Coloring.lightness in
+  check Alcotest.bool "relabelled copy: same lightness" true (l.(e1) = l.(e2));
+  check Alcotest.bool "one pair linked both ways: other lightness" true
+    (l.(e1) <> l.(e3))
+
+(* Refine.compute against the string-keyed reference: identical class
+   arrays, counts and trips in every mode at depths 0-4, plus a run that
+   a 2-step budget cuts at depth 4. *)
+let refine_agrees_with_reference what inst =
+  let g = Bgraph.make inst in
+  let same label (r : Refine.t) (cls, num, tripped) =
+    check Alcotest.(array int) (label ^ ": cls") cls r.Refine.cls;
+    check Alcotest.int (label ^ ": num_classes") num r.Refine.num_classes;
+    check Alcotest.bool (label ^ ": tripped") true (tripped = r.Refine.tripped)
+  in
+  List.iter
+    (fun (mname, mode) ->
+      for depth = 0 to 4 do
+        same
+          (Printf.sprintf "%s %s depth %d" what mname depth)
+          (Refine.compute ~mode ~depth g)
+          (Reference_refine.compute ~mode ~depth g)
+      done;
+      let budget () = Bddfc_budget.Budget.v ~refine_steps:2 () in
+      same
+        (Printf.sprintf "%s %s budget" what mname)
+        (Refine.compute ~mode ~budget:(budget ()) ~depth:4 g)
+        (Reference_refine.compute ~mode ~budget:(budget ()) ~depth:4 g))
+    [ ("backward", Refine.Backward); ("forward", Refine.Forward);
+      ("bidirectional", Refine.Bidirectional) ]
+
+let test_refine_reference () =
+  List.iter
+    (fun (name, depth) ->
+      let sk = zoo_skeleton name depth in
+      refine_agrees_with_reference name (Coloring.natural ~m:2 sk).Coloring.colored)
+    zoo_skeletons;
+  for seed = 0 to 119 do
+    let inst = salted_instance seed in
+    let what = Printf.sprintf "seed %d" seed in
+    refine_agrees_with_reference what inst;
+    refine_agrees_with_reference (what ^ " colored")
+      (Coloring.natural ~m:2 inst).Coloring.colored
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Vtdag                                                               *)
@@ -445,6 +716,14 @@ let suite =
       tc "lightness keys = scan oracle (random instances)"
         test_keys_random_instances;
       tc "lightness keys linear at hubs" test_keys_linear_at_hubs;
+      tc "lightness keys past 8 free elements (|Sigma| = 12)"
+        test_keys_wide_signature;
+      tc "Canonical.key = permutation oracle (random small structures)"
+        test_canonical_random;
+      tc "lightness keys: 9 symmetric pairs do not branch 9! ways"
+        test_keys_symmetric_pairs;
+      tc "refine = string-keyed reference (zoo skeletons, random instances)"
+        test_refine_reference;
       tc "vtdag chain and tree" test_vtdag_chain_tree;
       tc "vtdag violations" test_vtdag_violations;
       tc "vtdag cycle" test_vtdag_cycle;

@@ -155,6 +155,19 @@ let test_pred_set () =
   let c0 = Instance.const inst "c0" in
   check Alcotest.int "P(const)" 1 (Element.Id_set.cardinal (Bgraph.pred_set g c0))
 
+(* pred_set_k g k e iterates P k times on top of P(e) itself: k hops
+   plus one, so k = 0 is P(e).  A chain long enough to tell P^k from
+   P^(k+1) pins it. *)
+let test_pred_set_k_hops () =
+  let inst = Bddfc_workload.Gen.null_chain ~len:8 () in
+  let g = Bgraph.make inst in
+  let last = Instance.num_elements inst - 1 in
+  List.iter
+    (fun (k, size) ->
+      check Alcotest.int (Printf.sprintf "pred_set_k %d" k) size
+        (Element.Id_set.cardinal (Bgraph.pred_set_k g k last)))
+    [ (0, 2); (1, 3); (2, 4); (3, 5) ]
+
 let test_ball () =
   let inst = Bddfc_workload.Gen.null_chain ~len:7 () in
   let g = Bgraph.make inst in
@@ -625,6 +638,7 @@ let suite =
       tc "bgraph cycles" test_bgraph_cycles;
       tc "bgraph topo order" test_bgraph_topo;
       tc "P(e) sets" test_pred_set;
+      tc "pred_set_k counts k + 1 hops" test_pred_set_k_hops;
       tc "balls" test_ball;
       tc "canonical iso" test_canonical_iso;
       tc "canonical constants rigid" test_canonical_constants_rigid;
