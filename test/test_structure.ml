@@ -638,7 +638,6 @@ let suite =
       tc "bgraph cycles" test_bgraph_cycles;
       tc "bgraph topo order" test_bgraph_topo;
       tc "P(e) sets" test_pred_set;
-      tc "pred_set_k counts k + 1 hops" test_pred_set_k_hops;
       tc "balls" test_ball;
       tc "canonical iso" test_canonical_iso;
       tc "canonical constants rigid" test_canonical_constants_rigid;
@@ -649,4 +648,5 @@ let suite =
       tc "pred ids" test_pred_ids;
       tc "pred order" test_pred_order;
       tc "pred interning across 2 domains" test_pred_intern_domains;
+      tc "pred_set_k counts k + 1 hops" test_pred_set_k_hops;
     ] )
