@@ -143,71 +143,6 @@ let budget_term =
   in
   Term.(const make $ timeout $ fuel $ trap)
 
-(* The batch subcommands accept --strategy so scripts can A/B the chase
-   evaluation paths uniformly; those that never chase (rewrite,
-   classify) accept and ignore it. *)
-let strategy_term =
-  Arg.(
-    value
-    & opt (enum [ ("seminaive", Chase.Chase.Seminaive);
-                  ("naive", Chase.Chase.Naive) ])
-        Chase.Chase.Seminaive
-    & info [ "strategy" ] ~docv:"STRATEGY"
-        ~doc:"Chase evaluation strategy: $(b,seminaive) (delta-driven, \
-              the default) or $(b,naive) (per-round snapshot re-join; \
-              reference implementation).")
-
-(* Every subcommand accepts --eval so scripts can A/B the compiled join
-   engine against the reference interpreter uniformly; commands that
-   never join (lint) accept and ignore it. *)
-let eval_term =
-  Arg.(
-    value
-    & opt (enum [ ("compiled", Hom.Eval.Compiled);
-                  ("interp", Hom.Eval.Interp) ])
-        Hom.Eval.Compiled
-    & info [ "eval" ] ~docv:"ENGINE"
-        ~doc:"Join engine for query evaluation: $(b,compiled) (cached \
-              per-rule query plans, the default) or $(b,interp) (the \
-              reference interpreter; differential oracle).")
-
-(* Subcommands that reach CQ containment (rewrite, classify, model,
-   judge, zoo, serve) accept --hc so the hash-consed store and memo
-   caches can be A/B'd against the uncached structural oracle; verdicts
-   and stdout are byte-identical across modes. *)
-let hc_term =
-  Arg.(
-    value
-    & opt (enum [ ("interned", Hom.Hc.Interned);
-                  ("structural", Hom.Hc.Structural) ])
-        (Hom.Hc.default_mode ())
-    & info [ "hc" ] ~docv:"MODE"
-        ~doc:"Containment backend: $(b,interned) (hash-consed canonical               queries with an (id, id) verdict memo, the default) or               $(b,structural) (the uncached structural code;               differential oracle).")
-
-(* Commands that run the pipeline accept --no-preflight so the
-   acyclicity-based fuel-free chase can be ablated (and its verdict
-   upgrades regression-tested). *)
-let no_preflight_term =
-  Arg.(
-    value & flag
-    & info [ "no-preflight" ]
-        ~doc:"Disable the acyclicity pre-flight: by default a weakly (or \
-              jointly) acyclic theory is chased fuel-free to its \
-              guaranteed fixpoint, upgrading budget-truncated unknowns \
-              to definite verdicts.")
-
-(* The same commands accept --slice: the query-directed rule slicer as
-   an entailment fast path (certain verdicts from the relevant rules
-   only; countermodel construction always sees the whole theory). *)
-let slice_term =
-  Arg.(
-    value & flag
-    & info [ "slice" ]
-        ~doc:"Enable the query-directed slicer: chase only the rules \
-              relevant to the query first, short-circuiting certain \
-              verdicts; countermodel construction still verifies against \
-              the whole theory.")
-
 (* -------------------------- observability ------------------------- *)
 
 (* Every subcommand accepts --metrics[=FORMAT], --metrics-out FILE and
@@ -343,13 +278,12 @@ let chase_cmd =
           Chase.Chase.Restricted
       & info [ "variant" ] ~doc:"Chase variant: restricted or oblivious.")
   in
-  let run file rounds variant strategy eval budget obs verbose =
+  let run file rounds variant budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"chase" obs @@ fun () ->
     with_program file @@ fun (theory, db, queries, _) ->
     let r =
-      Chase.Chase.run ~variant ~strategy ~eval ?budget ~max_rounds:rounds theory
-        db
+      Chase.Chase.run ~variant ?budget ~max_rounds:rounds theory db
     in
     Fmt.pr "%a@." Structure.Instance.pp r.Chase.Chase.instance;
     Fmt.pr "-- rounds: %d, elements: %d, facts: %d, %a@."
@@ -360,7 +294,7 @@ let chase_cmd =
     List.iter
       (fun q ->
         Fmt.pr "-- %a : %b@." Logic.Cq.pp q
-          (Hom.Eval.holds ~engine:eval r.Chase.Chase.instance q))
+          (Hom.Eval.holds r.Chase.Chase.instance q))
       queries;
     match r.Chase.Chase.outcome with
     | Chase.Chase.Exhausted _ -> exit_unknown
@@ -368,8 +302,8 @@ let chase_cmd =
   in
   Cmd.v (Cmd.info "chase" ~doc:"Run the chase on a program file." ~exits)
     Term.(
-      const run $ file_arg $ rounds $ variant $ strategy_term $ eval_term
-      $ budget_term $ obs_term $ verbose_arg)
+      const run $ file_arg $ rounds $ variant $ budget_term $ obs_term
+      $ verbose_arg)
 
 (* ---------------------------- rewrite ---------------------------- *)
 
@@ -377,8 +311,7 @@ let rewrite_cmd =
   let max_disjuncts =
     Arg.(value & opt int 200 & info [ "max-disjuncts" ] ~doc:"Disjunct budget.")
   in
-  let run file max_disjuncts (_ : Chase.Chase.strategy) eval hc budget obs
-      verbose =
+  let run file max_disjuncts budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"rewrite" obs @@ fun () ->
     with_program file @@ fun (theory, _, queries, _) ->
@@ -387,7 +320,7 @@ let rewrite_cmd =
     List.iter
       (fun q ->
         let r =
-          Rewriting.Rewrite.rewrite ?budget ~eval ~hc ~max_disjuncts theory q
+          Rewriting.Rewrite.rewrite ?budget ~max_disjuncts theory q
         in
         if not r.Rewriting.Rewrite.complete then all_complete := false;
         Fmt.pr "@[<v>query: %a@,complete (BDD for this query): %b@,%a@,@]"
@@ -401,20 +334,20 @@ let rewrite_cmd =
     (Cmd.info "rewrite" ~doc:"Compute positive first-order (UCQ) rewritings."
        ~exits)
     Term.(
-      const run $ file_arg $ max_disjuncts $ strategy_term $ eval_term
-      $ hc_term $ budget_term $ obs_term $ verbose_arg)
+      const run $ file_arg $ max_disjuncts $ budget_term $ obs_term
+      $ verbose_arg)
 
 (* ---------------------------- classify --------------------------- *)
 
 let classify_cmd =
-  let run file (_ : Chase.Chase.strategy) eval hc budget obs verbose =
+  let run file budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"classify" obs @@ fun () ->
     with_program file @@ fun (theory, _, _, _) ->
     Fmt.pr "%a@." Classes.Recognize.pp_report (Classes.Recognize.report theory);
     let k =
-      Rewriting.Rewrite.kappa ?budget ~eval ~hc ~max_disjuncts:100
-        ~max_steps:2000 theory
+      Rewriting.Rewrite.kappa ?budget ~max_disjuncts:100 ~max_steps:2000
+        theory
     in
     Fmt.pr "kappa: %d (rewritings complete: %b)@." k.Rewriting.Rewrite.kappa
       k.Rewriting.Rewrite.all_complete;
@@ -422,8 +355,7 @@ let classify_cmd =
   in
   Cmd.v (Cmd.info "classify" ~doc:"Print the class report of a theory." ~exits)
     Term.(
-      const run $ file_arg $ strategy_term $ eval_term $ hc_term $ budget_term
-      $ obs_term $ verbose_arg)
+      const run $ file_arg $ budget_term $ obs_term $ verbose_arg)
 
 (* ------------------------------ lint ------------------------------ *)
 
@@ -445,7 +377,7 @@ let lint_cmd =
                 when any warning (or error) is reported.  Info-level \
                 class-membership diagnostics never fail the lint.")
   in
-  let run file format deny (_ : Hom.Eval.engine) obs verbose =
+  let run file format deny obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"lint" obs @@ fun () ->
     with_program file @@ fun (_, _, _, program) ->
@@ -472,7 +404,7 @@ let lint_cmd =
           sticky-marking trace)."
        ~exits)
     Term.(
-      const run $ file_arg $ format $ deny $ eval_term $ obs_term $ verbose_arg)
+      const run $ file_arg $ format $ deny $ obs_term $ verbose_arg)
 
 (* ----------------------------- analyze --------------------------- *)
 
@@ -519,7 +451,7 @@ let model_cmd =
   let depth =
     Arg.(value & opt int 24 & info [ "depth" ] ~doc:"Chase prefix depth.")
   in
-  let run file depth strategy eval hc budget no_preflight slice obs verbose =
+  let run file depth budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"model" obs @@ fun () ->
     with_program file @@ fun (theory, db, queries, _) ->
@@ -529,15 +461,7 @@ let model_cmd =
         exit_input_error
     | q :: _ -> (
         let params =
-          { Finitemodel.Pipeline.default_params with
-            chase_depth = depth;
-            budget;
-            strategy;
-            eval;
-            hc;
-            preflight = not no_preflight;
-            slice;
-          }
+          { Finitemodel.Pipeline.default_params with chase_depth = depth; budget }
         in
         match Finitemodel.Pipeline.construct ~params theory db q with
         | Finitemodel.Pipeline.Model (cert, stats) ->
@@ -568,13 +492,12 @@ let model_cmd =
           rules avoiding the query."
        ~exits)
     Term.(
-      const run $ file_arg $ depth $ strategy_term $ eval_term $ hc_term
-      $ budget_term $ no_preflight_term $ slice_term $ obs_term $ verbose_arg)
+      const run $ file_arg $ depth $ budget_term $ obs_term $ verbose_arg)
 
 (* ----------------------------- judge ----------------------------- *)
 
 let judge_cmd =
-  let run file strategy eval hc budget no_preflight slice obs verbose =
+  let run file budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"judge" obs @@ fun () ->
     with_program file @@ fun (theory, db, queries, _) ->
@@ -586,14 +509,7 @@ let judge_cmd =
         let jb =
           { Finitemodel.Judge.default_budget with
             pipeline_params =
-              { Finitemodel.Pipeline.default_params with
-                budget;
-                strategy;
-                eval;
-                hc;
-                preflight = not no_preflight;
-                slice;
-              };
+              { Finitemodel.Pipeline.default_params with budget };
           }
         in
         let v = Finitemodel.Judge.judge ~budget:jb theory db q in
@@ -614,8 +530,7 @@ let judge_cmd =
           the file's (rules, facts, query) triple."
        ~exits)
     Term.(
-      const run $ file_arg $ strategy_term $ eval_term $ hc_term $ budget_term
-      $ no_preflight_term $ slice_term $ obs_term $ verbose_arg)
+      const run $ file_arg $ budget_term $ obs_term $ verbose_arg)
 
 (* ------------------------------ dot ------------------------------ *)
 
@@ -627,12 +542,12 @@ let dot_cmd =
   let rounds =
     Arg.(value & opt int 8 & info [ "rounds" ] ~doc:"Chase rounds before export.")
   in
-  let run file out rounds strategy eval budget obs verbose =
+  let run file out rounds budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"dot" obs @@ fun () ->
     with_program file @@ fun (theory, db, _, _) ->
     let r =
-      Chase.Chase.run ~strategy ~eval ?budget ~max_rounds:rounds theory db
+      Chase.Chase.run ?budget ~max_rounds:rounds theory db
     in
     let dot = Structure.Dot.to_string r.Chase.Chase.instance in
     (match out with
@@ -646,8 +561,8 @@ let dot_cmd =
     (Cmd.info "dot" ~doc:"Chase the program and export the result as GraphViz."
        ~exits)
     Term.(
-      const run $ file_arg $ out $ rounds $ strategy_term $ eval_term
-      $ budget_term $ obs_term $ verbose_arg)
+      const run $ file_arg $ out $ rounds $ budget_term $ obs_term
+      $ verbose_arg)
 
 (* ------------------------------ zoo ------------------------------ *)
 
@@ -661,7 +576,7 @@ let zoo_cmd =
            ~doc:"Print the entry as a parseable program and exit; feed the \
                  result back through $(b,bddfc lint) or $(b,bddfc model).")
   in
-  let run name dump strategy eval hc budget no_preflight obs verbose =
+  let run name dump budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"zoo" obs @@ fun () ->
     match name with
@@ -691,15 +606,7 @@ let zoo_cmd =
               e.Workload.Zoo.name e.Workload.Zoo.reference Logic.Theory.pp
               e.Workload.Zoo.theory Logic.Cq.pp e.Workload.Zoo.query;
             let db = Workload.Zoo.database_instance e in
-            let params =
-              { Finitemodel.Pipeline.default_params with
-                budget;
-                strategy;
-                eval;
-                hc;
-                preflight = not no_preflight;
-              }
-            in
+            let params = { Finitemodel.Pipeline.default_params with budget } in
             match
               Finitemodel.Pipeline.construct ~params e.Workload.Zoo.theory db
                 e.Workload.Zoo.query
@@ -719,8 +626,7 @@ let zoo_cmd =
   in
   Cmd.v (Cmd.info "zoo" ~doc:"The paper's example zoo." ~exits)
     Term.(
-      const run $ entry_name $ dump $ strategy_term $ eval_term $ hc_term
-      $ budget_term $ no_preflight_term $ obs_term $ verbose_arg)
+      const run $ entry_name $ dump $ budget_term $ obs_term $ verbose_arg)
 
 (* ----------------------------- serve ------------------------------ *)
 
@@ -758,7 +664,7 @@ let serve_cmd =
                 answer $(b,fault_injected) and evict their session; the \
                 server itself must survive.")
   in
-  let run socket max_inflight rounds hc timeout fuel inject obs verbose =
+  let run socket max_inflight rounds timeout fuel inject obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"serve" obs @@ fun () ->
     let config =
@@ -768,7 +674,6 @@ let serve_cmd =
         max_inflight;
         chase_rounds = rounds;
         faults = Option.map (fun seed -> Serve.Faults.seeded ~seed) inject;
-        hc;
       }
     in
     let t = Serve.Server.create ~config () in
@@ -811,8 +716,8 @@ let serve_cmd =
           bounded in-flight admission."
        ~exits)
     Term.(
-      const run $ socket $ max_inflight $ rounds $ hc_term $ timeout $ fuel
-      $ inject $ obs_term $ verbose_arg)
+      const run $ socket $ max_inflight $ rounds $ timeout $ fuel $ inject
+      $ obs_term $ verbose_arg)
 
 let main =
   let info =

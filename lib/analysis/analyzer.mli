@@ -61,7 +61,8 @@ val analyze_theory : Theory.t -> Diagnostic.t list
 
 (** {1 Sticky marking with provenance}
 
-    Exposed so [Classes.Sticky] can delegate and render failure traces. *)
+    Exposed so callers can render the marking trace behind a
+    [not-sticky] diagnostic. *)
 
 module Pos : sig
   type t = Pred.t * int

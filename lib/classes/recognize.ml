@@ -6,35 +6,8 @@
    refutation witness (offender atom, special-edge cycle, marking trace),
    and the booleans are derived from the absence of the matching code. *)
 
-open Bddfc_logic
 module A = Bddfc_analysis.Analyzer
 module D = Bddfc_analysis.Diagnostic
-
-(* Linear: every rule has a single body atom (Rosati's IDs / [8]). *)
-let is_linear theory =
-  List.for_all
-    (fun r -> List.length (Rule.body r) = 1)
-    (Theory.rules theory)
-
-(* Guarded: some body atom contains every body variable ([1]). *)
-let rule_guard r =
-  let vars = Rule.body_vars r in
-  List.find_opt
-    (fun a -> Rule.SS.subset vars (Atom.var_set a))
-    (Rule.body r)
-
-let is_guarded theory =
-  List.for_all (fun r -> rule_guard r <> None) (Theory.rules theory)
-
-(* Binary signature: all predicates of arity <= 2 (Theorem 1's scope). *)
-let is_binary = Theory.is_binary
-
-(* The Theorem 3 class: every existential head Phi(y, z-bar) shares at
-   most one variable with the body. *)
-let is_frontier_one theory =
-  List.for_all
-    (fun r -> Rule.is_datalog r || Rule.is_frontier_one r)
-    (Theory.rules theory)
 
 type report = {
   binary : bool;

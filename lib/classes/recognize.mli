@@ -6,17 +6,6 @@
 
 open Bddfc_logic
 
-val is_linear : Theory.t -> bool
-(** Single body atoms (Rosati's inclusion dependencies, [8]). *)
-
-val rule_guard : Rule.t -> Atom.t option
-val is_guarded : Theory.t -> bool
-val is_binary : Theory.t -> bool
-
-val is_frontier_one : Theory.t -> bool
-(** The Theorem 3 class: every existential head shares at most one
-    variable with the body. *)
-
 type report = {
   binary : bool;
   single_head : bool;

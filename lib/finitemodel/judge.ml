@@ -59,7 +59,7 @@ module Obs = Bddfc_obs.Obs
 let m_judgements = Obs.Metrics.counter "judge.judgements"
 let t_judge = Obs.Metrics.timer "judge.run"
 
-let judge ?(budget = default_budget) theory db query =
+let judge ?(budget = default_budget) ?slice theory db query =
   Obs.Metrics.incr m_judgements;
   Obs.Metrics.time t_judge @@ fun () ->
   Obs.Trace.span "judge.run" @@ fun () ->
@@ -91,7 +91,7 @@ let judge ?(budget = default_budget) theory db query =
     { evidence; classes; kappa; conjecture_applies; chase_terminating }
   in
   match
-    Pipeline.construct ~params:budget.pipeline_params theory db query
+    Pipeline.construct ~params:budget.pipeline_params ?slice theory db query
   with
   | Pipeline.Query_entailed d -> finish (Certain d)
   | Pipeline.Model (cert, stats) -> finish (Witness (cert, Some stats))

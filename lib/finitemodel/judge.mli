@@ -35,6 +35,11 @@ type budget = {
 }
 
 val default_budget : budget
-val judge : ?budget:budget -> Theory.t -> Instance.t -> Cq.t -> verdict
+val judge :
+  ?budget:budget ->
+  ?slice:Bddfc_analysis.Dataflow.slice ->
+  Theory.t -> Instance.t -> Cq.t -> verdict
+(** [slice] is forwarded to {!Pipeline.construct}. *)
+
 val pp_evidence : evidence Fmt.t
 val pp : verdict Fmt.t

@@ -53,14 +53,6 @@ type params = {
          weak/joint acyclicity; a positive proof lets the chase run
          fuel-free (deadline only) to its guaranteed fixpoint, turning
          budget-truncated Unknowns into definite verdicts *)
-  slice : bool;
-      (* entailment fast path through the query-directed slicer
-         (Dataflow.slice): when the slice is proper, run Chase.certain
-         over the relevant rules only; Entailed short-circuits to
-         Query_entailed at the same depth, anything else falls through
-         to the full construction (a dropped rule can never affect
-         certain answers, but a countermodel must satisfy the whole
-         theory — DESIGN.md section 12) *)
 }
 
 let default_params =
@@ -79,7 +71,6 @@ let default_params =
     eval = Eval.Compiled;
     hc = Hc.default_mode ();
     preflight = true;
-    slice = false;
   }
 
 type stats = {
@@ -166,6 +157,31 @@ let kappa_once compute =
         let kap = compute budget in
         memo := Some kap;
         kap
+
+(* Chase a normalized theory watching the hidden query predicate, which
+   stops the chase the moment entailment is decided.  Returns the run and,
+   when the query held, its entailment depth: the hide rule is an
+   existential rule, so spade5 splits it into a TGP step plus a back
+   rule, and the hidden predicate appears exactly two rounds after the
+   query body first holds. *)
+let watched_chase ~params ?budget ?max_rounds ?max_elements
+    (hidden : Normalize.hidden) t2 db =
+  let chase =
+    Chase.run ~strategy:params.strategy ~eval:params.eval ?budget
+      ~watch:hidden.Normalize.query_pred ?max_rounds ?max_elements t2 db
+  in
+  let entailed =
+    chase.Chase.outcome = Chase.Watched
+    || Instance.card_with_pred chase.Chase.instance hidden.Normalize.query_pred
+       > 0
+  in
+  ( chase,
+    if not entailed then None
+    else
+      Some
+        (match chase.Chase.watch_round with
+        | Some r -> max 0 (r - 2)
+        | None -> chase.Chase.rounds) )
 
 let rec construct_main ~params theory db (query : Cq.t) =
   (* -------- steps 1 and 2: normalize -------- *)
@@ -287,25 +303,16 @@ and construct_at ~params ~budget ~hidden ~t2 ~kappa ?(terminating = false)
         Obs.Trace.attr "terminating" (Obs.Bool terminating)
       end;
       (* -------- step 3: chase prefix -------- *)
-      (* Watching the hidden query predicate stops the chase the moment
-         entailment is decided — no deeper prefix, and no second chase to
-         recover the entailment depth.  A [terminating] chase (acyclicity
-         pre-flight) gets no round or element ceiling: it is proved to
-         reach a fixpoint, and the caller's budget is deadline-only. *)
-      let chase =
-        if terminating then
-          Chase.run ~strategy:params.strategy ~eval:params.eval ?budget
-            ~watch:hidden.Normalize.query_pred t2 db
+      (* Watching the hidden query predicate decides entailment with no
+         deeper prefix and no second chase.  A [terminating] chase
+         (acyclicity pre-flight) gets no round or element ceiling: it is
+         proved to reach a fixpoint, and the caller's budget is
+         deadline-only. *)
+      let chase, entailed =
+        if terminating then watched_chase ~params ?budget hidden t2 db
         else
-          Chase.run ~strategy:params.strategy ~eval:params.eval ?budget
-            ~watch:hidden.Normalize.query_pred ~max_rounds:depth
-            ~max_elements:params.max_chase_elements t2 db
-      in
-      let entailed =
-        chase.Chase.outcome = Chase.Watched
-        || Instance.card_with_pred chase.Chase.instance
-             hidden.Normalize.query_pred
-           > 0
+          watched_chase ~params ?budget ~max_rounds:depth
+            ~max_elements:params.max_chase_elements hidden t2 db
       in
       let stats0 =
         { empty_stats with
@@ -315,19 +322,10 @@ and construct_at ~params ~budget ~hidden ~t2 ~kappa ?(terminating = false)
           preflight_terminating = terminating;
         }
       in
-      if entailed then begin
-        (* the hide rule is an existential rule, so spade5 splits it into
-           a TGP step plus a back rule: the hidden predicate appears
-           exactly two rounds after the query body first holds, and the
-           watched round recovers the entailment depth directly *)
-        let depth =
-          match chase.Chase.watch_round with
-          | Some r -> max 0 (r - 2)
-          | None -> chase.Chase.rounds
-        in
-        Query_entailed depth
-      end
-      else if chase.Chase.outcome = Chase.Fixpoint then begin
+      match entailed with
+      | Some depth -> Query_entailed depth
+      | None ->
+      if chase.Chase.outcome = Chase.Fixpoint then begin
         (* the chase is finite: it is itself the countermodel *)
         let model =
           original_signature_model theory db chase.Chase.instance
@@ -482,59 +480,34 @@ and construct_at ~params ~budget ~hidden ~t2 ~kappa ?(terminating = false)
 (* -------- the public entry point: sliced fast path, then the full
    construction -------- *)
 
-let slice_fast_path ?(params = default_params) (sl : Dataflow.slice) db
-    (query : Cq.t) =
-  if not (Dataflow.is_proper sl) then None
-  else begin
-    Obs.Metrics.incr m_slice_fastpath;
-    (* Sound in both directions for certain answers: the sliced chase
-       derives exactly the unsliced chase's facts over every predicate
-       the query (or any kept rule) reads, round by round.  The probe
-       must go through the same hide-and-normalize machinery as
-       [construct_at]: spade5 splits each existential rule into a TGP
-       step plus a back rule, which delays derivations that pass
-       through witnesses by a round, so the depth recovered from the
-       watched round of the *normalized* chase is what the unsliced
-       pipeline reports — a raw [Chase.certain] depth can be smaller.
-       Anything short of entailment falls through — a countermodel
-       must satisfy the dropped rules too. *)
-    let hidden = Normalize.hide_query sl.Dataflow.sliced query in
-    match Normalize.spade5 hidden.Normalize.theory with
-    | exception Normalize.Unsupported _ -> None
-    | split ->
-        let chase =
-          Chase.run ~strategy:params.strategy ~eval:params.eval
-            ?budget:params.budget ~watch:hidden.Normalize.query_pred
-            ~max_rounds:params.chase_depth
-            ~max_elements:params.max_chase_elements split.Normalize.theory
-            db
-        in
-        let entailed =
-          chase.Chase.outcome = Chase.Watched
-          || Instance.card_with_pred chase.Chase.instance
-               hidden.Normalize.query_pred
-             > 0
-        in
-        if entailed then
-          Some
-            (Query_entailed
-               (match chase.Chase.watch_round with
-               | Some r -> max 0 (r - 2)
-               | None -> chase.Chase.rounds))
-        else None
-  end
+(* The sliced chase derives exactly the unsliced chase's facts over
+   every predicate the query (or any kept rule) reads, round by round,
+   so certain answers agree in both directions.  The probe goes through
+   the same hide-and-normalize machinery and the same watched chase as
+   [construct_at], so an entailment carries the depth the full pipeline
+   reports.  Anything short of entailment falls through: a countermodel
+   must satisfy the dropped rules too. *)
+let slice_fast_path ~params (sl : Dataflow.slice) db query =
+  Obs.Metrics.incr m_slice_fastpath;
+  let hidden = Normalize.hide_query sl.Dataflow.sliced query in
+  match Normalize.spade5 hidden.Normalize.theory with
+  | exception Normalize.Unsupported _ -> None
+  | split ->
+      snd
+        (watched_chase ~params ?budget:params.budget
+           ~max_rounds:params.chase_depth
+           ~max_elements:params.max_chase_elements hidden
+           split.Normalize.theory db)
 
-let construct ?(params = default_params) theory db (query : Cq.t) =
+let construct ?(params = default_params) ?slice theory db (query : Cq.t) =
   Obs.Metrics.incr m_constructs;
   Obs.Metrics.time t_construct @@ fun () ->
   Obs.Trace.span "pipeline.construct" @@ fun () ->
   let fast =
-    if not params.slice then None
-    else
-      slice_fast_path ~params
-        (Dataflow.slice theory (Ucq.of_cq query))
-        db query
+    match slice with
+    | Some sl when Dataflow.is_proper sl -> slice_fast_path ~params sl db query
+    | _ -> None
   in
   match fast with
-  | Some outcome -> outcome
+  | Some depth -> Query_entailed depth
   | None -> construct_main ~params theory db query

@@ -42,13 +42,6 @@ type params = {
           (default [true]): a positive proof lets the chase run fuel-free
           (deadline only) to its guaranteed fixpoint, upgrading
           budget-truncated Unknowns to definite verdicts *)
-  slice : bool;
-      (** entailment fast path through the query-directed slicer
-          (default [false]): chase only the rules relevant to the query
-          ({!Bddfc_analysis.Dataflow.slice}) first; [Entailed]
-          short-circuits to [Query_entailed] at the same depth, anything
-          else falls through to the full construction (a countermodel
-          must satisfy the dropped rules too — DESIGN.md section 12) *)
 }
 
 val default_params : params
@@ -81,9 +74,21 @@ val original_signature_model : Theory.t -> Instance.t -> Instance.t -> Instance.
 (** Restrict a model to the original theory-and-database signature,
     dropping colors, TGP witnesses and the hidden query predicate. *)
 
-val construct : ?params:params -> Theory.t -> Instance.t -> Cq.t -> outcome
+val construct :
+  ?params:params ->
+  ?slice:Bddfc_analysis.Dataflow.slice ->
+  Theory.t -> Instance.t -> Cq.t -> outcome
 (** Computes kappa at most once per call through {!kappa_once}: every
-    depth attempt reuses it unless the deadline stopped it. *)
+    depth attempt reuses it unless the deadline stopped it.
+
+    [slice] is the query's rule slice ({!Bddfc_analysis.Dataflow.slice}
+    of the theory against the query), for callers that hold one.  When
+    it is proper, the sliced theory is chased first, watching the hidden
+    query predicate; an entailment returns [Query_entailed] with the
+    {e same} depth the full construction reports.  Anything else falls
+    through to the full construction, because a countermodel must
+    satisfy the dropped rules too (DESIGN.md section 12).  The caller
+    must pass the slice of this theory against this query. *)
 
 val kappa_once :
   ('b -> Bddfc_rewriting.Rewrite.kappa_result) ->
@@ -91,18 +96,3 @@ val kappa_once :
 (** [kappa_once compute] is [compute], called on first use and then
     replayed, except that a result with [tripped = Some Deadline] is
     computed again on the next call (with that call's budget). *)
-
-val slice_fast_path :
-  ?params:params ->
-  Bddfc_analysis.Dataflow.slice ->
-  Instance.t ->
-  Cq.t ->
-  outcome option
-(** The entailment-only probe behind [params.slice], exposed for callers
-    that already hold a (possibly memoized) slice: hide the query in the
-    sliced theory, normalize, and chase watching the hidden predicate.
-    Returns [Some (Query_entailed d)] with the {e same} depth [construct]
-    would report — the watched round of the normalized chase, not a raw
-    [Chase.certain] depth — or [None] (improper slice, unsupported
-    normalization, or not entailed within the prefix), in which case the
-    caller must fall back to the full construction. *)

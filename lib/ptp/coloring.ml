@@ -310,10 +310,10 @@ let natural ~m inst =
             Canonical.Table.replace lkeys key id;
             id));
   (* hue: greedy proper coloring of the "P_m-conflict" relation, walking
-     ancestors before descendants when the non-constant part is acyclic.
-     The conflicts of e are the elements within m+1 hops of P from e
-     ([Bgraph.pred_set_k g m e] minus e), found by a stamped walk; the
-     smallest hue no conflict holds is found by a stamp per hue. *)
+     ancestors before descendants, so every conflict of e is colored
+     before e.  The conflicts of e are the elements within m+1 hops of P
+     from e ([Bgraph.pred_set_k g m e] minus e), found by a stamped walk;
+     the smallest hue no conflict holds is found by a stamp per hue. *)
   let topo =
     (* [Bgraph.topo_order]'s order, over the view's edges *)
     Bgraph.topo_sort n
@@ -328,7 +328,12 @@ let natural ~m inst =
     | Some topo ->
         let consts = List.filter (fun e -> not v.null.(e)) (List.init n Fun.id) in
         Array.append (Array.of_list consts) topo
-    | None -> Array.init n Fun.id
+    | None ->
+        (* the nulls have a directed cycle, so no order colors every
+           conflict before its element: each element gets its own hue,
+           which is trivially proper *)
+        Array.iteri (fun e _ -> hue.(e) <- e) v.null;
+        [||]
   in
   let stamp = Array.make n 0 and used = Array.make (n + 1) 0 in
   let queue = Array.make n 0 in

@@ -42,7 +42,7 @@ type config = {
   faults : Faults.t option;
   hc : Hc.mode;
       (* containment backend for every request; verdicts are identical
-         across modes, so --hc never changes replies *)
+         across modes, so the backend never changes replies *)
 }
 
 let default_config =
@@ -173,8 +173,8 @@ let cert_fields outcome =
 
 (* The query-directed rule slice for a warm session, memoized per
    session and keyed by the query's sorted predicate names; a memo hit
-   bumps the analysis.slice_hits counter.  The slice gates (and, for
-   cert, drives) the sliced entailment fast path. *)
+   bumps the analysis.slice_hits counter.  judge and cert hand it to the
+   pipeline's sliced entailment fast path (DESIGN.md section 12). *)
 module Dataflow = Bddfc_analysis.Dataflow
 
 let slice_of (w : Session.warm) (q : Cq.t) =
@@ -335,18 +335,15 @@ let dispatch t ~fault (r : Protocol.request) =
       let fields =
         memoized w ("judge:" ^ qtext) ~session:name @@ fun () ->
         let q = Parser.parse_query qtext in
-        let sl = slice_of w q in
         let jb =
           { Judge.default_budget with
             pipeline_params =
-              { Pipeline.default_params with
-                budget = Some b;
-                hc = t.config.hc;
-                slice = Dataflow.is_proper sl;
-              };
+              { Pipeline.default_params with budget = Some b; hc = t.config.hc };
           }
         in
-        judge_fields (Judge.judge ~budget:jb w.Session.theory w.Session.db q)
+        judge_fields
+          (Judge.judge ~budget:jb ~slice:(slice_of w q) w.Session.theory
+             w.Session.db q)
       in
       (Protocol.Judge, fields)
   | Protocol.Cert ->
@@ -355,22 +352,12 @@ let dispatch t ~fault (r : Protocol.request) =
       let fields =
         memoized w ("cert:" ^ qtext) ~session:name @@ fun () ->
         let q = Parser.parse_query qtext in
-        let sl = slice_of w q in
         let params =
-          { Pipeline.default_params with
-            budget = Some b;
-            hc = t.config.hc;
-          }
+          { Pipeline.default_params with budget = Some b; hc = t.config.hc }
         in
-        (* consume the memoized slice directly: a certain verdict needs
-           only the relevant rules, and the probe reports the same depth
-           the full pipeline would (DESIGN.md section 12) *)
-        let outcome =
-          match Pipeline.slice_fast_path ~params sl w.Session.db q with
-          | Some outcome -> outcome
-          | None -> Pipeline.construct ~params w.Session.theory w.Session.db q
-        in
-        cert_fields outcome
+        cert_fields
+          (Pipeline.construct ~params ~slice:(slice_of w q) w.Session.theory
+             w.Session.db q)
       in
       (Protocol.Cert, fields)
 

@@ -39,8 +39,9 @@ type config = {
   max_line_bytes : int; (** request lines above this are rejected *)
   faults : Faults.t option; (** fault injection, off by default *)
   hc : Bddfc_hom.Hc.mode;
-      (** containment backend for every request ([--hc] on the CLI);
-          replies are bit-identical across modes *)
+      (** containment backend for every request (a library setting;
+          [bddfc serve] runs the default); replies are bit-identical
+          across modes *)
 }
 
 val default_config : config

@@ -1,13 +1,34 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full build, full test suite, then the fault-injection
-# suite on its own so a budget regression is visible in the CI log even
-# when some other suite breaks first.
+# Tier-1 gate: full build, full test suite (Alcotest and cram), the
+# structural-containment lane, the bench counter gate and CLI smokes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # the dev profile (dune's default) carries -warn-error +a via the root
 # env stanza, so any compiler warning fails this build
 dune build @all
+
+# The Alcotest suites (test/main.exe) and the cram suite.  Among them:
+# - budget: the fault-injection suite;
+# - structure: the instance oracle (random add, remove, copy, restrict
+#   and birth-reset sequences against a plain (fact, birth) list), the
+#   reset-births regression and predicate interning across 2 domains;
+# - ptp: lightness forms and Canonical.key against the test-only
+#   permutation oracle, Refine.compute against the string-keyed
+#   reference, and the hostile coloring shapes;
+# - differential: naive vs semi-naive, interpreter vs compiled, and
+#   sliced vs unsliced, from single chases up to construct and judge;
+# - serve: the isolation barrier, fault-injection sweep, eviction,
+#   overload and metrics reconciliation;
+# - hc: unique-table properties, containment fuzzing, memo-coherence
+#   replay and the serve eviction no-drift check;
+# - rewrite: the library rewriting loop against the test-only reference
+#   loop, under both containment backends;
+# - maintain: incremental maintenance against a from-scratch chase;
+# - provenance: the recorded chase against a plain run;
+# - absence: the ground-once solver against the test-only 2^k
+#   enumerator, and RUP log checking.
+# One suite runs alone with `dune exec test/main.exe -- test <suite>`.
 dune runtest
 
 # source hygiene: no tabs, no trailing whitespace in tracked sources
@@ -20,72 +41,13 @@ if [ -n "$fmt_bad" ]; then
   exit 1
 fi
 
-# the budget / fault-injection suite, explicitly
-dune exec test/main.exe -- test budget
-
-# the structure suite, explicitly: the instance oracle (random add,
-# remove, copy, restrict and birth-reset sequences against a plain
-# (fact, birth) list, every windowed list, iterator and cardinality
-# compared after each step), the reset-births regression and
-# predicate interning across 2 domains (the intern table keeps its
-# mutex for library users who run several)
-dune exec test/main.exe -- test structure
-
-# the ptp suite, explicitly: the lightness forms and Canonical.key
-# against the test-only permutation oracle (same partition of the
-# elements, same lightness numbering) over the zoo skeletons, 120 salted
-# random prefixes and random small structures; Refine.compute against
-# the string-keyed reference in every mode at depths 0-4 and under a
-# budget; and the hostile coloring shapes (a 40-predecessor sink, and
-# |Sigma| = 12 with 11-null neighbourhoods) color, with facts_visited
-# linear
-dune exec test/main.exe -- test ptp
-
-# the naive vs semi-naive differential oracle, explicitly
-dune exec test/main.exe -- test differential
-
-# the serve robustness suite, explicitly: the isolation barrier,
-# fault-injection sweep, eviction, overload and metrics reconciliation
-dune exec test/main.exe -- test serve
-
-# the hash-consing differential suite, explicitly: unique-table
-# properties, the containment fuzzing battery, memo-coherence replay,
-# obs reconciliation and the serve eviction no-drift check
-dune exec test/main.exe -- test hc
-
-# the rewriting differential suite, explicitly: the library loop
-# (kept-set test before minimization) against the test-only reference
-# loop over every zoo rule body, as written and normalized, and the
-# random theories, under both containment backends: same disjuncts in
-# the same order, same steps, completeness, trips and kappa
-dune exec test/main.exe -- test rewrite
-
-# the incremental-maintenance differential suite, explicitly: zoo +
-# random churn batches hom-equivalent (both ways) to a from-scratch
-# chase of the updated database, counter reconciliation, bailout
-# bit-identity and poisoned-state determinism
-dune exec test/main.exe -- test maintain
-
-# the provenance suite, explicitly: Maintain files its derivation edges
-# through Provenance's recorder, so the recorded chase must match a
-# plain run (instance, null parents, counters, budget trips) and every
-# recorded derivation must be a valid trigger application
-dune exec test/main.exe -- test provenance
-
-# the absence suite, explicitly: the ground-once solver against the
-# test-only 2^k enumerator over the zoo and random theories (same
-# verdict, same countermodel), RUP logs accepted and tampered ones
-# rejected, grounding fidelity on random assignments, budget semantics
-# and naive.* counter reconciliation
-dune exec test/main.exe -- test absence
-
 # the structural-containment lane: the whole tier-1 suite again with
-# the hash-consed store switched off (every defaulted --hc forced to
-# structural), so each suite doubles as a differential oracle for the
-# interned run above
+# the hash-consed store switched off (every defaulted containment
+# backend forced to structural), so each suite doubles as a
+# differential oracle for the interned run above
 BDDFC_TEST_HC=structural dune runtest --force
 
-# the CLI cram suite (exit codes, diagnostics, --strategy acceptance)
+# the CLI cram suite (exit codes, diagnostics, usage errors)
 dune build @test/cli/runtest
 
 # the bench counter gate: one process runs EX-17, EX-18 and EX-20 to
@@ -108,8 +70,8 @@ dune build @test/cli/runtest
 #         bit-identical to a re-chase, stats reconcile with instance
 #         size; >= 5x speedup gated only on machines with >= 4 cores
 # Wall times are reported, never compared with the blob.  The strategy
-# and join-engine agreement on the bench workloads is checked by
-# `test differential` above.
+# and join-engine agreement on the bench workloads is checked by the
+# differential suite in `dune runtest` above.
 dune exec bench/main.exe -- --check BENCH_gate.json
 
 # the observability smoke: tracing must be semantically inert (same

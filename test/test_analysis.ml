@@ -124,9 +124,9 @@ let test_sticky_trace () =
       check Alcotest.bool "propagation step present" true
         (contains ~affix:"through marked head position"
            (List.hd v.A.trace));
-      (* the delegated recognizer agrees *)
-      check Alcotest.bool "Sticky.is_sticky delegates" false
-        (Bddfc_classes.Sticky.is_sticky t)
+      (* the class report agrees *)
+      check Alcotest.bool "report.sticky agrees" false
+        (Bddfc_classes.Recognize.report t).Bddfc_classes.Recognize.sticky
 
 (* ---------------- report consistency ---------------- *)
 

@@ -18,30 +18,36 @@ let q src = Parser.parse_query src
 (* Recognizers                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Class membership as the analyzer-backed report states it. *)
+let linear t = (Recognize.report t).Recognize.linear
+let guarded t = (Recognize.report t).Recognize.guarded
+let sticky t = (Recognize.report t).Recognize.sticky
+let frontier_one t = (Recognize.report t).Recognize.frontier_one
+
 let test_linear () =
   check Alcotest.bool "single-atom bodies" true
-    (Recognize.is_linear (th "e(X,Y) -> exists Z. e(Y,Z). p(X) -> q(X)."));
+    (linear (th "e(X,Y) -> exists Z. e(Y,Z). p(X) -> q(X)."));
   check Alcotest.bool "join body" false
-    (Recognize.is_linear (th "e(X,Y), e(Y,Z) -> e(X,Z)."))
+    (linear (th "e(X,Y), e(Y,Z) -> e(X,Z)."))
 
 let test_guarded () =
   check Alcotest.bool "guard atom" true
-    (Recognize.is_guarded (th "g(X,Y,Z), e(X,Y) -> exists W. e(Z,W)."));
+    (guarded (th "g(X,Y,Z), e(X,Y) -> exists W. e(Z,W)."));
   check Alcotest.bool "no guard" false
-    (Recognize.is_guarded (th "e(X,Y), e(Y,Z) -> exists W. r(X,Z,W)."));
+    (guarded (th "e(X,Y), e(Y,Z) -> exists W. r(X,Z,W)."));
   (* linear implies guarded *)
   check Alcotest.bool "linear is guarded" true
-    (Recognize.is_guarded (th "e(X,Y) -> exists Z. e(Y,Z)."))
+    (guarded (th "e(X,Y) -> exists Z. e(Y,Z)."))
 
 let test_sticky () =
   check Alcotest.bool "sticky pair" true
-    (Sticky.is_sticky (th "p(X) -> exists Y. r(X,Y). r(X,Y) -> p(Y)."));
+    (sticky (th "p(X) -> exists Y. r(X,Y). r(X,Y) -> p(Y)."));
   (* transitivity is the canonical non-sticky rule once e is generated *)
   check Alcotest.bool "transitivity not sticky" false
-    (Sticky.is_sticky (th "e(X,Y) -> exists Z. e(Y,Z). e(X,Y), e(Y,Z) -> e(X,Z)."));
+    (sticky (th "e(X,Y) -> exists Z. e(Y,Z). e(X,Y), e(Y,Z) -> e(X,Z)."));
   (* a marked variable occurring once is fine *)
   check Alcotest.bool "join on head vars is sticky" true
-    (Sticky.is_sticky (th "e(X,Y), f(Y,Z) -> exists W. r(X,Y,Z,W)."))
+    (sticky (th "e(X,Y), f(Y,Z) -> exists W. r(X,Y,Z,W)."))
 
 let test_sticky_propagation () =
   (* marking must propagate through head predicates *)
@@ -54,14 +60,33 @@ let test_sticky_propagation () =
      marking flows into rule 1's body via head q; Y occurs twice in rule
      2's body at marked positions *)
   check Alcotest.bool "propagated marking breaks stickiness" false
-    (Sticky.is_sticky t)
+    (sticky t)
 
 let test_frontier_one () =
   check Alcotest.bool "Theorem 3 class" true
-    (Recognize.is_frontier_one
+    (frontier_one
        (th "e(X,Y), e(Y,Z) -> exists W,V. g(Z,W,V)."));
   check Alcotest.bool "two frontier vars" false
-    (Recognize.is_frontier_one (th "e(X,Y) -> exists Z. g(X,Y,Z)."))
+    (frontier_one (th "e(X,Y) -> exists Z. g(X,Y,Z)."))
+
+(* The report counts a rule with fewer than two body atoms as linear and
+   a rule with no body atom as guarded, where "exactly one atom" and
+   "some atom holds every variable" would say no.  The two readings
+   differ only on an empty body, and [Rule.make] refuses one.  A body
+   without variables is linear and guarded under both. *)
+let test_empty_body () =
+  let p = Pred.make "p" 1 in
+  let a = Atom.make p [ Term.Cst "a" ] in
+  check Alcotest.bool "Rule.make refuses an empty body" true
+    (match Rule.make ~body:[] ~head:[ a ] () with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let t = th "p(a) -> q(a). p(a), r(b) -> q(b)." in
+  check Alcotest.bool "ground single body is linear" true
+    (linear (th "p(a) -> q(a)."));
+  check Alcotest.bool "ground two-atom body is not linear" false (linear t);
+  check Alcotest.bool "ground bodies are guarded" true (guarded t);
+  check Alcotest.bool "ground bodies are frontier-one" true (frontier_one t)
 
 let test_report_zoo () =
   let e = Option.get (Zoo.find "ex9") in
@@ -205,4 +230,5 @@ let suite =
       tc "guarded->binary semantics" test_guarded_to_binary_semantics;
       tc "guarded rejects unguarded" test_guarded_rejects_unguarded;
       tc "guarded rejects order violation" test_guarded_rejects_order_violation;
+      tc "empty and ground bodies" test_empty_body;
     ] )

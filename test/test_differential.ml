@@ -621,16 +621,12 @@ let test_slice_judge_agreement () =
   List.iter
     (fun (e : Zoo.entry) ->
       let d = Zoo.database_instance e in
-      let go slice =
+      let a = Judge.judge e.Zoo.theory d e.Zoo.query in
+      let b =
         Judge.judge
-          ~budget:
-            {
-              Judge.default_budget with
-              pipeline_params = { Pipeline.default_params with slice };
-            }
+          ~slice:(Df.slice e.Zoo.theory (Ucq.of_cq e.Zoo.query))
           e.Zoo.theory d e.Zoo.query
       in
-      let a = go false and b = go true in
       check Alcotest.string
         (e.Zoo.name ^ ": judge evidence")
         (evidence_str a) (evidence_str b);
@@ -661,28 +657,19 @@ let test_slice_judge_depth_regression () =
   let sl = Df.slice t (Ucq.of_cq q) in
   check Alcotest.bool "slice is proper (fast path engages)" true
     (Df.is_proper sl);
-  let go slice =
-    Judge.judge
-      ~budget:
-        {
-          Judge.default_budget with
-          pipeline_params = { Pipeline.default_params with slice };
-        }
-      t d q
-  in
-  let a = go false and b = go true in
+  let a = Judge.judge t d q and b = Judge.judge ~slice:sl t d q in
   let evidence_str (v : Judge.verdict) =
     Fmt.str "%a" Judge.pp_evidence v.Judge.evidence
   in
   check Alcotest.string "judge evidence (incl. depth)" (evidence_str a)
     (evidence_str b);
-  (match Pipeline.slice_fast_path sl d q with
-  | Some (Pipeline.Query_entailed fast_depth) -> (
-      match
-        Pipeline.construct
-          ~params:{ Pipeline.default_params with slice = false }
-          t d q
-      with
+  let attempts = Obs.Metrics.counter "pipeline.attempts" in
+  let before = Obs.Metrics.value attempts in
+  (match Pipeline.construct ~slice:sl t d q with
+  | Pipeline.Query_entailed fast_depth -> (
+      check Alcotest.int "the fast path answered, no full attempt" 0
+        (Obs.Metrics.value attempts - before);
+      match Pipeline.construct t d q with
       | Pipeline.Query_entailed full_depth ->
           check Alcotest.int "probe depth = pipeline depth" full_depth
             fast_depth
@@ -713,6 +700,70 @@ let test_slice_fuel_trap_deterministic () =
         (Printf.sprintf "trap %d replays" after)
         (go ()) (go ()))
     [ 1; 2; 3; 5; 8; 13 ]
+
+(* The reference backends at pipeline level.  Under [strategy = Naive]
+   and under [eval = Interp], construct and judge give every zoo entry
+   the outcome the defaults give: the same evidence, model size and
+   refinement depth.  kappa is the same under the interpreter. *)
+let test_pipeline_reference_agreement () =
+  let n_used = function
+    | Some n -> string_of_int n
+    | None -> "-"
+  in
+  let construct_str = function
+    | Pipeline.Model (c, st) ->
+        Printf.sprintf "model %d elements, n=%s"
+          (Instance.num_elements c.Bddfc_finitemodel.Certificate.model)
+          (n_used st.Pipeline.n_used)
+    | Pipeline.Query_entailed d -> Printf.sprintf "entailed at %d" d
+    | Pipeline.Unknown (why, _) -> "unknown: " ^ why
+  in
+  let judge_str (v : Judge.verdict) =
+    Fmt.str "%a, n=%s" Judge.pp_evidence v.Judge.evidence
+      (match v.Judge.evidence with
+      | Judge.Witness (_, Some st) -> n_used st.Pipeline.n_used
+      | _ -> "-")
+  in
+  let kappa_str (k : Bddfc_rewriting.Rewrite.kappa_result) =
+    Printf.sprintf "kappa %d, complete %b, [%s]" k.kappa k.all_complete
+      (String.concat "; "
+         (List.map
+            (fun (r, v, c) -> Printf.sprintf "%s:%d:%b" r v c)
+            k.per_rule))
+  in
+  let default = Pipeline.default_params in
+  let configs =
+    [ ("naive", { default with strategy = Chase.Naive });
+      ("interp", { default with eval = Bddfc_hom.Eval.Interp }) ]
+  in
+  List.iter
+    (fun (e : Zoo.entry) ->
+      let d = Zoo.database_instance e in
+      let construct params =
+        construct_str (Pipeline.construct ~params e.Zoo.theory d e.Zoo.query)
+      and judge params =
+        judge_str
+          (Judge.judge
+             ~budget:{ Judge.default_budget with pipeline_params = params }
+             e.Zoo.theory d e.Zoo.query)
+      in
+      let c0 = construct default and j0 = judge default in
+      List.iter
+        (fun (name, params) ->
+          let label what = Printf.sprintf "%s: %s %s" e.Zoo.name what name in
+          check Alcotest.string (label "construct") c0 (construct params);
+          check Alcotest.string (label "judge") j0 (judge params))
+        configs;
+      let kappa eval =
+        kappa_str
+          (Bddfc_rewriting.Rewrite.kappa ~eval ~max_disjuncts:100
+             ~max_steps:2_000 e.Zoo.theory)
+      in
+      check Alcotest.string
+        (e.Zoo.name ^ ": kappa interp")
+        (kappa Bddfc_hom.Eval.Compiled)
+        (kappa Bddfc_hom.Eval.Interp))
+    Zoo.all
 
 let suite =
   ( "differential",
@@ -751,4 +802,6 @@ let suite =
         test_slice_judge_depth_regression;
       tc "slicing: fuel traps replay deterministically, no leak"
         test_slice_fuel_trap_deterministic;
+      tc "pipeline: naive chase and interpreter give the default outcome"
+        test_pipeline_reference_agreement;
     ] )

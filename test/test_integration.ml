@@ -245,7 +245,7 @@ let test_theorem3_frontier_one () =
       {| p(Y) -> exists Z,W. g(Y,Z,W).
          g(Y,Z,W) -> p(Z). |}
   in
-  check Alcotest.bool "frontier-one" true (Recognize.is_frontier_one t);
+  check Alcotest.bool "frontier-one" true (Recognize.report t).Recognize.frontier_one;
   let d = db "p(a)." in
   match Pipeline.construct t d (q "? g(Y,Y,W).") with
   | Pipeline.Model (cert, _) ->

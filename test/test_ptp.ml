@@ -251,24 +251,26 @@ let interned keys =
 
 (* The hue assignment as the natural coloring made it before its integer
    rewrite: Bgraph's topological order and P_m sets, and the smallest hue
-   no conflict holds found by list membership. *)
+   no conflict holds found by list membership.  Nulls with a directed
+   cycle have no topological order; there every element has its own
+   hue. *)
 let reference_hue ~m inst =
   let g = Bgraph.make inst in
-  let hue = Array.make (max (Instance.num_elements inst) 1) 0 in
-  let order =
-    match Bgraph.topo_order g with
-    | Some topo ->
-        List.filter (Instance.is_const inst) (Instance.elements inst) @ topo
-    | None -> Instance.elements inst
-  in
-  List.iter
-    (fun e ->
-      let conflicts = Element.Id_set.remove e (Bgraph.pred_set_k g m e) in
-      let used = Element.Id_set.fold (fun d acc -> hue.(d) :: acc) conflicts [] in
-      let rec smallest h = if List.mem h used then smallest (h + 1) else h in
-      hue.(e) <- smallest 0)
-    order;
-  hue
+  let n = Instance.num_elements inst in
+  match Bgraph.topo_order g with
+  | None -> Array.init (max n 1) Fun.id
+  | Some topo ->
+      let hue = Array.make (max n 1) 0 in
+      List.iter
+        (fun e ->
+          let conflicts = Element.Id_set.remove e (Bgraph.pred_set_k g m e) in
+          let used =
+            Element.Id_set.fold (fun d acc -> hue.(d) :: acc) conflicts []
+          in
+          let rec smallest h = if List.mem h used then smallest (h + 1) else h in
+          hue.(e) <- smallest 0)
+        (List.filter (Instance.is_const inst) (Instance.elements inst) @ topo);
+      hue
 
 (* The lightness forms and the string keys must partition the elements
    exactly as the permutation oracle's keys do, the natural coloring's
@@ -352,10 +354,28 @@ let salted_instance seed =
   done;
   inst
 
+(* Every salted instance has a directed cycle among its nulls (the
+   repeated-null edge is a self-loop), where each element gets its own
+   hue.  The skeletons of the same random chases are nearly all
+   acyclic, so they compare the greedy hue walk with the reference. *)
+let random_skeleton seed =
+  let theory = Gen.random_binary_theory ~seed () in
+  let chase =
+    Bddfc_chase.Chase.run ~max_rounds:4 ~max_elements:60 theory
+      (Gen.random_instance ~seed ())
+  in
+  (Bddfc_chase.Skeleton.extract theory chase).Bddfc_chase.Skeleton.skeleton
+
 let test_keys_random_instances () =
+  let acyclic = ref 0 in
   for seed = 0 to 119 do
-    agrees_with_scan_oracle (Printf.sprintf "seed %d" seed) (salted_instance seed)
-  done
+    agrees_with_scan_oracle (Printf.sprintf "seed %d" seed) (salted_instance seed);
+    let sk = random_skeleton seed in
+    if Bgraph.topo_order (Bgraph.make sk) <> None then incr acyclic;
+    agrees_with_scan_oracle (Printf.sprintf "seed %d skeleton" seed) sk
+  done;
+  check Alcotest.bool "most skeletons are acyclic (119 of 120)" true
+    (!acyclic >= 100)
 
 (* A null with many children: each child's neighbourhood holds one edge,
    so the keys examine O(facts) facts, not the hub's degree per child. *)
@@ -694,6 +714,27 @@ let test_conservative_frontier () =
   let big = Conservative.check_exact ~m:5 ~n:3 chain col in
   check Alcotest.bool "not conservative up to 5" false big.Conservative.conservative
 
+(* A root created before its 11 null predecessors, six of which form a
+   directed cycle of s-edges.  There is no topological order, so each
+   element gets its own hue; walking in id order instead read the
+   initial hue 0 of conflicts not yet colored and clashed. *)
+let test_natural_on_cyclic_nulls () =
+  let inst = Instance.create () in
+  let r = Pred.make "r" 2 and s = Pred.make "s" 2 in
+  let null () = Instance.fresh_null inst ~birth:0 ~rule:"t" ~parent:None in
+  let add p args = ignore (Instance.add_fact inst (Fact.make p args)) in
+  let root = null () in
+  let xs = Array.init 11 (fun _ -> null ()) in
+  Array.iter (fun x -> add r [| x; root |]) xs;
+  for i = 0 to 5 do
+    add s [| xs.(i); xs.((i + 1) mod 6) |]
+  done;
+  let col = Coloring.natural ~m:1 inst in
+  check Alcotest.int "natural" 0
+    (List.length (Coloring.check_natural ~m:1 inst col));
+  check Alcotest.int "one hue per element" (Instance.num_elements inst)
+    col.Coloring.num_hues
+
 let suite =
   ( "ptp",
     [ tc "refine chain depths" test_refine_chain_depths;
@@ -730,4 +771,5 @@ let suite =
       tc "conservative colored chain" test_conservative_chain;
       tc "uncolored not conservative (Example 3)" test_not_conservative_uncolored;
       tc "conservativity frontier (Example 4)" test_conservative_frontier;
+      tc "natural coloring on cyclic nulls" test_natural_on_cyclic_nulls;
     ] )

@@ -327,6 +327,44 @@ let test_shutdown_drains () =
   check Alcotest.bool "drained request still answered" true
     (is_ok (reply t (req ~id:2 "ping")))
 
+(* A judge miss on a properly sliceable session computes the query's
+   slice once: serve memoizes it and hands it to the pipeline, which
+   does not slice again.  A cert of the same query then reuses the
+   memo.  Both answer what the engines say directly. *)
+let test_judge_slices_once () =
+  let source =
+    {| e(X,Y) -> exists Z. e(Y,Z).
+       e(X,Y), e(Y,Z) -> p(X,Z).
+       f(U,V), f(V,W) -> f(U,W).
+       e(a,b). f(a,b). f(b,c). |}
+  in
+  let query = "? p(X,Z)." in
+  let t = server () in
+  check Alcotest.bool "load ok" true
+    (is_ok (reply t (load_req ~name:"sl" ~source ())));
+  let slices = Obs.Metrics.counter "analysis.slices" in
+  let hits = Obs.Metrics.counter "analysis.slice_hits" in
+  let before = Obs.Metrics.value slices in
+  let j = reply t (req ~id:1 ~session:"sl" ~query "judge") in
+  check Alcotest.int "one judge miss, one slice" 1
+    (Obs.Metrics.value slices - before);
+  check Alcotest.string "judge verdict" "certain" (str (member "verdict" j));
+  let theory = Parser.parse_theory source in
+  let db = Instance.of_atoms (Parser.parse_atoms "e(a,b). f(a,b). f(b,c).") in
+  let depth =
+    match (Judge.judge theory db (Parser.parse_query query)).Judge.evidence with
+    | Judge.Certain d -> d
+    | _ -> Alcotest.fail "the query is certain"
+  in
+  check Alcotest.string "judge depth" (string_of_int depth)
+    (Json.to_string (member "depth" j));
+  let before = Obs.Metrics.value slices and hits0 = Obs.Metrics.value hits in
+  let j = reply t (req ~id:2 ~session:"sl" ~query "cert") in
+  check Alcotest.bool "cert ok" true (is_ok j);
+  check Alcotest.int "cert reuses the slice" 0
+    (Obs.Metrics.value slices - before);
+  check Alcotest.int "one memo hit" 1 (Obs.Metrics.value hits - hits0)
+
 let suite =
   ( "serve",
     [ tc "protocol round-trip and fixed field order" test_protocol_roundtrip;
@@ -338,4 +376,5 @@ let suite =
       tc "expired deadline and fuel trap are contained" test_deadline_and_trap;
       tc "overload sheds beyond max_inflight with retry hint" test_overload_bound;
       tc "server metrics reconcile with the script" test_metrics_reconcile;
-      tc "shutdown drains and stops" test_shutdown_drains ] )
+      tc "shutdown drains and stops" test_shutdown_drains;
+      tc "a judge miss slices once" test_judge_slices_once ] )
