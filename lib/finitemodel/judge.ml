@@ -10,9 +10,11 @@
                        (Section 5.5); not a proof of non-FC;
      - Open:           nothing conclusive within budgets.
 
-   The verdict also carries the class report and the BDD/kappa analysis,
-   so a caller sees at a glance whether the paper's conjecture applies
-   (binary + BDD => FC, Theorem 1). *)
+   The verdict also carries the class report and, unless the query is
+   certain, the BDD/kappa analysis, so a caller sees at a glance whether
+   the paper's conjecture applies (binary + BDD => FC, Theorem 1).
+   Theorem 1 says nothing about a certain query, so that kappa is worked
+   out after the verdict and skipped for [Certain]. *)
 
 open Bddfc_logic
 open Bddfc_structure
@@ -25,13 +27,17 @@ type evidence =
   | No_small_model of { max_extra : int; search_nodes : int }
   | Open of string
 
-type verdict = {
-  evidence : evidence;
-  classes : Classes.Recognize.report;
+type scope = {
   kappa : Rewriting.Rewrite.kappa_result;
   conjecture_applies : bool;
       (* binary signature + all body rewritings complete: Theorem 1 says a
          countermodel must exist whenever the query is not certain *)
+}
+
+type verdict = {
+  evidence : evidence;
+  classes : Classes.Recognize.report;
+  scope : scope option; (* None exactly for Certain *)
   chase_terminating : bool;
       (* weakly or jointly acyclic: the chase reaches a fixpoint on every
          instance, so the pipeline pre-flight runs it fuel-free *)
@@ -65,30 +71,42 @@ let judge ?(budget = default_budget) ?slice theory db query =
   Obs.Trace.span "judge.run" @@ fun () ->
   let governor = budget.pipeline_params.Pipeline.budget in
   let classes = Classes.Recognize.report theory in
-  let kappa =
-    if Theory.all_single_head theory then
-      Rewriting.Rewrite.kappa ?budget:governor
-        ~eval:budget.pipeline_params.Pipeline.eval
-        ~hc:budget.pipeline_params.Pipeline.hc
-        ~max_disjuncts:budget.pipeline_params.Pipeline.rewrite_max_disjuncts
-        ~max_steps:budget.pipeline_params.Pipeline.rewrite_max_steps theory
-    else
-      {
-        Rewriting.Rewrite.kappa = 0;
-        all_complete = false;
-        per_rule = [];
-        tripped = None;
-      }
-  in
-  let conjecture_applies =
-    classes.Classes.Recognize.binary && kappa.Rewriting.Rewrite.all_complete
-  in
   let chase_terminating =
     classes.Classes.Recognize.weakly_acyclic
     || classes.Classes.Recognize.jointly_acyclic
   in
+  (* The report kappa rewrites every rule body of the original theory.
+     It runs after the verdict, under the same governor: its step cap is
+     its own, but the deadline and any fuel trap are shared, so a
+     pipeline that spends the deadline leaves it tripped. *)
+  let scope () =
+    let kappa =
+      if Theory.all_single_head theory then
+        Rewriting.Rewrite.kappa ?budget:governor
+          ~eval:budget.pipeline_params.Pipeline.eval
+          ~hc:budget.pipeline_params.Pipeline.hc
+          ~max_disjuncts:budget.pipeline_params.Pipeline.rewrite_max_disjuncts
+          ~max_steps:budget.pipeline_params.Pipeline.rewrite_max_steps theory
+      else
+        {
+          Rewriting.Rewrite.kappa = 0;
+          all_complete = false;
+          per_rule = [];
+          tripped = None;
+        }
+    in
+    {
+      kappa;
+      conjecture_applies =
+        classes.Classes.Recognize.binary
+        && kappa.Rewriting.Rewrite.all_complete;
+    }
+  in
   let finish evidence =
-    { evidence; classes; kappa; conjecture_applies; chase_terminating }
+    let scope =
+      match evidence with Certain _ -> None | _ -> Some (scope ())
+    in
+    { evidence; classes; scope; chase_terminating }
   in
   match
     Pipeline.construct ~params:budget.pipeline_params ?slice theory db query
@@ -148,9 +166,14 @@ let pp_evidence ppf = function
         max_extra
   | Open why -> Fmt.pf ppf "inconclusive: %s" why
 
+let pp_scope ppf = function
+  | Some s -> Fmt.bool ppf s.conjecture_applies
+  | None ->
+      Fmt.string ppf "not computed (the query is certain; see bddfc classify)"
+
 let pp ppf v =
   Fmt.pf ppf
-    "@[<v>%a@,theorem-1 scope (binary + BDD): %b@,\
+    "@[<v>%a@,theorem-1 scope (binary + BDD): %a@,\
      chase terminates (acyclicity): %b@,%a@]"
-    pp_evidence v.evidence v.conjecture_applies v.chase_terminating
+    pp_evidence v.evidence pp_scope v.scope v.chase_terminating
     Classes.Recognize.pp_report v.classes

@@ -14,13 +14,30 @@ type evidence =
           the executable shape of Section 5.5 non-FC evidence *)
   | Open of string
 
-type verdict = {
-  evidence : evidence;
-  classes : Bddfc_classes.Recognize.report;
+type scope = {
   kappa : Bddfc_rewriting.Rewrite.kappa_result;
+      (** the BDD rewriting of every rule body of the original theory,
+          at the pipeline's caps ([rewrite_max_disjuncts],
+          [rewrite_max_steps]) *)
   conjecture_applies : bool;
       (** binary + BDD: Theorem 1 guarantees a countermodel exists
           whenever the query is not certain *)
+}
+(** Where the verdict stands with respect to Theorem 1. *)
+
+type verdict = {
+  evidence : evidence;
+  classes : Bddfc_classes.Recognize.report;
+  scope : scope option;
+      (** [None] exactly when [evidence] is [Certain _]: Theorem 1 says
+          nothing about a certain query, so its κ is not computed
+          ([bddfc classify] prints it at the same caps).  Otherwise it is
+          computed after the evidence, under the same governor: its step
+          cap is a fresh counter ({!Bddfc_budget.Budget.cap}), but the
+          deadline and any fuel trap are shared with the stages before
+          it.  A run on a single-head theory that spends its deadline (or
+          trips its trap) before the verdict therefore gets a scope with
+          [kappa.tripped = Some _] and [conjecture_applies = false]. *)
   chase_terminating : bool;
       (** the theory is weakly or jointly acyclic, so every chase reaches
           a fixpoint; the pipeline pre-flight then runs it fuel-free and

@@ -151,7 +151,10 @@ let judge_fields (v : Judge.verdict) =
         ([ ("verdict", Json.S "open"); ("why", Json.S why) ], false)
   in
   ( evidence
-    @ [ ("conjecture_applies", Json.B v.Judge.conjecture_applies);
+    @ [ ( "conjecture_applies",
+          match v.Judge.scope with
+          | Some s -> Json.B s.Judge.conjecture_applies
+          | None -> Json.Null );
         ("chase_terminating", Json.B v.Judge.chase_terminating) ],
     definite )
 

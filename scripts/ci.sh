@@ -8,7 +8,8 @@ cd "$(dirname "$0")/.."
 # env stanza, so any compiler warning fails this build
 dune build @all
 
-# The Alcotest suites (test/main.exe) and the cram suite.  Among them:
+# The Alcotest suites (test/main.exe) and the CLI cram suite
+# (test/cli/*.t: exit codes, diagnostics, usage errors).  Among them:
 # - budget: the fault-injection suite;
 # - structure: the instance oracle (random add, remove, copy, restrict
 #   and birth-reset sequences against a plain (fact, birth) list), the
@@ -46,9 +47,6 @@ fi
 # backend forced to structural), so each suite doubles as a
 # differential oracle for the interned run above
 BDDFC_TEST_HC=structural dune runtest --force
-
-# the CLI cram suite (exit codes, diagnostics, usage errors)
-dune build @test/cli/runtest
 
 # the bench counter gate: one process runs EX-17, EX-18 and EX-20 to
 # EX-22 and compares their deterministic counters with the committed

@@ -351,29 +351,127 @@ let test_pipeline_fuel_trap_sweep () =
         Alcotest.failf "trap %d escaped: %s" n (Printexc.to_string exn)
   done
 
+(* The number of charge points a run makes: the least [n] whose trap
+   [~after:n] never fires.  Traps are sticky, so [fires] is monotone in
+   [n]: double until it stops firing, then bisect. *)
+let charge_points fires =
+  let rec grow hi = if fires hi then grow (2 * hi) else hi in
+  let rec bisect lo hi =
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if fires mid then bisect mid hi else bisect lo mid
+  in
+  if fires 0 then
+    let hi = grow 1 in
+    bisect (hi / 2) hi
+  else 0
+
+let judge_trapped (e : Zoo.entry) trap =
+  let budget =
+    { Judge.default_budget with
+      pipeline_params =
+        { Pipeline.default_params with
+          budget =
+            Option.map
+              (fun n -> Budget.with_fuel_trap ~after:n (Budget.v ()))
+              trap;
+          depth_growth = [ 1 ];
+        };
+    }
+  in
+  Judge.judge ~budget e.Zoo.theory (Zoo.database_instance e) e.Zoo.query
+
+let scope_tripped (v : Judge.verdict) =
+  Option.bind v.Judge.scope (fun s -> s.Judge.kappa.Rewrite.tripped)
+
+(* The trap points that land after the verdict, inside the report kappa:
+   the judge's last [k] charge points, where [k] is what the same kappa
+   charges on its own. *)
+let report_kappa_traps (e : Zoo.entry) =
+  let p = Pipeline.default_params in
+  let total =
+    charge_points (fun n -> scope_tripped (judge_trapped e (Some n)) <> None)
+  in
+  let k =
+    charge_points (fun n ->
+        (Rewrite.kappa
+           ~budget:(Budget.with_fuel_trap ~after:n (Budget.v ()))
+           ~max_disjuncts:p.Pipeline.rewrite_max_disjuncts
+           ~max_steps:p.Pipeline.rewrite_max_steps e.Zoo.theory)
+          .Rewrite.tripped <> None)
+  in
+  if k = 0 then Alcotest.failf "%s: the report kappa charges nothing" e.Zoo.name;
+  List.sort_uniq compare [ total - k; total - ((k + 1) / 2); total - 1 ]
+
+(* Wherever the trap lands, judge degrades to a structured outcome.  A
+   trap inside the report kappa, after the verdict, leaves the evidence
+   as it is and only marks the scope incomplete. *)
 let test_judge_fuel_trap_never_raises () =
-  let e = Option.get (Zoo.find "sec55") in
-  let d = Zoo.database_instance e in
+  let evidence_str (v : Judge.verdict) =
+    Fmt.str "%a" Judge.pp_evidence v.Judge.evidence
+  in
   List.iter
-    (fun n ->
+    (fun (name, early) ->
+      let e = Option.get (Zoo.find name) in
+      let untrapped = evidence_str (judge_trapped e None) in
+      let late = report_kappa_traps e in
+      List.iter
+        (fun n ->
+          match judge_trapped e (Some n) with
+          | v when List.mem n late ->
+              check Alcotest.string
+                (Printf.sprintf "%s trap %d: the verdict stands" name n)
+                untrapped (evidence_str v);
+              check Alcotest.bool
+                (Printf.sprintf "%s trap %d: the scope kappa tripped" name n)
+                true
+                (scope_tripped v <> None);
+              check Alcotest.bool
+                (Printf.sprintf "%s trap %d: out of scope" name n)
+                false
+                (match v.Judge.scope with
+                | Some s -> s.Judge.conjecture_applies
+                | None -> true)
+          | v -> (
+              (* only sec55 has fixed points: no model, Phi not certain *)
+              match v.Judge.evidence with
+              | Judge.Witness _ ->
+                  Alcotest.failf "trap %d: sec55 has no model" n
+              | Judge.Certain _ ->
+                  Alcotest.failf "trap %d: Phi is not certain" n
+              | Judge.No_small_model _ | Judge.Open _ -> ())
+          | exception exn ->
+              Alcotest.failf "%s trap %d escaped judge: %s" name n
+                (Printexc.to_string exn))
+        (early @ late))
+    [ ("sec55", [ 0; 3; 17; 100; 1_000 ]); ("ex1", []) ]
+
+(* An already-expired deadline still ends in a verdict on every zoo
+   entry; a scope computed after it is marked incomplete. *)
+let test_judge_expired_deadline () =
+  List.iter
+    (fun (e : Zoo.entry) ->
       let budget =
         { Judge.default_budget with
           pipeline_params =
             { Pipeline.default_params with
-              budget = Some (Budget.with_fuel_trap ~after:n (Budget.v ()));
-              depth_growth = [ 1 ];
+              budget = Some (Budget.v ~deadline_s:(-1.0) ());
             };
         }
       in
-      match Judge.judge ~budget e.Zoo.theory d e.Zoo.query with
-      | v -> (
-          match v.Judge.evidence with
-          | Judge.Witness _ -> Alcotest.failf "trap %d: sec55 has no model" n
-          | Judge.Certain _ -> Alcotest.failf "trap %d: Phi is not certain" n
-          | Judge.No_small_model _ | Judge.Open _ -> ())
+      match
+        Judge.judge ~budget e.Zoo.theory (Zoo.database_instance e) e.Zoo.query
+      with
+      | v ->
+          if v.Judge.scope <> None then
+            check (Alcotest.option resource)
+              (e.Zoo.name ^ ": the scope ran out of time")
+              (Some Budget.Deadline) (scope_tripped v)
       | exception exn ->
-          Alcotest.failf "trap %d escaped judge: %s" n (Printexc.to_string exn))
-    [ 0; 3; 17; 100; 1_000 ]
+          Alcotest.failf "%s: expired deadline escaped judge: %s" e.Zoo.name
+            (Printexc.to_string exn))
+    Zoo.all
 
 (* ------------------------- kappa once per construct --------------------- *)
 
@@ -536,4 +634,6 @@ let suite =
         test_construct_kappa_once;
       tc "trip telemetry: counter always, event under tracing"
         test_trip_telemetry;
+      tc "judge: an expired deadline ends in a verdict"
+        test_judge_expired_deadline;
     ] )

@@ -135,6 +135,15 @@ let test_ordering_pigeonhole () =
 (* Judge                                                               *)
 (* ------------------------------------------------------------------ *)
 
+module Obs = Bddfc_obs.Obs
+module Rewrite = Bddfc_rewriting.Rewrite
+
+(* A verdict's Theorem-1 scope: none (certain), true or false. *)
+let scope_str (v : Judge.verdict) =
+  match v.Judge.scope with
+  | None -> "none"
+  | Some s -> string_of_bool s.Judge.conjecture_applies
+
 let test_judge_witness () =
   let e = Option.get (Zoo.find "ex1") in
   let v = Judge.judge e.Zoo.theory (Zoo.database_instance e) e.Zoo.query in
@@ -142,7 +151,7 @@ let test_judge_witness () =
   | Judge.Witness (cert, _) ->
       check Alcotest.bool "verified" true (Certificate.is_valid cert)
   | _ -> Alcotest.fail "expected a witness for Example 1");
-  check Alcotest.bool "Theorem 1 scope" true v.Judge.conjecture_applies
+  check Alcotest.string "Theorem 1 scope" "true" (scope_str v)
 
 let test_judge_certain () =
   let e = Option.get (Zoo.find "remark3") in
@@ -160,7 +169,37 @@ let test_judge_nonfc () =
   | Judge.Certain _ -> Alcotest.fail "the chase avoids Phi"
   | Judge.Open why -> Alcotest.failf "expected small-model absence, got %s" why);
   (* the BDD analysis correctly flags the theory as outside Theorem 1 *)
-  check Alcotest.bool "not in Theorem 1 scope" false v.Judge.conjecture_applies
+  check Alcotest.string "not in Theorem 1 scope" "false" (scope_str v)
+
+(* The report kappa runs after the verdict, and only when the query is
+   not certain.  On remark3 (certain at depth 0) the judge rewrites
+   nothing.  On ex1 and sec55 the scope is exactly a direct kappa at the
+   judge's caps. *)
+let test_judge_scope_deferred () =
+  let steps = Obs.Metrics.counter "rewrite.steps" in
+  let judge name =
+    let e = Option.get (Zoo.find name) in
+    let before = Obs.Metrics.value steps in
+    let v = Judge.judge e.Zoo.theory (Zoo.database_instance e) e.Zoo.query in
+    (e, v, Obs.Metrics.value steps - before)
+  in
+  let _, v, moved = judge "remark3" in
+  check Alcotest.int "remark3: no rewrite step" 0 moved;
+  check Alcotest.bool "remark3: scope = None" true (v.Judge.scope = None);
+  let p = Judge.default_budget.Judge.pipeline_params in
+  List.iter
+    (fun (name, in_scope) ->
+      let e, v, _ = judge name in
+      let kappa =
+        Rewrite.kappa ~eval:p.Pipeline.eval ~hc:p.Pipeline.hc
+          ~max_disjuncts:p.Pipeline.rewrite_max_disjuncts
+          ~max_steps:p.Pipeline.rewrite_max_steps e.Zoo.theory
+      in
+      check Alcotest.bool
+        (name ^ ": scope = a direct kappa")
+        true
+        (v.Judge.scope = Some { Judge.kappa; conjecture_applies = in_scope }))
+    [ ("ex1", true); ("sec55", false) ]
 
 (* ------------------------------------------------------------------ *)
 (* Dot                                                                 *)
@@ -212,4 +251,6 @@ let suite =
       tc "judge: non-FC evidence (5.5)" test_judge_nonfc;
       tc "dot export" test_dot_export;
       tc "dot colors" test_dot_colors;
+      tc "judge: scope only after an uncertain verdict"
+        test_judge_scope_deferred;
     ] )

@@ -583,8 +583,13 @@ let judge_sig (v : Judge.verdict) =
         Printf.sprintf "no_small_model:%d" max_extra
     | Judge.Open why -> "open:" ^ why
   in
-  Printf.sprintf "%s|conjecture=%b|terminating=%b" evidence
-    v.Judge.conjecture_applies v.Judge.chase_terminating
+  let scope =
+    match v.Judge.scope with
+    | None -> "none"
+    | Some s -> string_of_bool s.Judge.conjecture_applies
+  in
+  Printf.sprintf "%s|scope=%s|terminating=%b" evidence scope
+    v.Judge.chase_terminating
 
 let test_pipeline_zoo_differential () =
   List.iter
