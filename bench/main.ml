@@ -80,6 +80,15 @@ let time_it f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* [f ()] timed, with the registry's integer counter deltas over the run. *)
+let measure f =
+  let before = Obs.Metrics.snapshot () in
+  let r, t = time_it f in
+  (r, t, Obs.Metrics.ints_delta ~before ~after:(Obs.Metrics.snapshot ()))
+
+(* One counter of a [measure] delta; 0 when the run did not move it. *)
+let count delta name = Option.value (List.assoc_opt name delta) ~default:0
+
 let pipeline_outcome theory db q =
   let params =
     { Finitemodel.Pipeline.default_params with budget = !governor }
@@ -315,20 +324,14 @@ let nonfc_evidence () =
         (I.num_facts r.Chase.Chase.instance)
         (Hom.Eval.holds r.Chase.Chase.instance e.Zoo.query))
     [ 2; 4; 8; 12 ];
-  let counter name =
-    Option.value ~default:0
-      (Obs.Metrics.find_int (Obs.Metrics.snapshot ()) name)
-  in
-  let clauses0 = counter "naive.absence_clauses"
-  and decisions0 = counter "naive.absence_decisions" in
-  let absence, t =
-    time_it (fun () ->
+  let absence, t, delta =
+    measure (fun () ->
         Finitemodel.Naive.exhaustive_absence ?budget:!governor
           ~max_candidates:20 ~max_extra:1 e.Zoo.theory d e.Zoo.query)
   in
   Fmt.pr "exhaustive: %d ground clauses, %d decisions, %.1f ms@."
-    (counter "naive.absence_clauses" - clauses0)
-    (counter "naive.absence_decisions" - decisions0)
+    (count delta "naive.absence_clauses")
+    (count delta "naive.absence_decisions")
     (t *. 1000.);
   (match absence with
   | Finitemodel.Naive.No_model ->
@@ -856,18 +859,13 @@ let ex17_measure () =
                 done;
                 (iters, !n)
           in
-          let before = Obs.Metrics.snapshot () in
-          let (rounds, facts), t = time_it run in
-          let delta =
-            Obs.Metrics.ints_delta ~before ~after:(Obs.Metrics.snapshot ())
-          in
-          let get k = Option.value (List.assoc_opt k delta) ~default:0 in
+          let (rounds, facts), t, delta = measure run in
           { x_workload = name;
             x_engine = Hom.Eval.engine_tag eval;
             x_rounds = rounds;
             x_facts = facts;
-            x_probes = get "eval.join_probes";
-            x_index_ops = get "eval.index_ops";
+            x_probes = count delta "eval.join_probes";
+            x_index_ops = count delta "eval.index_ops";
             x_wall_s = t;
           })
         [ Hom.Eval.Interp; Hom.Eval.Compiled ])
@@ -927,14 +925,12 @@ let ex16_metrics_profile () =
   List.iter
     (fun (e : Zoo.entry) ->
       let db = Zoo.database_instance e in
-      let before = Obs.Metrics.snapshot () in
-      let r =
-        Chase.Chase.run ?budget:!governor ~max_rounds:10 ~max_elements:4000
-          e.Zoo.theory db
+      let r, _, delta =
+        measure (fun () ->
+            Chase.Chase.run ?budget:!governor ~max_rounds:10
+              ~max_elements:4000 e.Zoo.theory db)
       in
-      let after = Obs.Metrics.snapshot () in
-      let delta = Obs.Metrics.ints_delta ~before ~after in
-      let get k = Option.value (List.assoc_opt k delta) ~default:0 in
+      let get = count delta in
       Fmt.pr "%-16s %-8d %-8d %-8d %-12d %a@." e.Zoo.name
         (get "chase.rounds") (get "chase.facts_added")
         (get "chase.nulls_invented") (get "eval.join_probes")
@@ -972,10 +968,8 @@ let obs_smoke () =
       r.Chase.Chase.new_facts_per_round )
   in
   let observe run =
-    let before = Obs.Metrics.snapshot () in
-    let r = run () in
-    let after = Obs.Metrics.snapshot () in
-    (fingerprint r, Obs.Metrics.ints_delta ~before ~after)
+    let r, _, delta = measure run in
+    (fingerprint r, delta)
   in
   Fmt.pr "%-16s %-8s %-10s %s@." "workload" "verdict" "counters"
     "round events";
@@ -1536,13 +1530,8 @@ let ex20_measure () =
   List.map
     (fun (name, theory, db, q, max_rounds, gate) ->
       let probes f =
-        let before = Obs.Metrics.snapshot () in
-        let v, t = time_it f in
-        let delta =
-          Obs.Metrics.ints_delta ~before ~after:(Obs.Metrics.snapshot ())
-        in
-        ( v, t,
-          Option.value (List.assoc_opt "eval.join_probes" delta) ~default:0 )
+        let v, t, delta = measure f in
+        (v, t, count delta "eval.join_probes")
       in
       let vf, tf, pf =
         probes (fun () ->
@@ -1843,13 +1832,8 @@ let ex21_measure () =
     (fun (name, gate_hits, run) ->
       let arm hc =
         Hom.Hc.reset ();
-        let before = Obs.Metrics.snapshot () in
-        let v, t = time_it (fun () -> run hc) in
-        let delta =
-          Obs.Metrics.ints_delta ~before ~after:(Obs.Metrics.snapshot ())
-        in
-        let d k = Option.value (List.assoc_opt k delta) ~default:0 in
-        (v, t, d)
+        let v, t, delta = measure (fun () -> run hc) in
+        (v, t, count delta)
       in
       let vs, ts, _ = arm Hom.Hc.Structural in
       let vi, ti, d = arm Hom.Hc.Interned in
@@ -2031,26 +2015,18 @@ let ex22_measure () =
       let probes_m = ref 0 and probes_r = ref 0 in
       let wall_m = ref 0. and wall_r = ref 0. in
       let verified = ref true and reconciled = ref true in
-      let probes_since snap =
-        Option.value
-          (List.assoc_opt "eval.join_probes"
-             (Obs.Metrics.ints_delta ~before:snap
-                ~after:(Obs.Metrics.snapshot ())))
-          ~default:0
-      in
       List.iter
         (fun (insert, retract) ->
           let n_before = I.num_facts !state.Chase.Maintain.inst in
-          let snap = Obs.Metrics.snapshot () in
-          let (st, stats), t =
-            time_it (fun () ->
+          let (st, stats), t, delta =
+            measure (fun () ->
                 ignore (Chase.Maintain.update_db db_m ~insert ~retract);
                 Chase.Maintain.apply ?budget:!governor theory ~db:db_m !state
                   ~insert ~retract)
           in
           state := st;
           wall_m := !wall_m +. t;
-          probes_m := !probes_m + probes_since snap;
+          probes_m := !probes_m + count delta "eval.join_probes";
           deleted := !deleted + stats.Chase.Maintain.deleted;
           rederived := !rederived + stats.Chase.Maintain.rederived;
           inserted := !inserted + stats.Chase.Maintain.inserted;
@@ -2060,14 +2036,13 @@ let ex22_measure () =
             <> n_before - stats.Chase.Maintain.deleted
                + stats.Chase.Maintain.rederived + stats.Chase.Maintain.inserted
           then reconciled := false;
-          let snap = Obs.Metrics.snapshot () in
-          let r, t =
-            time_it (fun () ->
+          let r, t, delta =
+            measure (fun () ->
                 ignore (Chase.Maintain.update_db db_r ~insert ~retract);
                 Chase.Chase.run ?budget:!governor theory db_r)
           in
           wall_r := !wall_r +. t;
-          probes_r := !probes_r + probes_since snap;
+          probes_r := !probes_r + count delta "eval.join_probes";
           if not (I.equal_facts st.Chase.Maintain.inst r.Chase.Chase.instance)
           then verified := false)
         batches;

@@ -66,6 +66,7 @@ type input = {
 let of_program (p : Parser.program) =
   { rules = p.rules; facts = p.facts; queries = p.queries; edb_known = true }
 
+(* Rules only ([edb_known = false]): hygiene and class checks. *)
 let of_theory theory =
   { rules = Theory.rules theory; facts = []; queries = []; edb_known = false }
 

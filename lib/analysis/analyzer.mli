@@ -50,9 +50,6 @@ type input = {
 val of_program : Parser.program -> input
 (** The full program: EDB-dependent checks enabled. *)
 
-val of_theory : Theory.t -> input
-(** Rules only ([edb_known = false]): hygiene and class checks. *)
-
 val analyze : input -> Diagnostic.t list
 (** All checks, sorted by {!Diagnostic.compare} (position-major). *)
 

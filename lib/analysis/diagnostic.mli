@@ -12,8 +12,6 @@ type severity =
       (** a class-membership fact with its refutation witness — not a
           defect, the pipeline merely loses the matching fast path *)
 
-val severity_name : severity -> string
-
 type t = {
   code : string;  (** stable kebab-case code, e.g. ["arity-mismatch"] *)
   severity : severity;
@@ -41,7 +39,6 @@ val pp_text : file:string -> t Fmt.t
 val pp : t Fmt.t
 (** {!pp_text} with a ["-"] file name. *)
 
-val pp_json : file:string -> t Fmt.t
 val pp_json_list : file:string -> t list Fmt.t
 val json_escape : string -> string
 

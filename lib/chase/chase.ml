@@ -395,15 +395,13 @@ let commit ?record ~budget ~round tally inst rule binding =
    variant, where a trigger must fire exactly once ever); without it the
    table is per-round, which is enough for the restricted variant
    because the created witness blocks the trigger in later rounds. *)
-let round ~strategy ?eval ?fired ?since ?record ~budget ~round_no triggers
-    inst =
+let round ~strategy ?eval ?fired ?record ~budget ~round_no triggers inst =
   Obs.Metrics.incr m_rounds;
   let demanded = match fired with Some t -> t | None -> Key_tbl.create 64 in
   let snapshot, upto, since =
     match strategy with
     | Naive -> (Instance.copy inst, None, 0)
-    | Seminaive ->
-        (inst, Some round_no, Option.value since ~default:(round_no - 1))
+    | Seminaive -> (inst, Some round_no, round_no - 1)
   in
   let tally = { added = 0; nulls = 0 } in
   Fun.protect
@@ -571,21 +569,10 @@ let run ?(variant = Restricted) ?(strategy = Seminaive) ?eval
    from [from_round + 1] so the existing stamps keep driving the
    semi-naive windows.
 
-   With [full_first] the first resumed round joins the whole committed
-   prefix ([since = 0]) instead of the last delta: after deletions, a
-   violated trigger can have an all-old body (the deletion removed its
-   witness, not a body fact), which no delta window would ever re-visit.
-   [rule_filter] restricts that one full-join round to the rules that can
-   actually be violated — the caller must guarantee every rule it filters
-   out is still satisfied (Maintain passes the predicate-level cone
-   filter; DESIGN.md section 14).  Subsequent rounds always run the full
-   theory semi-naively, so cascades re-enter the normal delta discipline.
-
    Restricted variant only: the oblivious chase's fired-trigger table
    does not survive across runs. *)
 let resume ?(strategy = Seminaive) ?eval ?record ?budget ?max_rounds
-    ?max_elements ?(full_first = false) ?(rule_filter = fun _ -> true)
-    ~from_round theory inst =
+    ?max_elements ~from_round theory inst =
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Trace.span "chase.resume" @@ fun () ->
@@ -594,29 +581,18 @@ let resume ?(strategy = Seminaive) ?eval ?record ?budget ?max_rounds
     Obs.Trace.attr "from_round" (Obs.Int from_round)
   end;
   let triggers = prepare_triggers ~variant:Restricted theory in
-  let first_triggers =
-    if full_first then List.filter (fun tg -> rule_filter tg.t_rule) triggers
-    else triggers
-  in
   let staged =
-    if full_first then Instance.num_facts inst
-    else
-      Pred.Set.fold
-        (fun p n ->
-          n
-          + Instance.card_with_pred_window inst p ~since:from_round
-              ~upto:(from_round + 1))
-        (Instance.preds inst) 0
+    Pred.Set.fold
+      (fun p n ->
+        n
+        + Instance.card_with_pred_window inst p ~since:from_round
+            ~upto:(from_round + 1))
+      (Instance.preds inst) 0
   in
   let outcome, last, per_round =
     drive ~budget ~from:from_round ~frontier:staged
       (fun round_no ->
-        let first = full_first && round_no = from_round + 1 in
-        round ~strategy ?eval
-          ?since:(if first then Some 0 else None)
-          ?record ~budget ~round_no
-          (if first then first_triggers else triggers)
-          inst)
+        round ~strategy ?eval ?record ~budget ~round_no triggers inst)
       (fun _ added -> if added = 0 then Some Fixpoint else None)
   in
   let outcome = match outcome with Ok o -> o | Error r -> Exhausted r in

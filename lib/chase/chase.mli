@@ -113,21 +113,14 @@ val resume :
   ?budget:Budget.t ->
   ?max_rounds:int ->
   ?max_elements:int ->
-  ?full_first:bool ->
-  ?rule_filter:(Rule.t -> bool) ->
   from_round:int ->
   Theory.t -> Instance.t -> result
 (** Resume the restricted chase *in place* on an instance whose
     committed prefix is saturated up to birth round [from_round]: no
     copy, no birth reset, rounds numbered from [from_round + 1].  The
     caller stages its update delta at birth [from_round] beforehand so
-    the semi-naive windows pick it up as the first frontier.
-
-    [full_first] makes the first resumed round a full-window join
-    ([since = 0]) — required after deletions, whose violated triggers
-    can have all-old bodies that no delta window re-visits.
-    [rule_filter] restricts that one round; the caller must guarantee
-    every rule filtered out is still satisfied (DESIGN.md section 14).
+    the semi-naive windows pick it up as the first frontier.  Every
+    resumed round is a delta-window round, as in {!run}.
 
     The result's [instance] is the input (mutated); [rounds] is the
     absolute number of the last productive round ([from_round] if none);

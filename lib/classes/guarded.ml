@@ -120,7 +120,10 @@ let rec tag_choices k = function
         (fun i -> List.map (fun t -> (x, i) :: t) tails)
         (List.init k (fun i -> i + 1))
 
-let to_binary ?(max_copies = 512) theory =
+(* The most rule copies one rule's ♠11 expansion may produce. *)
+let max_copies = 512
+
+let to_binary theory =
   List.iter check_rule (Theory.rules theory);
   let rules = Theory.rules theory in
   (* K - 1: the largest possible parent index *)

@@ -18,12 +18,6 @@ type result = {
   monadic_preds : Pred.t list;
 }
 
-val guard_of : Rule.t -> Atom.t
-(** @raise Unsupported when the rule has no guard. *)
-
-val leading_var : Rule.t -> string
-(** The rightmost variable of the guard. *)
-
-val to_binary : ?max_copies:int -> Theory.t -> result
-(** @raise Unsupported when a precondition fails or the ♠11 expansion
-    exceeds [max_copies] rule copies. *)
+val to_binary : Theory.t -> result
+(** @raise Unsupported when a precondition fails or the ♠11 expansion of
+    one rule exceeds 512 rule copies. *)

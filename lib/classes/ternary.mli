@@ -10,7 +10,6 @@ type encoding = {
   chain_preds : (Pred.t * Pred.t list) list;
 }
 
-val needs_encoding : Pred.t -> bool
 val encode : Theory.t -> encoding
 val encode_instance : Instance.t -> Instance.t
 val encode_query : Cq.t -> Cq.t

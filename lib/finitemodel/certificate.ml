@@ -31,11 +31,6 @@ let verify cert =
 
 let is_valid cert = verify cert = []
 
-let pp_issue ppf = function
-  | Missing_database_fact -> Fmt.string ppf "model does not contain D"
-  | Rule_violated v -> Model_check.pp_violation ppf v
-  | Query_satisfied -> Fmt.string ppf "model satisfies the query"
-
 let pp ppf cert =
   Fmt.pf ppf
     "@[<v>certificate: model with %d elements, %d facts;@ query: %a@ valid: %b@]"

@@ -18,5 +18,4 @@ type issue =
 
 val verify : t -> issue list
 val is_valid : t -> bool
-val pp_issue : issue Fmt.t
 val pp : t Fmt.t

@@ -95,19 +95,25 @@ let spade5 theory =
                         (Rule.SS.cardinal head_frontier)));
               let y =
                 match Rule.SS.elements head_frontier with
-                | [ y ] -> Some y
+                | [ y ] -> Some (Term.Var y)
                 | _ -> (
-                    (* head touches no body variable: anchor anywhere *)
+                    (* head touches no body variable: anchor anywhere, at
+                       a constant of the rule when the body is ground (as
+                       [hide_query] does for a ground query) *)
                     match Rule.SS.elements (Rule.body_vars rule) with
-                    | y :: _ -> Some y
-                    | [] -> None)
+                    | y :: _ -> Some (Term.Var y)
+                    | [] -> (
+                        match Atom.SS.elements (Rule.consts rule) with
+                        | c :: _ -> Some (Term.Cst c)
+                        | [] -> None))
               in
               let zs = Rule.SS.elements (Rule.existential_vars rule) in
               (match y with
               | None ->
                   raise
                     (Unsupported
-                       (Printf.sprintf "rule %s: ground body" (Rule.name rule)))
+                       (Printf.sprintf "rule %s: ground body without constants"
+                          (Rule.name rule)))
               | Some y ->
                   let ws =
                     List.map
@@ -128,13 +134,13 @@ let spade5 theory =
                           else Rule.name rule ^ "_" ^ z
                         in
                         Rule.make ~name ~body:(Rule.body rule)
-                          ~head:[ Atom.make w [ Term.Var y; Term.Var z ] ]
+                          ~head:[ Atom.make w [ y; Term.Var z ] ]
                           ())
                       ws
                   in
                   let back_body =
                     List.map
-                      (fun (z, w) -> Atom.make w [ Term.Var y; Term.Var z ])
+                      (fun (z, w) -> Atom.make w [ y; Term.Var z ])
                       ws
                   in
                   let back =

@@ -4,8 +4,6 @@
 
 open Bddfc_logic
 
-val query_pred_name : string
-
 type hidden = {
   theory : Theory.t;
   query_pred : Pred.t; (** the fresh F of ♠4 *)
@@ -27,6 +25,7 @@ val spade5 : Theory.t -> split
 (** ♠5: every existential head becomes [exists z. R'(y, z)] with a fresh
     per-rule TGP plus a datalog back-translation; heads
     [exists z1..zk. Phi(y, z-bar)] with a single frontier variable are
-    split per Section 5.1.
+    split per Section 5.1.  A rule whose body has no variables anchors
+    its TGPs at a constant of the rule, as {!hide_query} does.
     @raise Unsupported on multi-head rules, heads sharing more than one
-    variable with the body, or ground bodies. *)
+    variable with the body, or ground bodies without constants. *)

@@ -397,22 +397,22 @@ and construct_at ~params ~budget ~hidden ~t2 ~kappa ?(terminating = false)
         in
         (* -------- step 6: quotient, saturate, verify -------- *)
         let attempts = ref [] in
+        let g = Bgraph.make coloring.Coloring.colored in
         let try_n n =
           Obs.Metrics.incr m_quotients;
           Obs.Trace.span "pipeline.try_n" @@ fun () ->
           if Obs.Trace.enabled () then Obs.Trace.attr "n" (Obs.Int n);
-          let g = Bgraph.make coloring.Coloring.colored in
           let refinement =
             Refine.compute ~mode:params.refine_mode ?budget ~depth:n g
           in
           let quotient =
             Quotient.of_refinement coloring.Coloring.colored refinement
           in
-          let m0 = Instance.copy quotient.Quotient.quotient in
+          (* saturation chases a copy: the quotient itself is not mutated *)
           let sat =
             Chase.saturate_datalog ~strategy:params.strategy
               ~eval:params.eval ?budget ~max_rounds:params.saturation_rounds
-              t2 m0
+              t2 quotient.Quotient.quotient
           in
           let m1 = sat.Chase.instance in
           let fail reason =

@@ -63,8 +63,6 @@ type stats = {
       (** the acyclicity pre-flight proved this chase terminates *)
 }
 
-val empty_stats : stats
-
 type outcome =
   | Model of Certificate.t * stats
   | Query_entailed of int (** chase depth at which the query held *)

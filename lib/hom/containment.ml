@@ -23,6 +23,8 @@
 open Bddfc_logic
 open Bddfc_structure
 
+(* The canonical instance of a query: variables frozen into fresh
+   constants.  The substitution records the freezing. *)
 let frozen_instance (q : Cq.t) =
   let atoms, frz = Cq.freeze q in
   let inst = Instance.of_atoms atoms in

@@ -7,11 +7,6 @@
     battery compares against. *)
 
 open Bddfc_logic
-open Bddfc_structure
-
-val frozen_instance : Cq.t -> Instance.t * Subst.t
-(** The canonical instance of a query: variables frozen into fresh
-    constants.  The substitution records the freezing. *)
 
 val shape_rejects : general:Cq.t -> Cq.t -> bool
 (** The atom-shape prefilter of the interned path: [true] only when no

@@ -351,8 +351,6 @@ let answers ?engine inst (q : Cq.t) =
       end);
   List.rev !out
 
-let count_answers ?engine inst q = List.length (answers ?engine inst q)
-
 (* Does the query hold with the distinguished free variable [y] bound to
    element [e]?  (The paper's C |= Psi(x, e).) *)
 let holds_at ?engine inst (q : Cq.t) y e =

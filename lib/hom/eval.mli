@@ -53,8 +53,6 @@ val holds :
 val answers : ?engine:engine -> Instance.t -> Cq.t -> Element.id list list
 (** Distinct answer tuples, in the order of the query's answer variables. *)
 
-val count_answers : ?engine:engine -> Instance.t -> Cq.t -> int
-
 val holds_at : ?engine:engine -> Instance.t -> Cq.t -> string -> Element.id -> bool
 (** [holds_at inst q y e]: the paper's [C |= exists x. Psi(x, e)] — the
     query with its free variable [y] bound to [e]. *)

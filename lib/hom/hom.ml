@@ -58,7 +58,7 @@ let find ?(fixed = Element.Id_map.empty) ?engine src tgt =
     | None -> None
   end
 
-let exists ?fixed ?engine src tgt = find ?fixed ?engine src tgt <> None
+let exists ?engine src tgt = find ?engine src tgt <> None
 
 (* Check that a given mapping is a homomorphism. *)
 let is_homomorphism src tgt mapping =

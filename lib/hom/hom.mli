@@ -11,15 +11,11 @@ val find :
 (** A homomorphism from the first instance into the second, extending the
     [fixed] null images. *)
 
-val exists : ?fixed:mapping -> ?engine:Eval.engine -> Instance.t -> Instance.t -> bool
+val exists : ?engine:Eval.engine -> Instance.t -> Instance.t -> bool
 val is_homomorphism : Instance.t -> Instance.t -> mapping -> bool
 
 val image : Instance.t -> Instance.t -> mapping -> Instance.t
 (** The homomorphic image of the source inside a fresh instance. *)
-
-val retraction_avoiding : Instance.t -> Element.id -> mapping option
-(** An endomorphism fixing constants and avoiding the given null in its
-    image — the basic step of core computation. *)
 
 val core : Instance.t -> Instance.t
 (** The core of a small instance (exponential worst case). *)

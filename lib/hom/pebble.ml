@@ -183,6 +183,3 @@ let ptp_leq ?budget ~vars:k a pinned_a b pinned_b =
 let ptp_equal ?budget ~vars a x b y =
   ptp_leq ?budget ~vars a (Some x) b (Some y)
   && ptp_leq ?budget ~vars b (Some y) a (Some x)
-
-(* Equality of positive k-types within one structure (Definition 4). *)
-let equiv ?budget ~vars inst x y = ptp_equal ?budget ~vars inst x inst y

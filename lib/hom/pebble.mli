@@ -26,4 +26,3 @@ val ptp_equal :
   ?budget:int -> vars:int ->
   Instance.t -> Element.id -> Instance.t -> Element.id -> bool
 
-val equiv : ?budget:int -> vars:int -> Instance.t -> Element.id -> Element.id -> bool

@@ -67,6 +67,7 @@ let reg_of_var plan x =
   in
   go 0
 
+(* Compile a body, bypassing the cache. *)
 let compile atom_list =
   let var_idx : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let vars = ref [] in

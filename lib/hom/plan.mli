@@ -16,9 +16,6 @@ open Bddfc_structure
 
 type t
 
-val compile : Atom.t list -> t
-(** Compile a body, bypassing the cache. *)
-
 val of_atoms : Atom.t list -> t
 (** Cached compilation, keyed by physical identity of the list — rule and
     query bodies are immutable and persist across rounds, so each body

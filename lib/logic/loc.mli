@@ -6,7 +6,6 @@ type t = { line : int; col : int }
 
 val none : t
 val make : line:int -> col:int -> t
-val is_none : t -> bool
 val line : t -> int
 val col : t -> int
 

@@ -265,15 +265,3 @@ let parse_atoms src =
   if p.rules <> [] || p.queries <> [] then
     error "parse_atoms: expected facts only";
   p.facts
-
-let pp_program ppf p =
-  let pp_fact ppf a = Fmt.pf ppf "%a." Atom.pp a in
-  let pp_rule ppf r = Fmt.pf ppf "%a." Rule.pp r in
-  let pp_query ppf q = Fmt.pf ppf "%a." Cq.pp q in
-  Fmt.pf ppf "@[<v>%a@,%a@,%a@]"
-    Fmt.(list ~sep:cut pp_rule)
-    p.rules
-    Fmt.(list ~sep:cut pp_fact)
-    p.facts
-    Fmt.(list ~sep:cut pp_query)
-    p.queries

@@ -31,5 +31,3 @@ val parse_query : string -> Cq.t
 
 val parse_atoms : string -> Atom.t list
 (** Parse a list of ground facts. *)
-
-val pp_program : program Fmt.t

@@ -10,9 +10,6 @@ let make ~preds ~consts = { preds = Pred.Set.of_list preds; consts = Sset.of_lis
 let preds s = Pred.Set.elements s.preds
 let pred_set s = s.preds
 let consts s = Sset.elements s.consts
-let const_set s = s.consts
-let mem_pred p s = Pred.Set.mem p s.preds
-let mem_const c s = Sset.mem c s.consts
 let add_pred p s = { s with preds = Pred.Set.add p s.preds }
 let add_const c s = { s with consts = Sset.add c s.consts }
 
@@ -25,8 +22,6 @@ let max_arity s =
   Pred.Set.fold (fun p m -> max (Pred.arity p) m) s.preds 0
 
 let is_binary s = max_arity s <= 2
-let unary_preds s = Pred.Set.filter Pred.is_unary s.preds
-let binary_preds s = Pred.Set.filter Pred.is_binary s.preds
 
 let of_atoms atoms =
   List.fold_left

@@ -7,18 +7,11 @@ val make : preds:Pred.t list -> consts:string list -> t
 val preds : t -> Pred.t list
 val pred_set : t -> Pred.Set.t
 val consts : t -> string list
-val const_set : t -> Sset.t
-val mem_pred : Pred.t -> t -> bool
-val mem_const : string -> t -> bool
-val add_pred : Pred.t -> t -> t
-val add_const : string -> t -> t
 val union : t -> t -> t
 val max_arity : t -> int
 val is_binary : t -> bool
 (** All predicates have arity at most 2 (the paper's "binary signature"). *)
 
-val unary_preds : t -> Pred.Set.t
-val binary_preds : t -> Pred.Set.t
 val of_atoms : Atom.t list -> t
 val of_rules : Rule.t list -> t
 val pp : t Fmt.t

@@ -9,8 +9,6 @@ let empty = { rules = [] }
 let add_rule r t = { rules = t.rules @ [ r ] }
 let append t1 t2 = { rules = t1.rules @ t2.rules }
 let size t = List.length t.rules
-let datalog_rules t = List.filter Rule.is_datalog t.rules
-let existential_rules t = List.filter Rule.is_existential t.rules
 let signature t = Signature.of_rules t.rules
 
 let is_binary t = Signature.is_binary (signature t)
@@ -55,9 +53,6 @@ let heads_normalized t =
     t.rules
 
 let is_normalized t = tgp_pure t && heads_normalized t
-
-let max_body_size t =
-  List.fold_left (fun m r -> max m (List.length (Rule.body r))) 0 t.rules
 
 let max_body_vars t =
   List.fold_left

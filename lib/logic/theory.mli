@@ -8,16 +8,12 @@ val empty : t
 val add_rule : Rule.t -> t -> t
 val append : t -> t -> t
 val size : t -> int
-val datalog_rules : t -> Rule.t list
-val existential_rules : t -> Rule.t list
 val signature : t -> Signature.t
 val is_binary : t -> bool
 val all_single_head : t -> bool
 
 val tgps : t -> Pred.Set.t
 (** Tuple generating predicates: heads of existential TGDs (♠5). *)
-
-val datalog_head_preds : t -> Pred.Set.t
 
 val tgp_pure : t -> bool
 (** No TGP occurs in a datalog head. *)
@@ -28,7 +24,6 @@ val heads_normalized : t -> bool
 val is_normalized : t -> bool
 (** [tgp_pure && heads_normalized] — the ♠5 discipline. *)
 
-val max_body_size : t -> int
 val max_body_vars : t -> int
 val pp : t Fmt.t
 val show : t -> string

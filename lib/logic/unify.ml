@@ -18,7 +18,7 @@ and unify_term_lists s l1 l2 =
       | Some s' -> unify_term_lists s' r1 r2)
   | _ -> None
 
-let terms ?(init = Subst.empty) t1 t2 = unify_terms init t1 t2
+let terms t1 t2 = unify_terms Subst.empty t1 t2
 
 let atoms ?(init = Subst.empty) a1 a2 =
   if not (Pred.equal (Atom.pred a1) (Atom.pred a2)) then None

@@ -1,8 +1,7 @@
 (** Syntactic unification and matching for function-free atoms. *)
 
-val terms : ?init:Subst.t -> Term.t -> Term.t -> Subst.t option
-(** Most general unifier of two terms, as a triangular substitution
-    extending [init].  Use {!Subst.resolve_term} (or {!solved}) to read
+val terms : Term.t -> Term.t -> Subst.t option
+(** Most general unifier of two terms, as a triangular substitution.  Use {!Subst.resolve_term} (or {!solved}) to read
     bindings back. *)
 
 val atoms : ?init:Subst.t -> Atom.t -> Atom.t -> Subst.t option

@@ -237,12 +237,6 @@ let value_to_json = function
   | Bool b -> Json.B b
   | Str s -> Json.S s
 
-let pp_value ppf = function
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%.6g" f
-  | Bool b -> Format.pp_print_bool ppf b
-  | Str s -> Format.pp_print_string ppf s
-
 (* ------------------------------------------------------------------ *)
 (* The metrics registry                                                *)
 (* ------------------------------------------------------------------ *)

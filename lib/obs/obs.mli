@@ -23,8 +23,6 @@ type value =
   | Bool of bool
   | Str of string
 
-val pp_value : Format.formatter -> value -> unit
-
 (** Deterministic JSON emission and a minimal parser (round-trip tests,
     bench-blob consumers). *)
 module Json : sig
@@ -45,8 +43,6 @@ module Json : sig
   val member : string -> t -> t option
   (** Object field lookup; [None] on missing keys and non-objects. *)
 end
-
-val value_to_json : value -> Json.t
 
 (** The process-wide registry of named counters, gauges and timers. *)
 module Metrics : sig

@@ -15,8 +15,6 @@ type t = {
   num_lightnesses : int;
 }
 
-val color_pred_name : hue:int -> lightness:int -> string
-val parse_color_pred : string -> (int * int) option
 val color_preds : Instance.t -> Pred.Set.t
 
 val uncolor : Instance.t -> Instance.t

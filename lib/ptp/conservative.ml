@@ -67,15 +67,10 @@ let check_refine ?hc ~m ~n inst (coloring : Coloring.t) =
 
 (* Search the least n <= max_n making the coloring n-conservative up to m
    (mirroring the existential quantifier of Definition 9). *)
-let find_conservative_n ?(quotient = `Exact) ?hc ~m ~max_n inst coloring =
-  let check n =
-    match quotient with
-    | `Exact -> check_exact ?hc ~m ~n inst coloring
-    | `Refine -> check_refine ?hc ~m ~n inst coloring
-  in
+let find_conservative_n ?hc ~m ~max_n inst coloring =
   let rec go n =
     if n > max_n then None
-    else if (check n).conservative then Some n
+    else if (check_exact ?hc ~m ~n inst coloring).conservative then Some n
     else go (n + 1)
   in
   go 1

@@ -11,12 +11,6 @@ type check = {
   failures : (Element.id * [ `Gained | `Lost ]) list;
 }
 
-val quotient_exact : ?hc:Bddfc_hom.Hc.mode -> n:int -> Coloring.t -> Quotient.t
-(** M_n(C-bar) by Definition 5: classes are exact positive-n-type
-    equivalence over the colored signature.  Exponential in n. *)
-
-val quotient_refine : n:int -> Coloring.t -> Quotient.t
-
 val check_quotient :
   ?hc:Bddfc_hom.Hc.mode -> m:int -> Instance.t -> Quotient.t -> check
 
@@ -27,7 +21,8 @@ val check_refine :
   ?hc:Bddfc_hom.Hc.mode -> m:int -> n:int -> Instance.t -> Coloring.t -> check
 
 val find_conservative_n :
-  ?quotient:[ `Exact | `Refine ] -> ?hc:Bddfc_hom.Hc.mode ->
+  ?hc:Bddfc_hom.Hc.mode ->
   m:int -> max_n:int -> Instance.t -> Coloring.t -> int option
 (** The least n making the coloring n-conservative up to m, mirroring the
-    existential quantifier of Definition 9. *)
+    existential quantifier of Definition 9, with the exact quotient of
+    Definition 5. *)

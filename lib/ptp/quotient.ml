@@ -50,26 +50,5 @@ let make source (cls : int array) ~num_classes =
 (* The projection q_n. *)
 let project t e = t.repr.(t.cls.(e))
 
-(* Any counter-image of a quotient element. *)
-let counter_image t qid =
-  let n = Instance.num_elements t.source in
-  let rec go e =
-    if e >= n then None
-    else if t.repr.(t.cls.(e)) = qid then Some e
-    else go (e + 1)
-  in
-  go 0
-
-let members_of t qid =
-  let found = ref [] in
-  Array.iteri
-    (fun c id -> if id = qid then found := t.members.(c) @ !found)
-    t.repr;
-  !found
-
 let of_refinement source (r : Refine.t) =
   make source r.Refine.cls ~num_classes:r.Refine.num_classes
-
-let compression_ratio t =
-  float_of_int (Instance.num_elements t.quotient)
-  /. float_of_int (max 1 (Instance.num_elements t.source))

@@ -20,7 +20,4 @@ val make : Instance.t -> int array -> num_classes:int -> t
 val project : t -> Element.id -> Element.id
 (** The projection q_n. *)
 
-val counter_image : t -> Element.id -> Element.id option
-val members_of : t -> Element.id -> Element.id list
 val of_refinement : Instance.t -> Refine.t -> t
-val compression_ratio : t -> float

@@ -30,7 +30,6 @@ open Bddfc_structure
 
 type mode =
   | Backward (* refine along incoming edges only *)
-  | Forward (* outgoing only *)
   | Bidirectional
 
 type t = {
@@ -81,7 +80,7 @@ let step g mode np cls =
   in
   for e = 0 to n - 1 do
     let items =
-      (if mode = Forward then [] else codes 0 (Bgraph.in_edges g e) [])
+      codes 0 (Bgraph.in_edges g e) []
       |> (if mode = Backward then Fun.id else codes 1 (Bgraph.out_edges g e))
       |> List.sort_uniq Int.compare
     in
@@ -122,7 +121,6 @@ let compute ?(mode = Bidirectional) ?budget ~depth g =
   let cls, num_classes, tripped = go 0 cls0 n0 in
   { graph = g; mode; depth; cls; num_classes; tripped }
 
-let class_of t e = t.cls.(e)
 let num_classes t = t.num_classes
 let equivalent t e1 e2 = t.cls.(e1) = t.cls.(e2)
 

@@ -13,7 +13,6 @@ open Bddfc_structure
 type mode =
   | Backward (** refine along incoming edges only — exact on chase
                  skeletons, whose backward structure is final *)
-  | Forward
   | Bidirectional
 
 type t = {
@@ -28,7 +27,6 @@ type t = {
 }
 
 val compute : ?mode:mode -> ?budget:Budget.t -> depth:int -> Bgraph.t -> t
-val class_of : t -> Element.id -> int
 val num_classes : t -> int
 val equivalent : t -> Element.id -> Element.id -> bool
 val classes : t -> (int * Element.id list) list

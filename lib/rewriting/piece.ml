@@ -37,7 +37,11 @@ let subsets_upto k l =
 let occurs_in v atoms =
   List.exists (fun a -> List.mem (Term.Var v) (Atom.args a)) atoms
 
-let one_steps ?(max_piece = 5) rule (q : Cq.t) =
+(* The largest piece tried: at most this many query atoms unify with one
+   rule head in a step. *)
+let max_piece = 5
+
+let one_steps rule (q : Cq.t) =
   assert (Rule.is_single_head rule);
   let rule = Rule.rename_apart rule in
   let head = List.hd (Rule.head rule) in

@@ -7,9 +7,7 @@
 
 open Bddfc_logic
 
-val subsets_upto : int -> 'a list -> 'a list list
-(** Nonempty subsets of size at most the bound. *)
-
-val one_steps : ?max_piece:int -> Rule.t -> Cq.t -> Cq.t list
-(** All sound one-step rewritings of the query with the rule.
+val one_steps : Rule.t -> Cq.t -> Cq.t list
+(** All sound one-step rewritings of the query with the rule, over pieces
+    of at most 5 atoms.
     @raise Assert_failure on a multi-head rule. *)

@@ -25,19 +25,12 @@ type result = {
 val rewrite :
   ?budget:Budget.t -> ?eval:Bddfc_hom.Eval.engine ->
   ?hc:Bddfc_hom.Hc.mode -> ?max_disjuncts:int ->
-  ?max_steps:int -> ?max_piece:int -> ?max_disjunct_vars:int ->
+  ?max_steps:int -> ?max_disjunct_vars:int ->
   Theory.t -> Cq.t -> result
 (** [?hc] selects the containment backend for the subsumption-driven
     kept list ({!Bddfc_hom.Hc.mode}; default {!Bddfc_hom.Hc.default_mode}).
     @raise Invalid_argument on multi-head rules (apply
     [Bddfc_classes.Multihead.to_single_head] first). *)
-
-val bdd_for_query :
-  ?budget:Budget.t -> ?eval:Bddfc_hom.Eval.engine ->
-  ?hc:Bddfc_hom.Hc.mode -> ?max_disjuncts:int ->
-  ?max_steps:int -> ?max_piece:int -> ?max_disjunct_vars:int ->
-  Theory.t -> Cq.t -> result
-(** Alias of {!rewrite}; [complete = true] certifies BDD for this query. *)
 
 val ucq_holds : ?eval:Bddfc_hom.Eval.engine -> Instance.t -> Cq.t list -> bool
 
@@ -52,7 +45,7 @@ type kappa_result = {
 val kappa :
   ?budget:Budget.t -> ?eval:Bddfc_hom.Eval.engine ->
   ?hc:Bddfc_hom.Hc.mode -> ?max_disjuncts:int ->
-  ?max_steps:int -> ?max_piece:int -> ?max_disjunct_vars:int ->
+  ?max_steps:int -> ?max_disjunct_vars:int ->
   Theory.t -> kappa_result
 (** The kappa of Section 3.3: the maximal number of variables in a
     positive rewriting of the body of some rule of the theory. *)

@@ -30,10 +30,6 @@ val pred_set_k : t -> int -> Element.id -> Element.Id_set.t
     natural coloring's hue conflicts for parameter m are
     [pred_set_k g m e] minus e. *)
 
-val directed_cycles_upto : t -> int -> Element.id list list
-(** Directed cycles among non-constant elements, length bounded by the
-    argument (0 = unbounded).  Used to validate Lemma 9. *)
-
 val has_directed_cycle_upto : t -> int -> bool
 
 val topo_order : t -> Element.id list option

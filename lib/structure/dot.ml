@@ -35,10 +35,10 @@ let hue_of_labels labels =
           else None))
     None labels
 
-let to_buffer ?(graph_name = "bddfc") inst =
+let to_buffer inst =
   let g = Bgraph.make inst in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" graph_name);
+  Buffer.add_string buf "digraph bddfc {\n";
   Buffer.add_string buf "  rankdir=LR;\n  node [fontsize=10];\n";
   List.iter
     (fun id ->
@@ -88,9 +88,9 @@ let to_buffer ?(graph_name = "bddfc") inst =
   Buffer.add_string buf "}\n";
   buf
 
-let to_string ?graph_name inst = Buffer.contents (to_buffer ?graph_name inst)
+let to_string inst = Buffer.contents (to_buffer inst)
 
-let to_file ?graph_name path inst =
+let to_file path inst =
   let oc = open_out path in
-  Buffer.output_buffer oc (to_buffer ?graph_name inst);
+  Buffer.output_buffer oc (to_buffer inst);
   close_out oc

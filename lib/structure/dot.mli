@@ -2,5 +2,5 @@
     as ellipses, binary facts as labelled edges, colors (predicates named
     [k<hue>_<lightness>]) as fill colors. *)
 
-val to_string : ?graph_name:string -> Instance.t -> string
-val to_file : ?graph_name:string -> string -> Instance.t -> unit
+val to_string : Instance.t -> string
+val to_file : string -> Instance.t -> unit

@@ -3,24 +3,17 @@
    them, and the frontier element they were created for (their "parent" in
    the skeleton forest of Section 3.2). *)
 
-type id = int [@@deriving eq, ord]
+type id = int
 
 type info =
   | Const of string
   | Null of { birth : int; rule : string; parent : id option }
-[@@deriving eq, ord]
 
 let is_const = function Const _ -> true | Null _ -> false
 let is_null = function Null _ -> true | Const _ -> false
 let const_name = function Const c -> Some c | Null _ -> None
 let parent = function Null n -> n.parent | Const _ -> None
 let birth = function Null n -> n.birth | Const _ -> 0
-
-let pp_info ppf = function
-  | Const c -> Fmt.string ppf c
-  | Null n -> Fmt.pf ppf "_n(%s@@%d)" n.rule n.birth
-
-let pp_id = Fmt.int
 
 module Id_set = Set.Make (Int)
 module Id_map = Map.Make (Int)

@@ -7,10 +7,6 @@ type info =
   | Const of string
   | Null of { birth : int; rule : string; parent : id option }
 
-val equal_id : id -> id -> bool
-val compare_id : id -> id -> int
-val equal_info : info -> info -> bool
-val compare_info : info -> info -> int
 val is_const : info -> bool
 val is_null : info -> bool
 val const_name : info -> string option
@@ -21,9 +17,6 @@ val parent : info -> id option
 
 val birth : info -> int
 (** The chase round that created the element (0 for constants). *)
-
-val pp_info : info Fmt.t
-val pp_id : id Fmt.t
 
 module Id_set : Set.S with type elt = id
 module Id_map : Map.S with type key = id

@@ -17,6 +17,7 @@ val hash : t -> int
     interned id: no string is hashed, nothing is allocated.  Fact hashes
     therefore depend on interning order — key tables with them, never
     iterate one where order is observable. *)
+
 val elements : t -> Element.id list
 val pp : t Fmt.t
 val show : t -> string

@@ -576,14 +576,6 @@ let restrict_elements inst keep =
   summarize_births c;
   c
 
-(* Unary predicates true of an element. *)
-let unary_preds_of inst id =
-  Pred.Set.fold
-    (fun p acc ->
-      if Pred.is_unary p && card_with_arg inst p 0 id > 0 then p :: acc
-      else acc)
-    inst.preds []
-
 (* Fact-set equality up to constant names.  Constants are matched by name;
    labelled nulls are matched by id, so for structures with nulls this is
    only meaningful when the two instances share an element table (e.g. a

@@ -145,7 +145,6 @@ val add_atom : ?birth:int -> t -> Atom.t -> bool
     @raise Invalid_argument if the atom contains a variable. *)
 
 val of_atoms : Atom.t list -> t
-val atom_of_fact : t -> Fact.t -> Atom.t
 val to_atoms : t -> Atom.t list
 
 (** {1 Restriction and copying} *)
@@ -161,8 +160,6 @@ val restrict_preds : t -> Pred.Set.t -> t
 
 val restrict_elements : t -> Element.Id_set.t -> t
 (** The paper's [C |` A]: facts whose arguments all lie in the set. *)
-
-val unary_preds_of : t -> Element.id -> Pred.t list
 
 val equal_facts : t -> t -> bool
 (** Fact-set equality, constants matched by name, nulls by id — meaningful

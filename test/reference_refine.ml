@@ -59,7 +59,6 @@ let step g (mode : Refine.mode) cls =
     let parts =
       match mode with
       | Backward -> dir_part (Bgraph.in_edges g e) "i"
-      | Forward -> dir_part (Bgraph.out_edges g e) "o"
       | Bidirectional ->
           dir_part (Bgraph.in_edges g e) "i" @ dir_part (Bgraph.out_edges g e) "o"
     in

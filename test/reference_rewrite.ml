@@ -54,7 +54,7 @@ let _var_count (q : Cq.t) =
   Cq.num_vars q + Cq.SS.cardinal frozen
 
 let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
-    ?(max_piece = 5) ?(max_disjunct_vars = 16) theory (q : Cq.t) =
+    ?(max_disjunct_vars = 16) theory (q : Cq.t) =
   let budget =
     match budget with
     | Some b -> Budget.cap ~rewrite_steps:max_steps b
@@ -119,7 +119,7 @@ let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
                    end;
                    Queue.add q' queue
                  end end)
-               (Piece.one_steps ~max_piece rule cur))
+               (Piece.one_steps rule cur))
            (Theory.rules theory)
      done
    with
@@ -144,8 +144,8 @@ let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
     tripped = !tripped;
   }
 
-let kappa ?budget ?eval ?hc ?max_disjuncts ?max_steps ?max_piece
-    ?max_disjunct_vars theory =
+let kappa ?budget ?eval ?hc ?max_disjuncts ?max_steps ?max_disjunct_vars
+    theory =
   Obs.Trace.span "rewrite.kappa" @@ fun () ->
   let tripped = ref None in
   let per_rule =
@@ -153,7 +153,7 @@ let kappa ?budget ?eval ?hc ?max_disjuncts ?max_steps ?max_piece
       (fun rule ->
         let body_q = Rule.body_query rule in
         let r =
-          rewrite ?budget ?eval ?hc ?max_disjuncts ?max_steps ?max_piece
+          rewrite ?budget ?eval ?hc ?max_disjuncts ?max_steps
             ?max_disjunct_vars theory body_q
         in
         if !tripped = None then tripped := r.Rewrite.tripped;

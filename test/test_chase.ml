@@ -199,6 +199,25 @@ let test_ja_on_zoo () =
         (Termination.jointly_acyclic e.Zoo.theory))
     [ "ex1"; "ex7"; "sec55"; "linear" ]
 
+(* Resuming a depth-d prefix to depth d' continues the same delta rounds a
+   fresh chase to d' runs: the same facts, over the same element ids. *)
+let test_resume_matches_fresh () =
+  let d = 4 and d' = 9 in
+  List.iter
+    (fun (e : Zoo.entry) ->
+      let db = Zoo.database_instance e in
+      let prefix = Chase.run_depth ~depth:d e.Zoo.theory db in
+      let resumed =
+        Chase.resume ~max_rounds:(d' - d) ~from_round:d e.Zoo.theory
+          prefix.Chase.instance
+      in
+      let fresh = Chase.run_depth ~depth:d' e.Zoo.theory db in
+      let r = resumed.Chase.instance and f = fresh.Chase.instance in
+      check Alcotest.int (e.Zoo.name ^ ": elements") (Instance.num_elements f)
+        (Instance.num_elements r);
+      check Alcotest.bool (e.Zoo.name ^ ": facts") true (Instance.equal_facts f r))
+    Zoo.all
+
 let suite =
   ( "chase",
     [ tc "fixpoint on weakly acyclic" test_chase_fixpoint;
@@ -218,4 +237,5 @@ let suite =
       tc "weak acyclicity" test_weak_acyclicity;
       tc "joint acyclicity" test_joint_acyclicity;
       tc "zoo not jointly acyclic" test_ja_on_zoo;
+      tc "resume continues a prefix like a fresh chase" test_resume_matches_fresh;
     ] )

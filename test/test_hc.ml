@@ -774,7 +774,7 @@ let test_serve_eviction_no_drift () =
   check Alcotest.bool "load ok" true
     (match member "ok" load with Json.B b -> b | _ -> false);
   let judge_line =
-    {|{"id":1,"op":"judge","session":"s","query":"? e(b,a)."}|}
+    {|{"id":1,"op":"judge","session":"s","query":"? e(X,X)."}|}
   in
   let first = Server.handle_line t judge_line in
   let atoms0, cqs0 = Hc.store_size () in
