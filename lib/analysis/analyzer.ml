@@ -406,26 +406,17 @@ let edb_checks input =
                 query mentions it)"
                (Pred.name p) (Pred.arity p))
     in
-    (* reachability: a query atom whose predicate no rule chain can derive
-       from the given facts makes the query trivially uncertain *)
-    let reachable =
-      let r = ref fact_preds in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        List.iter
-          (fun rule ->
-            if
-              Pred.Set.subset (Rule.body_preds rule) !r
-              && not (Pred.Set.subset (Rule.head_preds rule) !r)
-            then begin
-              r := Pred.Set.union !r (Rule.head_preds rule);
-              changed := true
-            end)
-          input.rules
-      done;
-      !r
+    (* reachability and liveness from the given facts (Dataflow); a dead
+       rule comes with its first unreachable body predicate *)
+    let theory = Theory.make input.rules in
+    let reachable = Dataflow.reachable_from ~edb:fact_preds theory in
+    let dead = (Dataflow.liveness ~edb:fact_preds theory).Dataflow.dead in
+    (* the first dead rule deriving p *)
+    let blocking_of p =
+      List.find_opt (fun (r, _) -> Pred.Set.mem p (Rule.head_preds r)) dead
     in
+    (* a query atom whose predicate no rule chain can derive from the
+       given facts makes the query trivially uncertain *)
     let unreachable =
       let seen = Hashtbl.create 16 in
       List.concat_map
@@ -440,18 +431,8 @@ let edb_checks input =
               then None
               else begin
                 Hashtbl.replace seen p ();
-                let blocking =
-                  List.find_map
-                    (fun r ->
-                      if Pred.Set.mem p (Rule.head_preds r) then
-                        Pred.Set.diff (Rule.body_preds r) reachable
-                        |> Pred.Set.choose_opt
-                        |> Option.map (fun b -> (r, b))
-                      else None)
-                    input.rules
-                in
                 let witness =
-                  match blocking with
+                  match blocking_of p with
                   | Some (r, b) ->
                       Fmt.str
                         "rule %s derives %s but its body predicate %s is \
@@ -473,16 +454,6 @@ let edb_checks input =
        rules can never all fire from the given facts — the whole-theory
        reachability fixpoint (Dataflow.reachable_from) seen per
        predicate, reported at its first deriving head atom *)
-    let blocking_of p =
-      List.find_map
-        (fun r ->
-          if Pred.Set.mem p (Rule.head_preds r) then
-            Pred.Set.diff (Rule.body_preds r) reachable
-            |> Pred.Set.choose_opt
-            |> Option.map (fun b -> (r, b))
-          else None)
-        input.rules
-    in
     let unreachable_preds =
       Pred.Set.diff head_preds reachable |> Pred.Set.elements
       |> List.map (fun p ->
@@ -507,20 +478,17 @@ let edb_checks input =
     (* dead-rule: some body predicate is unreachable, so the rule can
        never fire — once per rule, at the first blocking body atom *)
     let dead_rules =
-      List.filter_map
-        (fun r ->
-          List.find_opt
-            (fun a -> not (Pred.Set.mem (Atom.pred a) reachable))
-            (Rule.body r)
-          |> Option.map (fun a ->
-                 D.v ~loc:(Atom.loc a) ~code:Codes.dead_rule
-                   ~severity:D.Warning
-                   ~witness:(Fmt.str "atom %a" Atom.pp a)
-                   "rule %s can never fire: body predicate %s is unreachable \
-                    from the given facts"
-                   (Rule.name r)
-                   (Pred.name (Atom.pred a))))
-        input.rules
+      List.map
+        (fun (r, b) ->
+          let a =
+            List.find (fun a -> Pred.equal (Atom.pred a) b) (Rule.body r)
+          in
+          D.v ~loc:(Atom.loc a) ~code:Codes.dead_rule ~severity:D.Warning
+            ~witness:(Fmt.str "atom %a" Atom.pp a)
+            "rule %s can never fire: body predicate %s is unreachable from \
+             the given facts"
+            (Rule.name r) (Pred.name b))
+        dead
     in
     (* unsatisfiable-body: a ground body atom over an extensional
        predicate (facts exist, no rule derives it) that matches no

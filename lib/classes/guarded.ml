@@ -109,7 +109,7 @@ type result = {
   monadic_preds : Pred.t list;
 }
 
-let f_pred i = Pred.make (Printf.sprintf "f%d" i) 2
+let f_pred i = Pred.invented (Printf.sprintf "f%d" i) 2
 
 (* All functions from [vars] to [1..k]. *)
 let rec tag_choices k = function
@@ -145,8 +145,8 @@ let to_binary theory =
   let is_wide_tgp p =
     Pred.arity p > 2 && List.exists (fun (p', _) -> Pred.equal p p') tgp_preds
   in
-  let e_pred r = Pred.make ("e_" ^ Rule.name r) 2 in
-  let w_pred r = Pred.make ("w_" ^ Rule.name r) 1 in
+  let e_pred r = Pred.invented ("e_" ^ Rule.name r) 2 in
+  let w_pred r = Pred.invented ("w_" ^ Rule.name r) 1 in
   (* keyed by (name, arity), not by the symbol: the fold below orders the
      synchronization rules, and a symbol's hash is its interning id *)
   let monadics = Hashtbl.create 16 in
@@ -155,7 +155,7 @@ let to_binary theory =
       Pred.name q ^ "_m"
       ^ String.concat "" (List.map string_of_int tags)
     in
-    let p = Pred.make name 1 in
+    let p = Pred.invented name 1 in
     Hashtbl.replace monadics (Pred.name p, Pred.arity p) (p, (q, tags));
     p
   in

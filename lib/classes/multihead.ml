@@ -29,7 +29,7 @@ let to_single_head theory =
               Rule.SS.elements (Atom.vars_of_atoms heads)
             in
             let j =
-              Pred.make
+              Pred.invented
                 (Printf.sprintf "join_%s_%d" (Rule.name rule) !counter)
                 (List.length head_vars)
             in

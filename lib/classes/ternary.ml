@@ -27,7 +27,8 @@ let chain_preds_for p =
   assert (k > 3);
   (* number of chain atoms: first consumes 2 args, each next consumes 1 *)
   let n = k - 2 in
-  List.init n (fun i -> Pred.make (Printf.sprintf "%s_c%d" (Pred.name p) i) 3)
+  List.init n (fun i ->
+      Pred.invented (Printf.sprintf "%s_c%d" (Pred.name p) i) 3)
   |> fun l ->
   (* the last chain predicate has no outgoing link: arity 3 with the last
      two original arguments; keep arity 3 uniformly by convention

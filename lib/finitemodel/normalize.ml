@@ -17,8 +17,6 @@
 
 open Bddfc_logic
 
-let query_pred_name = "f_hidden"
-
 type hidden = {
   theory : Theory.t;
   query_pred : Pred.t; (* the fresh F *)
@@ -27,7 +25,7 @@ type hidden = {
 (* ♠4.  The query is made Boolean first (FC quantifies over Boolean
    queries; answer variables are existentially closed). *)
 let hide_query theory (q : Cq.t) =
-  let f = Pred.make query_pred_name 2 in
+  let f = Pred.invented "f_hidden" 2 in
   let vars = Cq.SS.elements (Cq.all_vars q) in
   let y_term =
     match vars with
@@ -60,12 +58,10 @@ let fresh_pred_name used base =
   in
   go 0
 
+(* The TGPs are invented ([Pred.invented]), so they only need to differ
+   from each other. *)
 let spade5 theory =
-  let used =
-    ref
-      (List.map Pred.name
-         (Pred.Set.elements (Signature.pred_set (Theory.signature theory))))
-  in
+  let used = ref [] in
   let fresh base =
     let name = fresh_pred_name !used base in
     used := name :: !used;
@@ -119,7 +115,7 @@ let spade5 theory =
                     List.map
                       (fun z ->
                         let w =
-                          Pred.make
+                          Pred.invented
                             (fresh (Pred.name (Atom.pred head) ^ "_w")) 2
                         in
                         tgps := w :: !tgps;

@@ -33,7 +33,7 @@ type params = {
   eval : Bddfc_hom.Eval.engine;
       (** join engine for every evaluation stage (default [Compiled]) *)
   hc : Bddfc_hom.Hc.mode;
-      (** containment backend for kappa and the quotient checks (default
+      (** containment backend for kappa (default
           {!Bddfc_hom.Hc.default_mode}): [Interned] goes through the
           hash-consed store and memo caches, [Structural] is the
           uncached differential oracle *)

@@ -62,6 +62,7 @@ let pp_token ppf = function
 
 let is_ident_start c = ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || c = '_'
 
+(* '#' is no identifier character: it marks invented symbols ([Pred.mark]) *)
 let is_ident_char c =
   is_ident_start c || ('0' <= c && c <= '9') || c = '\''
 

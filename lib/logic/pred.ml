@@ -56,6 +56,12 @@ let make name arity =
       Tbl.add cache key p;
       p
 
+(* Invented symbols carry a trailing '#'.  The lexer rejects '#', so no
+   parsed program can name one, and '#' sorts below every identifier
+   character, so marking keeps the relative order of unmarked names. *)
+let mark name = name ^ "#"
+let invented base arity = make (mark base) arity
+
 let name p = p.name
 let arity p = p.arity
 let id p = p.id

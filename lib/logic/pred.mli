@@ -12,6 +12,19 @@ val make : string -> int -> t
     always yields the same symbol (and id), from any domain.
     @raise Invalid_argument if [arity < 0]. *)
 
+val invented : string -> int -> t
+(** [invented base arity] is the symbol the construction invents under
+    the name [base]: [make (mark base) arity].  No parsed program names
+    it, so it never collides with a symbol of the input.  The same
+    [base] always gives the same symbol; callers needing several keep
+    their bases apart. *)
+
+val mark : string -> string
+(** The naming policy for every invented symbol, predicates here and
+    variables in {!Term.fresh_var}: append ['#'], a character the lexer
+    rejects.  ['#'] sorts below every identifier character, so marked
+    names keep the relative order of their bases. *)
+
 val name : t -> string
 val arity : t -> int
 

@@ -21,14 +21,13 @@ let pp ppf = function
 
 let show = Fmt.to_to_string pp
 
-(* Fresh-variable supply.  Generated names start with '_' followed by an
-   uppercase letter so they can never collide with parsed variables (which
-   start with a plain uppercase letter) nor with constants (lowercase). *)
+(* Fresh-variable supply, marked as every invented symbol is
+   ([Pred.mark]): parsed variables may start with '_' too. *)
 let fresh_counter = ref 0
 
 let fresh_var ?(prefix = "_X") () =
   incr fresh_counter;
-  prefix ^ string_of_int !fresh_counter
+  Pred.mark (prefix ^ string_of_int !fresh_counter)
 
 let reset_fresh_counter () = fresh_counter := 0
 

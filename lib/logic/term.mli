@@ -16,8 +16,9 @@ val pp : t Fmt.t
 val show : t -> string
 
 val fresh_var : ?prefix:string -> unit -> string
-(** A globally fresh variable name.  Fresh names begin with ['_'] and hence
-    cannot collide with parser-produced variables. *)
+(** A globally fresh variable name: [prefix] (default ["_X"]) and a
+    counter, marked by {!Pred.mark}, so it cannot collide with a parsed
+    variable (which may start with ['_'] too). *)
 
 val reset_fresh_counter : unit -> unit
 (** Reset the fresh-name supply (useful for reproducible tests). *)

@@ -49,33 +49,13 @@ type t = {
   num_lightnesses : int;
 }
 
-let color_pred_name ~hue ~lightness =
-  Printf.sprintf "k%d_%d" hue lightness
-
-(* Parse a color predicate name back into (hue, lightness). *)
-let parse_color_pred name =
-  if String.length name < 2 || name.[0] <> 'k' then None
-  else
-    match String.split_on_char '_' (String.sub name 1 (String.length name - 1)) with
-    | [ h; l ] -> (
-        match (int_of_string_opt h, int_of_string_opt l) with
-        | Some h, Some l -> Some (h, l)
-        | _ -> None)
-    | _ -> None
-
-let color_preds inst =
-  Pred.Set.filter
-    (fun p -> Pred.is_unary p && parse_color_pred (Pred.name p) <> None)
-    (Instance.preds inst)
+let is_color p = Color.of_pred p <> None
+let color_preds inst = Pred.Set.filter is_color (Instance.preds inst)
 
 (* Strip color atoms: C-bar |` Sigma. *)
 let uncolor inst =
-  let keep =
-    Pred.Set.filter
-      (fun p -> not (Pred.is_unary p && parse_color_pred (Pred.name p) <> None))
-      (Instance.preds inst)
-  in
-  Instance.restrict_preds inst keep
+  Instance.restrict_preds inst
+    (Pred.Set.filter (fun p -> not (is_color p)) (Instance.preds inst))
 
 let materialize inst hue lightness =
   let colored = Instance.copy inst in
@@ -86,7 +66,7 @@ let materialize inst hue lightness =
     match Hashtbl.find_opt preds (hue, lightness) with
     | Some p -> p
     | None ->
-        let p = Pred.make (color_pred_name ~hue ~lightness) 1 in
+        let p = Color.pred ~hue ~lightness in
         Hashtbl.replace preds (hue, lightness) p;
         p
   in

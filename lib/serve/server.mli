@@ -38,16 +38,13 @@ type config = {
   chase_rounds : int; (** default resident chase-prefix depth *)
   max_line_bytes : int; (** request lines above this are rejected *)
   faults : Faults.t option; (** fault injection, off by default *)
-  hc : Bddfc_hom.Hc.mode;
-      (** containment backend for every request (a library setting;
-          [bddfc serve] runs the default); replies are bit-identical
-          across modes *)
 }
 
 val default_config : config
 (** No deadline, no fuel, 64 in-flight, 16 chase rounds, 1 MiB lines,
-    no faults, {!Bddfc_hom.Hc.default_mode}.  Every request chases with
-    the default [Seminaive] strategy. *)
+    no faults.  Every request runs
+    {!Bddfc_finitemodel.Pipeline.default_params}: the default
+    [Seminaive] strategy and containment backend. *)
 
 type t
 

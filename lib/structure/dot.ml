@@ -1,8 +1,8 @@
 (* GraphViz (DOT) export of binary structures: constants as boxes,
    labelled nulls as circles, binary facts as labelled edges, unary facts
-   collected into the node label.  Colors (unary predicates named
-   k<hue>_<lightness>) are rendered as fill colors so quotient and
-   coloring pipelines can be eyeballed. *)
+   collected into the node label.  Colors ({!Color} predicates) are
+   rendered as fill colors so quotient and coloring pipelines can be
+   eyeballed. *)
 
 open Bddfc_logic
 
@@ -17,24 +17,6 @@ let escape s =
 
 let node_name id = "n" ^ string_of_int id
 
-(* Parse a color predicate name of the shape k<h>_<l>. *)
-let hue_of_labels labels =
-  List.fold_left
-    (fun acc p ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          let name = Pred.name p in
-          if String.length name >= 2 && name.[0] = 'k' then
-            match
-              String.split_on_char '_'
-                (String.sub name 1 (String.length name - 1))
-            with
-            | [ h; _ ] -> int_of_string_opt h
-            | _ -> None
-          else None))
-    None labels
-
 let to_buffer inst =
   let g = Bgraph.make inst in
   let buf = Buffer.create 1024 in
@@ -42,13 +24,13 @@ let to_buffer inst =
   Buffer.add_string buf "  rankdir=LR;\n  node [fontsize=10];\n";
   List.iter
     (fun id ->
-      let labels = Bgraph.unary_labels g id in
-      let plain =
-        List.filter
+      let hues, plain =
+        List.partition_map
           (fun p ->
-            let n = Pred.name p in
-            not (String.length n >= 2 && n.[0] = 'k' && String.contains n '_'))
-          labels
+            match Color.of_pred p with
+            | Some (h, _) -> Either.Left h
+            | None -> Either.Right p)
+          (Bgraph.unary_labels g id)
       in
       let base =
         match Instance.const_name inst id with
@@ -66,10 +48,10 @@ let to_buffer inst =
         if Instance.is_const inst id then "box" else "ellipse"
       in
       let fill =
-        match hue_of_labels labels with
-        | Some h ->
+        match hues with
+        | h :: _ ->
             Printf.sprintf ", style=filled, fillcolor=\"%s\"" (color_of_hue h)
-        | None -> ""
+        | [] -> ""
       in
       Buffer.add_string buf
         (Printf.sprintf "  %s [label=\"%s\", shape=%s%s];\n" (node_name id)

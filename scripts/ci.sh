@@ -42,6 +42,17 @@ if [ -n "$fmt_bad" ]; then
   exit 1
 fi
 
+# one supply for invented names: outside the logic layer (and the
+# workload generators, which build parser-legal input) a predicate is
+# made by Pred.invented, never by Pred.make
+make_bad=$(grep -rl 'Pred\.make' lib --include='*.ml' \
+  | grep -v -e '^lib/logic/' -e '^lib/workload/' || true)
+if [ -n "$make_bad" ]; then
+  echo "ci: Pred.make outside lib/logic and lib/workload (use Pred.invented):" >&2
+  echo "$make_bad" >&2
+  exit 1
+fi
+
 # the structural-containment lane: the whole tier-1 suite again with
 # the hash-consed store switched off (every defaulted containment
 # backend forced to structural), so each suite doubles as a

@@ -213,6 +213,62 @@ let test_guarded_rejects_order_violation () =
   | exception Guarded.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Unsupported for order violation"
 
+(* ------------------------------------------------------------------ *)
+(* Invented symbols                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A theory whose rules are named r1, r2, ... in order. *)
+let named src =
+  Theory.make
+    (List.mapi
+       (fun i r ->
+         Rule.make ~name:(Printf.sprintf "r%d" (i + 1)) ~body:(Rule.body r)
+           ~head:(Rule.head r) ())
+       (Theory.rules (th src)))
+
+(* The input's extensional predicates (read, never derived) stay
+   extensional in the output, even when spelled like the symbols the
+   transformation invents. *)
+let check_own_symbols name input output =
+  let heads t =
+    List.fold_left
+      (fun acc r -> Pred.Set.union acc (Rule.head_preds r))
+      Pred.Set.empty (Theory.rules t)
+  in
+  let edb =
+    Pred.Set.diff (Signature.pred_set (Theory.signature input)) (heads input)
+  in
+  check
+    Alcotest.(list string)
+    (name ^ ": derives no input EDB predicate") []
+    (List.map Pred.name (Pred.Set.elements (Pred.Set.inter edb (heads output))))
+
+let test_guarded_own_symbols () =
+  let t =
+    named
+      {| c(X,Y) -> exists Z. g(X,Y,Z).
+         start(X) -> exists Z. c(X,Z).
+         g(X,Y,Z), f1(Y,Z) -> d(Y,Z).
+         d(X,Y), e_r1(X,Y) -> h(Y). |}
+  in
+  check_own_symbols "guarded" t (Guarded.to_binary t).Guarded.theory
+
+let test_ternary_own_symbols () =
+  let t =
+    named
+      {| q(X) -> exists A. p(X,X,X,A).
+         p(X,Y,Z,U), p_c0(X,Y,Z) -> s(U). |}
+  in
+  check_own_symbols "ternary" t (Ternary.encode t).Ternary.theory
+
+let test_multihead_own_symbols () =
+  let t =
+    named
+      {| a(X) -> exists Z. b(X,Z), c(Z).
+         join_r1_1(X,Y) -> d(X). |}
+  in
+  check_own_symbols "multihead" t (Multihead.to_single_head t).Multihead.theory
+
 let suite =
   ( "classes",
     [ tc "linear recognizer" test_linear;
@@ -231,4 +287,7 @@ let suite =
       tc "guarded rejects unguarded" test_guarded_rejects_unguarded;
       tc "guarded rejects order violation" test_guarded_rejects_order_violation;
       tc "empty and ground bodies" test_empty_body;
+      tc "guarded->binary invents its own symbols" test_guarded_own_symbols;
+      tc "ternary invents its own symbols" test_ternary_own_symbols;
+      tc "multihead invents its own symbols" test_multihead_own_symbols;
     ] )

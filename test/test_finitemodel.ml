@@ -23,8 +23,19 @@ let test_hide_query () =
   let t = th "e(X,Y) -> exists Z. e(Y,Z)." in
   let h = Normalize.hide_query t (q "? e(X,Y), e(Y,X).") in
   check Alcotest.int "one rule added" 2 (Theory.size h.Normalize.theory);
-  check Alcotest.string "fresh predicate" "f_hidden"
-    (Pred.name h.Normalize.query_pred);
+  (* F is invented: no symbol of the input, even one spelled like it,
+     and no program can name it *)
+  let f = h.Normalize.query_pred in
+  let t' = th "e(X,Y) -> exists Z. e(Y,Z). f_hidden(X,Y) -> e(X,Y)." in
+  let h' = Normalize.hide_query t' (q "? f_hidden(X,X).") in
+  let f' = h'.Normalize.query_pred in
+  check Alcotest.bool "fresh predicate" false
+    (Pred.Set.mem f' (Signature.pred_set (Theory.signature t')));
+  check Alcotest.bool "same F for every input" true (Pred.equal f f');
+  check Alcotest.bool "no program names F" true
+    (match Parser.parse_atoms (Pred.name f ^ "(a,a).") with
+    | exception Parser.Parse_error _ -> true
+    | _ -> false);
   (* the F-rule fires exactly when the query holds *)
   let d = db "e(a,b). e(b,a)." in
   let r = Chase.run ~max_rounds:3 h.Normalize.theory d in
@@ -274,6 +285,71 @@ let test_pipeline_vs_naive_agreement () =
       check Alcotest.bool (name ^ ": engines agree") naive_found pipeline_found)
     [ "ex1"; "ex7"; "linear"; "sticky"; "weakly_acyclic" ]
 
+(* Names the construction used to invent, now legal input: facts over
+   them, and query variables spelled like renamed-apart ones, change
+   neither the judge's verdict kind nor its kappa.  The facts sit on a
+   constant of the database: a fresh constant alone grows the domain,
+   which turns sec55's small-model absence proof into "open". *)
+let test_judge_invented_names () =
+  let kind v =
+    match v.Judge.evidence with
+    | Judge.Certain _ -> "certain"
+    | Judge.Witness _ -> "witness"
+    | Judge.No_small_model _ -> "no-small-model"
+    | Judge.Open _ -> "open"
+  in
+  let summary v =
+    (kind v, Option.map (fun s -> s.Judge.kappa.Bddfc_rewriting.Rewrite.kappa)
+        v.Judge.scope)
+  in
+  List.iter
+    (fun (e : Zoo.entry) ->
+      let tgp_names =
+        List.filter_map
+          (fun r ->
+            if Rule.is_existential r then
+              Some (Pred.name (Atom.pred (List.hd (Rule.head r))) ^ "_w")
+            else None)
+          (Theory.rules e.Zoo.theory)
+      in
+      let c = List.hd (Atom.args (List.hd e.Zoo.database)) in
+      let extra =
+        List.map (fun n -> Atom.app n [ c; c ]) ("f_hidden" :: tgp_names)
+        @ List.concat_map
+            (fun h ->
+              List.init 4 (fun l ->
+                  Atom.app (Printf.sprintf "k%d_%d" h l) [ c ]))
+            (List.init 4 Fun.id)
+      in
+      let renamed =
+        let vars = Cq.SS.elements (Cq.all_vars e.Zoo.query) in
+        let s =
+          Subst.of_bindings
+            (List.mapi
+               (fun k x -> (x, Term.Var (Printf.sprintf "_X%d" (k + 1))))
+               vars)
+        in
+        let ren x =
+          match Subst.find_opt x s with Some (Term.Var y) -> y | _ -> x
+        in
+        Cq.make
+          ~answer:(List.map ren (Cq.answer e.Zoo.query))
+          (Subst.apply_atoms s (Cq.body e.Zoo.query))
+      in
+      let plain =
+        Judge.judge e.Zoo.theory (Zoo.database_instance e) e.Zoo.query
+      in
+      let hostile =
+        Judge.judge e.Zoo.theory
+          (Instance.of_atoms (e.Zoo.database @ extra))
+          renamed
+      in
+      check
+        Alcotest.(pair string (option int))
+        (e.Zoo.name ^ ": verdict kind and kappa") (summary plain)
+        (summary hostile))
+    Zoo.all
+
 let suite =
   ( "finitemodel",
     [ tc "hide query (♠4)" test_hide_query;
@@ -298,4 +374,5 @@ let suite =
       tc "pipeline honest on non-FC (5.5)" test_pipeline_nonfc_unknown;
       tc "pipeline detects entailment" test_pipeline_query_on_entailed_instance;
       tc "pipeline vs naive agreement" test_pipeline_vs_naive_agreement;
+      tc "judge: invented names are legal input" test_judge_invented_names;
     ] )
