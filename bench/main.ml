@@ -449,7 +449,7 @@ let encodings () =
        (Logic.Theory.signature enc.Classes.Ternary.theory));
   let mh =
     Logic.Theory.make
-      [ Logic.Rule.make
+      [ Logic.Rule.make ~name:"r1"
           ~body:[ Logic.Atom.app "p" [ Logic.Term.var "X" ] ]
           ~head:
             [ Logic.Atom.app "e" [ Logic.Term.var "X"; Logic.Term.var "Y" ];
@@ -1653,6 +1653,7 @@ type ex21_row = {
   h_eval_lookups : int;
   h_eval_hits : int;
   h_store_nodes : int;
+  h_index_rejects : int option;
   h_wall_structural_s : float;
   h_wall_interned_s : float;
 }
@@ -1685,7 +1686,7 @@ let ex21_judge_sig (v : Finitemodel.Judge.verdict) =
       Printf.sprintf "nosmall:%d" max_extra
   | Finitemodel.Judge.Open _ -> "open"
 
-(* (name, gates-the-hit-rate, verdict-producing run) *)
+(* (name, gates-the-hit-rate, records-the-index, verdict-producing run) *)
 let ex21_workloads () =
   let gen_padded =
     Logic.Parser.parse_theory
@@ -1700,6 +1701,13 @@ let ex21_workloads () =
   let tc_query = Logic.Parser.parse_query "? e(X,Y)." in
   let ex1 = Option.get (Zoo.find "ex1") in
   let ex7 = Option.get (Zoo.find "ex7") in
+  let sec55 = Option.get (Zoo.find "sec55") in
+  let sec55_normalized =
+    (Finitemodel.Normalize.spade5
+       (Finitemodel.Normalize.hide_query sec55.Zoo.theory sec55.Zoo.query)
+         .Finitemodel.Normalize.theory)
+      .Finitemodel.Normalize.theory
+  in
   let redundant_path =
     (* a 12-edge path with shadow detours that all fold onto it: every
        minimize pass does one large-query subsumption check per atom,
@@ -1718,6 +1726,7 @@ let ex21_workloads () =
   in
   [ ( "minimize-x40/path12",
       true,
+      false,
       fun hc ->
         (* the serve-style warm workload: the same large query minimized
            over and over — after the first pass every subsumption check
@@ -1732,6 +1741,7 @@ let ex21_workloads () =
         !last );
     ( "rewrite-x3/tc-sym",
       true,
+      false,
       fun hc ->
         (* the saturating rewriting: every kept disjunct is subsumption-
            checked against every candidate, and the whole loop repeats
@@ -1749,6 +1759,7 @@ let ex21_workloads () =
         !last );
     ( "kappa-x5/gen-pad",
       true,
+      false,
       fun hc ->
         let last = ref "" in
         for _ = 1 to 5 do
@@ -1764,6 +1775,7 @@ let ex21_workloads () =
         !last );
     ( "judge-x3/ex1",
       true,
+      false,
       fun hc ->
         let budget =
           {
@@ -1781,6 +1793,7 @@ let ex21_workloads () =
         !last );
     ( "classes-x3/null-chain24",
       true,
+      false,
       fun hc ->
         (* the 2-variable ptype partition of one fixed null-rich
            structure, three times over: the canonical queries of
@@ -1795,6 +1808,7 @@ let ex21_workloads () =
         done;
         !last );
     ( "converge-sweep/cycle5",
+      false,
       false,
       fun hc ->
         let coloring = Ptp.Coloring.natural ~m:2 (Gen.cycle ~len:5 ()) in
@@ -1813,7 +1827,25 @@ let ex21_workloads () =
                  pt.Ptp.Converge.quotient_size
                  (List.length pt.Ptp.Converge.gained))
              trace.Ptp.Converge.points) );
+    ( "kappa/sec55-normalized",
+      false,
+      true,
+      fun hc ->
+        (* the kept-set scans of the judge-zoo bottleneck at the
+           pipeline's caps: the signature index settles most pairs
+           before the memo, so its rejects are gated with the memo *)
+        let params = ex21_params hc in
+        let k =
+          Rewriting.Rewrite.kappa ?budget:!governor ~hc
+            ~max_disjuncts:params.Finitemodel.Pipeline.rewrite_max_disjuncts
+            ~max_steps:params.Finitemodel.Pipeline.rewrite_max_steps
+            sec55_normalized
+        in
+        Printf.sprintf "kappa:%d:%s" k.Rewriting.Rewrite.kappa
+          (if k.Rewriting.Rewrite.all_complete then "complete"
+           else "incomplete") );
     ( "pipeline-x2/ex7",
+      false,
       false,
       fun hc ->
         let params = ex21_params hc in
@@ -1829,7 +1861,7 @@ let ex21_workloads () =
 
 let ex21_measure () =
   List.map
-    (fun (name, gate_hits, run) ->
+    (fun (name, gate_hits, index_row, run) ->
       let arm hc =
         Hom.Hc.reset ();
         let v, t, delta = measure (fun () -> run hc) in
@@ -1848,6 +1880,8 @@ let ex21_measure () =
         h_eval_lookups = d "hc.eval_memo_lookups";
         h_eval_hits = d "hc.eval_memo_hits";
         h_store_nodes = atoms + cqs;
+        h_index_rejects =
+          (if index_row then Some (d "containment.index_rejects") else None);
         h_wall_structural_s = ts;
         h_wall_interned_s = ti;
       })
@@ -1919,10 +1953,14 @@ let run_ex21 () =
   List.map
     (fun row ->
       gate_row "EX-21" row.h_workload ~verdict:row.h_verdict_interned
-        [ ("memo_lookups", row.h_memo_lookups);
-          ("memo_hits", row.h_memo_hits);
-          ("eval_lookups", row.h_eval_lookups);
-          ("eval_hits", row.h_eval_hits) ])
+        ([ ("memo_lookups", row.h_memo_lookups);
+           ("memo_hits", row.h_memo_hits);
+           ("eval_lookups", row.h_eval_lookups);
+           ("eval_hits", row.h_eval_hits) ]
+        @
+        match row.h_index_rejects with
+        | Some n -> [ ("index_rejects", n) ]
+        | None -> []))
     rows
 
 (* ------------------------------------------------------------------ *)

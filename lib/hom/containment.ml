@@ -30,48 +30,55 @@ let frozen_instance (q : Cq.t) =
   let inst = Instance.of_atoms atoms in
   (inst, frz)
 
-(* The structural decision, witness included: a satisfying binding of
-   [general]'s body over the frozen instance of [specific], read back as
-   a substitution into [specific]'s terms (frozen constants thawed to
-   the variables they froze). *)
+let same_arity (g : Cq.t) (s : Cq.t) =
+  List.length (Cq.answer g) = List.length (Cq.answer s)
+
+(* The homomorphism search, witness included, over a frozen instance of
+   [specific] ([frz] the freezing): a satisfying binding of [general]'s
+   body, read back as a substitution into [specific]'s terms (frozen
+   constants thawed to the variables they froze).  Answer arities must
+   match. *)
+let search ?engine ~(general : Cq.t) inst frz (specific : Cq.t) =
+  let init =
+    List.fold_left2
+      (fun acc xg xs ->
+        match Subst.find_opt xs frz with
+        | Some (Term.Cst c) -> (
+            match Instance.const_opt inst c with
+            | Some id -> Smap.add xg id acc
+            | None -> acc)
+        | _ -> acc)
+      Smap.empty (Cq.answer general) (Cq.answer specific)
+  in
+  match Eval.first_solution ~init ?engine inst (Cq.body general) with
+  | None -> (false, None)
+  | Some b ->
+      let thaw = Hashtbl.create 16 in
+      List.iter
+        (fun (x, t) ->
+          match t with
+          | Term.Cst c -> Hashtbl.replace thaw c x
+          | Term.Var _ -> ())
+        (Subst.bindings frz);
+      let w =
+        Smap.fold
+          (fun v id acc ->
+            match Instance.const_name inst id with
+            | Some c -> (
+                match Hashtbl.find_opt thaw c with
+                | Some x -> Subst.add v (Term.Var x) acc
+                | None -> Subst.add v (Term.Cst c) acc)
+            | None -> acc)
+          b Subst.empty
+      in
+      (true, Some w)
+
+(* The structural decision, witness included. *)
 let subsumes_core ?engine ~(general : Cq.t) (specific : Cq.t) =
-  if List.length (Cq.answer general) <> List.length (Cq.answer specific)
-  then (false, None)
+  if not (same_arity general specific) then (false, None)
   else begin
     let inst, frz = frozen_instance specific in
-    let init =
-      List.fold_left2
-        (fun acc xg xs ->
-          match Subst.find_opt xs frz with
-          | Some (Term.Cst c) -> (
-              match Instance.const_opt inst c with
-              | Some id -> Smap.add xg id acc
-              | None -> acc)
-          | _ -> acc)
-        Smap.empty (Cq.answer general) (Cq.answer specific)
-    in
-    match Eval.first_solution ~init ?engine inst (Cq.body general) with
-    | None -> (false, None)
-    | Some b ->
-        let thaw = Hashtbl.create 16 in
-        List.iter
-          (fun (x, t) ->
-            match t with
-            | Term.Cst c -> Hashtbl.replace thaw c x
-            | Term.Var _ -> ())
-          (Subst.bindings frz);
-        let w =
-          Smap.fold
-            (fun v id acc ->
-              match Instance.const_name inst id with
-              | Some c -> (
-                  match Hashtbl.find_opt thaw c with
-                  | Some x -> Subst.add v (Term.Var x) acc
-                  | None -> Subst.add v (Term.Cst c) acc)
-              | None -> acc)
-            b Subst.empty
-        in
-        (true, Some w)
+    search ?engine ~general inst frz specific
   end
 
 (* The original verdict-only decision, byte for byte: the differential
@@ -95,51 +102,301 @@ let subsumes_structural ?engine ~(general : Cq.t) (specific : Cq.t) =
     Eval.satisfiable ~init ?engine inst (Cq.body general)
   end
 
+(* ---------------- signatures ---------------- *)
+
 (* A necessary condition for a homomorphism from [general] into the
-   frozen body of [specific]: each atom of [general] needs a target atom
-   with the same predicate, the same constant wherever [general] has a
-   constant, and equal terms wherever [general] repeats a variable.  The
-   test is per atom and never counts: homomorphisms need not be
-   injective, so e(X,Y), e(Y,Z) maps into e(a,a).  Terms of [specific]
-   are compared as [Cq.freeze] would leave them, so the test agrees with
-   the structural decision even on a constant that collides with a
-   frozen variable name. *)
-let shape_rejects ~(general : Cq.t) (specific : Cq.t) =
-  let same_frozen t u =
-    match (t, u) with
-    | Term.Var x, Term.Var y -> String.equal x y
-    | Term.Cst c, Term.Cst d -> String.equal c d
-    | Term.Var x, Term.Cst c | Term.Cst c, Term.Var x -> Cq.freezes_to x c
+   frozen body of [specific], as two sorted int arrays: what [general]
+   needs and what [specific] hosts.  A homomorphism exists only if
+   needs ⊆ hosts.
+
+   Shape features (codes >= 0): each atom of [general] needs a target
+   atom with the same predicate, the same constant wherever [general]
+   has a constant, and equal terms wherever [general] repeats a
+   variable.  A shape is the predicate, then per position either the
+   constant or the first position of the same variable in the atom.  A
+   target atom hosts every shape it satisfies: each position may hold a
+   constant (its frozen term) or a variable, and a variable may repeat
+   an earlier one over the same frozen term.
+
+   Join features (codes < 0): a variable [general] shares between
+   position i of a p-atom and position j of a p'-atom needs a term of
+   [specific] that sits at both.  Hosts pair two positions of one atom
+   too, because homomorphisms need not be injective: e(X,Y), e(Y,Z)
+   maps into e(a,a).  Nothing here counts atoms.  Two occurrences at
+   the same position of one predicate give no feature: that
+   predicate's shape already asks for it.
+
+   Terms of [specific] are read as [Cq.freeze] leaves them, so a
+   constant spelled like a frozen variable meets that variable.
+
+   Shape codes are 62-bit hashes, so no table grows with the shapes a
+   process meets.  A collision can only make a missing shape look
+   hosted, which lets a pair through to the homomorphism search; it can
+   never reject a pair.  Joins pack (predicate id, position) pairs
+   exactly; occurrences past the packing bounds carry no join feature
+   on either side, which only weakens the test. *)
+
+let mix h x =
+  let h = (h lxor x) * 0x1f3d5b799e3779b9 in
+  h lxor (h lsr 29)
+
+let hash_string h s =
+  let h = ref (mix h (String.length s)) in
+  String.iter (fun c -> h := mix !h (Char.code c)) s;
+  !h
+
+let const_slot h hc = mix (mix h 1) hc
+let var_slot h first = mix (mix h 2) first
+let shape_start pred = mix 0x2545f4914f6cdd1d (Pred.id pred)
+let shape_code h = h land max_int
+let join_pos_bound = 32
+let join_pred_bound = 1 lsl 23
+
+let occurrence pred i =
+  if i < join_pos_bound && Pred.id pred < join_pred_bound then
+    (Pred.id pred * join_pos_bound) + i
+  else -1
+
+let join_code (o1 : int) (o2 : int) =
+  let lo = min o1 o2 and hi = max o1 o2 in
+  -1 - ((lo * (join_pred_bound * join_pos_bound)) + hi)
+
+(* Signatures hold a few dozen codes, where an insertion sort is the
+   fastest. *)
+let sorted_unique (l : int list) =
+  let a = Array.of_list l in
+  let n = Array.length a in
+  if n > 32 then Array.sort (fun (x : int) y -> compare x y) a
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+  if n = 0 then a
+  else begin
+    let k = ref 1 in
+    for i = 1 to n - 1 do
+      if a.(i) <> a.(!k - 1) then begin
+        a.(!k) <- a.(i);
+        incr k
+      end
+    done;
+    Array.sub a 0 !k
+  end
+
+(* The occurrences of a query's terms, position by position: the term's
+   key (a variable name for needs, a frozen term for hosts), its hash and
+   its packed occurrence (-1 past the packing bounds). *)
+type occurrences = {
+  keys : string array;
+  hashes : int array;
+  occs : int array;
+}
+
+let occurrences (q : Cq.t) key =
+  let n = List.fold_left (fun n a -> n + Atom.arity a) 0 (Cq.body q) in
+  let o =
+    { keys = Array.make n ""; hashes = Array.make n 0; occs = Array.make n (-1) }
   in
-  let rec fits seen gs ss =
-    match (gs, ss) with
-    | [], [] -> true
-    | (Term.Cst _ as g) :: gs, s :: ss -> same_frozen g s && fits seen gs ss
-    | Term.Var x :: gs, s :: ss -> (
-        match List.assoc_opt x seen with
-        | Some s' -> same_frozen s s' && fits seen gs ss
-        | None -> fits ((x, s) :: seen) gs ss)
-    | _ -> false
+  let k = ref 0 in
+  List.iter
+    (fun a ->
+      List.iteri
+        (fun i t ->
+          let s = key t in
+          o.keys.(!k) <- s;
+          o.hashes.(!k) <- hash_string 0 s;
+          o.occs.(!k) <- occurrence (Atom.pred a) i;
+          incr k)
+        (Atom.args a))
+    (Cq.body q);
+  o
+
+(* Joins between two occurrences of one term, [keep] saying which terms
+   count.  Two occurrences at the same position of one predicate need
+   nothing beyond that predicate's shape, so they carry no feature. *)
+let joins ~keep o acc =
+  let acc = ref acc in
+  let n = Array.length o.occs in
+  for i = 0 to n - 1 do
+    let oi = o.occs.(i) in
+    if oi >= 0 && keep i then
+      for j = i + 1 to n - 1 do
+        let oj = o.occs.(j) in
+        if oj >= 0 && oj <> oi && keep j
+           && o.hashes.(i) = o.hashes.(j)
+           && String.equal o.keys.(i) o.keys.(j)
+        then acc := join_code oi oj :: !acc
+      done
+  done;
+  !acc
+
+let needs (q : Cq.t) =
+  let o =
+    occurrences q (function Term.Var x -> x | Term.Cst c -> c)
   in
-  let has_target a =
-    List.exists
-      (fun b ->
-        Pred.equal (Atom.pred a) (Atom.pred b)
-        && fits [] (Atom.args a) (Atom.args b))
-      (Cq.body specific)
+  let is_var = Array.make (Array.length o.keys) false in
+  let k = ref 0 in
+  let shapes =
+    List.map
+      (fun a ->
+        let base = !k in
+        let h = ref (shape_start (Atom.pred a)) in
+        List.iteri
+          (fun i t ->
+            (match t with
+            | Term.Cst _ -> h := const_slot !h o.hashes.(base + i)
+            | Term.Var _ ->
+                is_var.(base + i) <- true;
+                let j = ref 0 in
+                while
+                  not
+                    (is_var.(base + !j)
+                    && String.equal o.keys.(base + !j) o.keys.(base + i))
+                do
+                  incr j
+                done;
+                h := var_slot !h !j);
+            incr k)
+          (Atom.args a);
+        shape_code !h)
+      (Cq.body q)
   in
-  not (List.for_all has_target (Cq.body general))
+  sorted_unique (joins ~keep:(fun i -> is_var.(i)) o shapes)
+
+(* Every shape one atom of the frozen body satisfies, by a walk over its
+   positions that extends the hash as it goes: position i holds a
+   constant, starts a variable, or repeats an earlier variable over the
+   same frozen term. *)
+let atom_hosts o base (a : Atom.t) acc =
+  let n = Atom.arity a in
+  let var_start = Array.make n false in
+  let rec go i h acc =
+    if i = n then shape_code h :: acc
+    else begin
+      let acc = go (i + 1) (const_slot h o.hashes.(base + i)) acc in
+      var_start.(i) <- true;
+      let acc = go (i + 1) (var_slot h i) acc in
+      var_start.(i) <- false;
+      let acc = ref acc in
+      for j = 0 to i - 1 do
+        if var_start.(j)
+           && o.hashes.(base + j) = o.hashes.(base + i)
+           && String.equal o.keys.(base + j) o.keys.(base + i)
+        then acc := go (i + 1) (var_slot h j) !acc
+      done;
+      !acc
+    end
+  in
+  go 0 (shape_start (Atom.pred a)) acc
+
+let hosts (q : Cq.t) =
+  let o =
+    occurrences q (function Term.Var x -> Cq.frozen_name x | Term.Cst c -> c)
+  in
+  let _, shapes =
+    List.fold_left
+      (fun (base, acc) a ->
+        (base + Atom.arity a, atom_hosts o base a acc))
+      (0, []) (Cq.body q)
+  in
+  sorted_unique (joins ~keep:(fun _ -> true) o shapes)
+
+let subset (needs : int array) (hosts : int array) =
+  let n = Array.length needs and m = Array.length hosts in
+  let rec go i j =
+    if i = n then true
+    else if j = m then false
+    else
+      let x = needs.(i) and y = hosts.(j) in
+      if x = y then go (i + 1) (j + 1)
+      else if x > y then go i (j + 1)
+      else false
+  in
+  go 0 0
+
+(* ---------------- prepared queries ---------------- *)
+
+(* A query as the rewriting loop holds it: interned once, its signature
+   and its frozen instance built on first use and kept with it.  They
+   are built from the canonical representative, so a verdict computed
+   here is the one the memo stores for the id pair. *)
+type prepared = {
+  cq : Cq.t;
+  hc : Hc.mode;
+  id : int; (* -1 under Structural *)
+  needs : int array Lazy.t;
+  hosts : int array Lazy.t;
+  frozen : (Instance.t * Subst.t) Lazy.t;
+}
+
+let prepare ?hc (q : Cq.t) =
+  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
+  let id, canon =
+    match hc with
+    | Hc.Interned ->
+        let id = Hc.intern q in
+        (id, Hc.node id)
+    | Hc.Structural -> (-1, q)
+  in
+  {
+    cq = q;
+    hc;
+    id;
+    needs = lazy (needs canon);
+    hosts = lazy (hosts canon);
+    frozen = lazy (frozen_instance canon);
+  }
+
+let query p = p.cq
+let signature p = (Lazy.force p.needs, Lazy.force p.hosts)
+
+let rejects ~general specific =
+  not (subset (Lazy.force general.needs) (Lazy.force specific.hosts))
 
 let m_prefilter_rejects =
   Bddfc_obs.Obs.Metrics.counter "containment.prefilter_rejects"
 
-(* The memo's compute: the shape test, then the homomorphism search. *)
+let m_index_rejects = Bddfc_obs.Obs.Metrics.counter "containment.index_rejects"
+
+(* The memo's compute on a pair nobody prepared: the signature test,
+   then the homomorphism search. *)
 let compute_interned ?engine g s =
-  if shape_rejects ~general:g s then begin
+  if not (same_arity g s) then (false, None)
+  else if not (subset (needs g) (hosts s)) then begin
     Bddfc_obs.Obs.Metrics.incr m_prefilter_rejects;
     (false, None)
   end
-  else subsumes_core ?engine ~general:g s
+  else
+    let inst, frz = frozen_instance s in
+    search ?engine ~general:g inst frz s
+
+(* [prepared_subsumes ~general specific]: {!subsumes} on prepared
+   queries.  Under [Interned] the signatures settle the pair before the
+   memo is consulted, and a miss searches the specific side's kept
+   frozen instance. *)
+let prepared_subsumes ?engine ~general specific =
+  match specific.hc with
+  | Hc.Structural ->
+      subsumes_structural ?engine ~general:general.cq specific.cq
+  | Hc.Interned ->
+      if rejects ~general specific then begin
+        Bddfc_obs.Obs.Metrics.incr m_index_rejects;
+        false
+      end
+      else
+        fst
+          (Hc.memo_subsumes ~general:general.id ~specific:specific.id
+             (fun g s ->
+               if not (same_arity g s) then (false, None)
+               else
+                 let inst, frz = Lazy.force specific.frozen in
+                 search ?engine ~general:g inst frz s))
 
 (* [subsumes ~general ~specific]: does [general] hold whenever [specific]
    does (i.e. specific is contained in general)?  Both must have the same

@@ -4,19 +4,28 @@
     {!Hc.default_mode}): [Interned] routes the pair through the
     hash-consed unique table and the [(id, id)] verdict memo, [Structural]
     is the original uncached code — the differential oracle the fuzzing
-    battery compares against. *)
+    battery compares against.
+
+    Under [Interned] every memo miss first tests a {e signature}: a
+    necessary condition for a homomorphism from [general] into the
+    frozen body of [specific], as two sorted int arrays.
+    - {e Needs} (of [general]): per atom its shape — predicate, the
+      constants by position, the repeated-variable pattern — and one
+      join feature [(p,i,p',j)] for each variable shared between
+      position [i] of a [p]-atom and position [j] of a [p']-atom.
+    - {e Hosts} (of [specific]): every shape an atom of the frozen body
+      satisfies, and every join two occurrences of one frozen term
+      satisfy, two positions of one atom included.
+
+    "needs ⊆ hosts" never counts atoms, since homomorphisms need not be
+    injective ([e(X,Y), e(Y,Z)] maps into [e(a,a)]).  Rejections inside
+    the memo's compute charge [containment.prefilter_rejects].
+
+    The rewriting loop holds {!prepared} queries instead, so the test
+    runs before the memo is consulted and each query's frozen instance
+    is built once. *)
 
 open Bddfc_logic
-
-val shape_rejects : general:Cq.t -> Cq.t -> bool
-(** The atom-shape prefilter of the interned path: [true] only when no
-    homomorphism from [general] into the frozen body of [specific] can
-    exist, because some atom of [general] has no atom of [specific] with
-    the same predicate, the same constants at [general]'s constant
-    positions and equal terms wherever [general] repeats a variable.
-    Sound by construction ([true] implies {!subsumes} is [false]); it
-    never counts atoms, since homomorphisms need not be injective.
-    Rejections inside the memo charge [containment.prefilter_rejects]. *)
 
 val subsumes :
   ?engine:Eval.engine -> ?hc:Hc.mode -> general:Cq.t -> Cq.t -> bool
@@ -42,3 +51,34 @@ val minimize : ?engine:Eval.engine -> ?hc:Hc.mode -> Cq.t -> Cq.t
 
 val prune_ucq : ?engine:Eval.engine -> ?hc:Hc.mode -> Cq.t list -> Cq.t list
 (** Drop disjuncts contained in another disjunct. *)
+
+(** {1 Prepared queries} *)
+
+type prepared
+(** A query prepared once for many containment tests: its {!Hc} id, its
+    signature, and the frozen instance of its canonical representative,
+    each built on first use and kept with the value. *)
+
+val prepare : ?hc:Hc.mode -> Cq.t -> prepared
+(** Interns the query under [Interned]; under [Structural] it prepares
+    nothing, and {!prepared_subsumes} runs the structural oracle. *)
+
+val query : prepared -> Cq.t
+(** The query as given to {!prepare}. *)
+
+val signature : prepared -> int array * int array
+(** [(needs, hosts)] of the canonical representative, each sorted and
+    duplicate-free.  Shape features are the codes [>= 0], join features
+    the codes [< 0]. *)
+
+val rejects : general:prepared -> prepared -> bool
+(** [true] when the needs of [general] are not among the hosts of the
+    specific side: no homomorphism exists, so {!subsumes} is [false]. *)
+
+val prepared_subsumes :
+  ?engine:Eval.engine -> general:prepared -> prepared -> bool
+(** {!subsumes} on prepared queries, under the mode the specific side
+    was prepared in.  Under [Interned], a pair that {!rejects}
+    charges [containment.index_rejects] and never reaches the memo;
+    every other pair is one memo lookup, and a miss searches the
+    specific side's kept frozen instance. *)

@@ -19,7 +19,10 @@
     The store is process-global and unsynchronized, like the {!Plan}
     cache: touch it from one domain only.  {!reset} drops
     everything — the [serve] warm-session eviction hook, and the
-    re-intern-from-empty point the obs tests pivot on. *)
+    re-intern-from-empty point the obs tests pivot on.  It is the only
+    process-wide containment state: signatures and frozen instances
+    live in {!Containment.prepared} values, for as long as their
+    holder keeps them. *)
 
 open Bddfc_logic
 open Bddfc_structure
@@ -84,7 +87,8 @@ val memo_subsumes :
 (** [memo_subsumes ~general ~specific compute]: the cached verdict for
     the id pair, or [compute g s] on the canonical representatives,
     stored and returned.  Charges [containment.memo_lookups] /
-    [containment.memo_hits]. *)
+    [containment.memo_hits].  Pairs {!Containment.prepared_subsumes}
+    settles by signature never get here. *)
 
 val memo_entries : unit -> ((int * int) * (bool * Subst.t option)) list
 (** Every cached [(general, specific)] verdict — the replay surface of

@@ -51,7 +51,7 @@ let rename_apart q =
   in
   (apply_subst ren q, ren)
 
-let frozen_prefix = "_frz_"
+let frozen_name x = "_frz_" ^ x
 
 (* The canonical ("frozen") instance of a query: each variable becomes a
    fresh constant.  Useful for containment checks. *)
@@ -59,15 +59,9 @@ let freeze q =
   let vars = SS.elements (all_vars q) in
   let frz =
     Subst.of_bindings
-      (List.map (fun x -> (x, Term.Cst (frozen_prefix ^ x))) vars)
+      (List.map (fun x -> (x, Term.Cst (frozen_name x))) vars)
   in
   (Subst.apply_atoms frz q.body, frz)
-
-let freezes_to x c =
-  let n = String.length frozen_prefix in
-  String.length c = n + String.length x
-  && String.starts_with ~prefix:frozen_prefix c
-  && String.ends_with ~suffix:x c
 
 (* The Gaifman-like graph of a query over a binary signature, as in
    Section 4 of the paper: vertices are variables, and each binary atom

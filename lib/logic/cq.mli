@@ -20,10 +20,9 @@ val apply_subst : Subst.t -> t -> t
 val rename_apart : t -> t * Subst.t
 val freeze : t -> Atom.t list * Subst.t
 
-val freezes_to : string -> string -> bool
-(** [freezes_to x c]: {!freeze} sends the variable [x] to the constant
-    [c].  Lets a caller compare terms as they would be frozen without
-    building the frozen body. *)
+val frozen_name : string -> string
+(** The constant {!freeze} sends a variable to. *)
+
 val edges : t -> (string * Pred.t * string) list
 val connected_components : t -> SS.t list
 val equal : t -> t -> bool

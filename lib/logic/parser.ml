@@ -230,9 +230,11 @@ let parse_statement st =
           in
           let head = parse_atom_list st in
           expect st Tdot;
-          `Rule (Rule.make ~loc:start_loc ?declared_ex ~body:atoms ~head ())
+          `Rule (fun name ->
+                  Rule.make ~name ~loc:start_loc ?declared_ex ~body:atoms ~head ())
       | t -> error ~loc:(loc_of st) "expected '.' or '->', found %a" pp_token t)
 
+(* Rules are named r1..rn by their position in the program. *)
 let parse_program src =
   let st = { toks = tokenize src } in
   let rec go rules facts queries =
@@ -243,7 +245,9 @@ let parse_program src =
       }
     else
       match parse_statement st with
-      | `Rule r -> go (r :: rules) facts queries
+      | `Rule r ->
+          let name = "r" ^ string_of_int (List.length rules + 1) in
+          go (r name :: rules) facts queries
       | `Facts fs -> go rules (List.rev_append fs facts) queries
       | `Query q -> go rules facts (q :: queries)
   in

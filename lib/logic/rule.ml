@@ -21,18 +21,9 @@ type t = {
 }
 [@@deriving eq, ord]
 
-let counter = ref 0
-
-let make ?name ?(loc = Loc.none) ?declared_ex ~body ~head () =
+let make ~name ?(loc = Loc.none) ?declared_ex ~body ~head () =
   if body = [] then invalid_arg "Rule.make: empty body";
   if head = [] then invalid_arg "Rule.make: empty head";
-  let name =
-    match name with
-    | Some n -> n
-    | None ->
-        incr counter;
-        "r" ^ string_of_int !counter
-  in
   { name; body; head; loc; declared_ex }
 
 let name r = r.name

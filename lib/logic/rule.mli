@@ -14,15 +14,15 @@ type t = {
 }
 
 val make :
-  ?name:string ->
+  name:string ->
   ?loc:Loc.t ->
   ?declared_ex:SS.t ->
   body:Atom.t list ->
   head:Atom.t list ->
   unit ->
   t
-(** @raise Invalid_argument on empty body or head.  Unnamed rules receive a
-    generated name [rN]. *)
+(** @raise Invalid_argument on empty body or head.  The parser names a
+    program's rules [r1..rn] by position. *)
 
 val name : t -> string
 val body : t -> Atom.t list

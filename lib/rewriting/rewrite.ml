@@ -12,11 +12,14 @@
    Cost: nearly every candidate a saturation generates is subsumed by a
    kept disjunct (1,991 of remark3's 2,002), so a narrow candidate meets
    the kept set before it is minimized, and only the survivors pay for
-   minimization.  The kept-set tests go through the containment memo,
-   whose compute refutes most hopeless pairs with an atom-shape test
-   before any homomorphism search (Containment.shape_rejects); the
-   structural oracle is untouched by either.  test/reference_rewrite.ml
-   keeps the minimize-first loop as the differential oracle. *)
+   minimization.  The kept set holds prepared queries
+   (Containment.prepare): each candidate is interned and signed once,
+   both scans test signatures before they touch the containment memo
+   (on sec55 that settles 35,255 pairs and leaves the memo 3,113
+   lookups), and a memo miss searches the specific side's frozen
+   instance, built once and kept for the run.  The structural oracle is
+   untouched by either.  test/reference_rewrite.ml keeps the
+   minimize-first loop as the differential oracle. *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -96,11 +99,12 @@ let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
       "Rewrite.rewrite: multi-head rules present; apply \
        Bddfc_classes.Multihead.to_single_head first";
   let answer = Cq.answer q in
+  let prepare = Containment.prepare ?hc in
   let q0 = Containment.minimize ?engine:eval ?hc (freeze_answers q) in
-  let kept = ref [ q0 ] in
-  let subsumed_by_kept q =
+  let kept = ref [ prepare q0 ] in
+  let subsumed_by_kept p =
     List.exists
-      (fun k -> Containment.subsumes ?engine:eval ?hc ~general:k q)
+      (fun k -> Containment.prepared_subsumes ?engine:eval ~general:k p)
       !kept
   in
   let queue = Queue.create () in
@@ -113,7 +117,8 @@ let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
        Budget.check_deadline budget;
        let cur = Queue.pop queue in
        (* [cur] may have been superseded by a more general disjunct *)
-       if List.exists (fun k -> Cq.equal k cur) !kept then
+       if List.exists (fun k -> Cq.equal (Containment.query k) cur) !kept
+       then
          List.iter
            (fun rule ->
              List.iter
@@ -127,30 +132,41 @@ let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
                     candidate meets the kept set raw, and only the
                     survivors pay for minimization *)
                  let narrow = _var_count q' <= max_disjunct_vars in
-                 if narrow && subsumed_by_kept q' then
-                   Obs.Metrics.incr m_presubsumed
-                 else begin
-                 let q' = Containment.minimize ?engine:eval ?hc q' in
-                 if _var_count q' > max_disjunct_vars then
-                   (* a disjunct this wide signals divergence; dropping it
-                      keeps the result a sound under-approximation *)
-                   complete := false
-                 else if narrow || not (subsumed_by_kept q') then begin
-                   (* drop disjuncts that q' now subsumes *)
-                   kept :=
-                     q'
-                     :: List.filter
-                          (fun k ->
-                            not
-                              (Containment.subsumes ?engine:eval ?hc
-                                 ~general:q' k))
-                          !kept;
-                   if List.length !kept > max_disjuncts then begin
-                     complete := false;
-                     raise Exit
-                   end;
-                   Queue.add q' queue
-                 end end)
+                 let raw = if narrow then Some (prepare q') else None in
+                 match raw with
+                 | Some p when subsumed_by_kept p ->
+                     Obs.Metrics.incr m_presubsumed
+                 | _ ->
+                     let core = Containment.minimize ?engine:eval ?hc q' in
+                     if _var_count core > max_disjunct_vars then
+                       (* a disjunct this wide signals divergence; dropping
+                          it keeps the result a sound under-approximation *)
+                       complete := false
+                     else begin
+                       (* a candidate its minimization left alone keeps
+                          its prepared form *)
+                       let p =
+                         match raw with
+                         | Some p when Cq.body core == Cq.body q' -> p
+                         | _ -> prepare core
+                       in
+                       if narrow || not (subsumed_by_kept p) then begin
+                         (* drop disjuncts that the core now subsumes *)
+                         kept :=
+                           p
+                           :: List.filter
+                                (fun k ->
+                                  not
+                                    (Containment.prepared_subsumes
+                                       ?engine:eval ~general:p k))
+                                !kept;
+                         if List.length !kept > max_disjuncts then begin
+                           complete := false;
+                           raise Exit
+                         end;
+                         Queue.add core queue
+                       end
+                     end)
                (Piece.one_steps rule cur))
            (Theory.rules theory)
      done
@@ -159,7 +175,9 @@ let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
   | Budget.Exhausted r ->
       complete := false;
       tripped := Some r);
-  let ucq = List.rev_map (unfreeze_answers answer) !kept in
+  let ucq =
+    List.rev_map (fun k -> unfreeze_answers answer (Containment.query k)) !kept
+  in
   Log.debug (fun m ->
       m "rewrite: %d disjuncts, complete=%b, %d steps" (List.length ucq)
         !complete !generated);

@@ -96,27 +96,22 @@ let seeds ?(pred = "e") ~n () =
 (* A family of linear binary theories: k relation symbols r0..r_{k-1},
    with successor rules r_i(X,Y) -> exists Z. r_{(i+1) mod k}(Y,Z). *)
 let linear_cycle_theory ~k =
-  let rules =
-    List.init k (fun i ->
-        let ri = Printf.sprintf "r%d" i
-        and rj = Printf.sprintf "r%d" ((i + 1) mod k) in
-        Parser.parse_rule (Printf.sprintf "%s(X,Y) -> exists Z. %s(Y,Z)." ri rj))
-  in
-  Theory.make rules
+  Parser.parse_theory
+    (String.concat "\n"
+       (List.init k (fun i ->
+            Printf.sprintf "r%d(X,Y) -> exists Z. r%d(Y,Z)." i ((i + 1) mod k))))
 
 (* The Example 9 branching-tree theory over k edge labels. *)
 let branching_theory ~k =
   let labels = List.init k (fun i -> Printf.sprintf "t%d" i) in
-  let rules =
-    List.concat_map
-      (fun a ->
-        List.map
-          (fun b ->
-            Parser.parse_rule (Printf.sprintf "%s(X,Y) -> exists Z. %s(Y,Z)." a b))
-          labels)
-      labels
-  in
-  Theory.make rules
+  Parser.parse_theory
+    (String.concat "\n"
+       (List.concat_map
+          (fun a ->
+            List.map
+              (fun b -> Printf.sprintf "%s(X,Y) -> exists Z. %s(Y,Z)." a b)
+              labels)
+          labels))
 
 (* A pseudo-random binary frontier-one theory: single-head rules over a
    small binary/unary vocabulary, bodies of 1-2 atoms, heads either

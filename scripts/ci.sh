@@ -74,7 +74,9 @@ BDDFC_TEST_HC=structural dune runtest --force
 #   EX-21 hash-consing: memo/eval counters within 10%, verdicts exact,
 #         hit rate not >10% below the committed one, interned and
 #         structural verdicts identical, > 50% hit rate on the
-#         depth-sweep rows, >= 1.5x interned speedup somewhere
+#         depth-sweep rows, >= 1.5x interned speedup somewhere; the
+#         kappa row on normalized sec55 also gates the signature
+#         index's rejects within 10%
 #   EX-22 maintenance churn: counters within 10%, every batch
 #         bit-identical to a re-chase, stats reconcile with instance
 #         size; >= 5x speedup gated only on machines with >= 4 cores

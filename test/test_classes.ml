@@ -78,7 +78,7 @@ let test_empty_body () =
   let p = Pred.make "p" 1 in
   let a = Atom.make p [ Term.Cst "a" ] in
   check Alcotest.bool "Rule.make refuses an empty body" true
-    (match Rule.make ~body:[] ~head:[ a ] () with
+    (match Rule.make ~name:"r1" ~body:[] ~head:[ a ] () with
     | exception Invalid_argument _ -> true
     | _ -> false);
   let t = th "p(a) -> q(a). p(a), r(b) -> q(b)." in

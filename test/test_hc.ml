@@ -313,7 +313,7 @@ let test_prefilter_sound_fuzz () =
     let a1 = alpha_variant q1 in
     List.iter
       (fun (general, specific) ->
-        if Containment.shape_rejects ~general specific then begin
+        if Reference_shape.shape_rejects ~general specific then begin
           incr rejected;
           check Alcotest.bool
             (Printf.sprintf "seed %d: a rejected pair is not contained" seed)
@@ -328,7 +328,7 @@ let shape_case name ~general specific ~rejects =
   let general = Parser.parse_query general in
   let specific = Parser.parse_query specific in
   check Alcotest.bool (name ^ ": shape verdict") rejects
-    (Containment.shape_rejects ~general specific);
+    (Reference_shape.shape_rejects ~general specific);
   if rejects then
     check Alcotest.bool (name ^ ": the oracle agrees") false
       (structural_subsumes ~general specific)
@@ -357,7 +357,7 @@ let test_prefilter_never_counts () =
   let general = Parser.parse_query "? e(X,Y), e(Y,Z)." in
   let specific = Parser.parse_query "? e(a,a)." in
   check Alcotest.bool "not rejected" false
-    (Containment.shape_rejects ~general specific);
+    (Reference_shape.shape_rejects ~general specific);
   List.iter
     (fun hc ->
       check Alcotest.bool
@@ -374,7 +374,7 @@ let test_prefilter_never_counts () =
   check Alcotest.bool "frozen-name collision is contained" true
     (structural_subsumes ~general specific);
   check Alcotest.bool "frozen-name collision is not rejected" false
-    (Containment.shape_rejects ~general specific)
+    (Reference_shape.shape_rejects ~general specific)
 
 (* The filter runs inside the memo's compute: a rejected miss is one
    lookup and one reject, and its replay is a plain hit. *)
@@ -800,6 +800,170 @@ let test_serve_eviction_no_drift () =
     check Alcotest.bool "the rebuilt session re-interned" true (atoms2 + cqs2 > 0)
 
 (* ----------------------------------------------------------------- *)
+(* The signature index in front of the memo                           *)
+(* ----------------------------------------------------------------- *)
+
+(* The zoo theories as κ sees them: raw, and hidden-query plus
+   ♠5-normalized as the pipeline hands them over. *)
+let kappa_theories () =
+  List.concat_map
+    (fun (e : Zoo.entry) ->
+      let normalized =
+        match
+          Normalize.spade5 (Normalize.hide_query e.Zoo.theory e.Zoo.query).theory
+        with
+        | split -> [ (e.Zoo.name ^ "/normalized", split.Normalize.theory) ]
+        | exception Normalize.Unsupported _ -> []
+      in
+      List.filter
+        (fun (_, t) -> Theory.all_single_head t)
+        ((e.Zoo.name, e.Zoo.theory) :: normalized))
+    Zoo.all
+
+(* Every (general, specific) pair the rewriting loop's two scans meet,
+   replayed on plain queries: each raw candidate against the kept set,
+   then each kept-set survivor's core against the kept set the other way. *)
+let kappa_pairs theory =
+  let pairs = ref [] in
+  List.iter
+    (fun rule ->
+      let q0 = Containment.minimize (Rule.body_query rule) in
+      let kept = ref [ q0 ] and queue = Queue.create () and steps = ref 0 in
+      Queue.add q0 queue;
+      while (not (Queue.is_empty queue)) && !steps < 300 do
+        let cur = Queue.pop queue in
+        if List.exists (Cq.equal cur) !kept then
+          List.iter
+            (fun rule ->
+              List.iter
+                (fun c ->
+                  incr steps;
+                  List.iter (fun k -> pairs := (k, c) :: !pairs) !kept;
+                  if not
+                       (List.exists
+                          (fun k -> Containment.subsumes ~general:k c)
+                          !kept)
+                  then begin
+                    let core = Containment.minimize c in
+                    List.iter (fun k -> pairs := (core, k) :: !pairs) !kept;
+                    if Cq.num_vars core <= 16 && List.length !kept < 60 then begin
+                      kept :=
+                        core
+                        :: List.filter
+                             (fun k -> not (Containment.subsumes ~general:core k))
+                             !kept;
+                      Queue.add core queue
+                    end
+                  end)
+                (Bddfc_rewriting.Piece.one_steps rule cur))
+            (Theory.rules theory)
+      done)
+    (Theory.rules theory);
+  !pairs
+
+let shape_features a = Array.of_list (List.filter (fun c -> c >= 0) (Array.to_list a))
+
+let signature_case name ~general specific =
+  let pg = Containment.prepare ~hc:Hc.Interned general in
+  let ps = Containment.prepare ~hc:Hc.Interned specific in
+  let needs, _ = Containment.signature pg and _, hosts = Containment.signature ps in
+  let shape_rejects =
+    not
+      (Array.for_all
+         (fun c -> Array.mem c (shape_features hosts))
+         (shape_features needs))
+  in
+  (* the signatures describe the canonical representatives, which is
+     what the memo's compute sees *)
+  let canon q = Hc.node (Hc.intern q) in
+  check Alcotest.bool (name ^ ": shape part matches the per-pair scan")
+    (Reference_shape.shape_rejects ~general:(canon general) (canon specific))
+    shape_rejects;
+  let rejects = Containment.rejects ~general:pg ps in
+  if rejects then
+    check Alcotest.bool (name ^ ": a signature reject is not contained")
+      false
+      (structural_subsumes ~general:(canon general) (canon specific));
+  rejects
+
+let test_index_signatures () =
+  let n = ref 0 and rejected = ref 0 in
+  let case name (general, specific) =
+    incr n;
+    if signature_case name ~general specific then incr rejected
+  in
+  for seed = 0 to 239 do
+    let st = Random.State.make [| seed; 101 |] in
+    let q1 = random_cq st in
+    let q2 = random_cq st in
+    List.iter
+      (case (Printf.sprintf "seed %d" seed))
+      [ (q1, q2); (q2, q1); (q1, q1); (alpha_variant q1, q2) ]
+  done;
+  List.iter
+    (fun (name, theory) -> List.iter (case name) (kappa_pairs theory))
+    (kappa_theories ());
+  check Alcotest.bool "the zoo and the fuzz pairs exercise the index" true
+    (!rejected > 1000 && !rejected < !n);
+  let q = Parser.parse_query in
+  (* homomorphisms need not be injective: a path maps onto a loop *)
+  check Alcotest.bool "path into a loop: kept" false
+    (signature_case "path into a loop" ~general:(q "? e(X,Y), e(Y,Z).")
+       (q "? e(a,a)."));
+  check Alcotest.bool "path into a loop: contained" true
+    (Containment.subsumes ~hc:Hc.Interned ~general:(q "? e(X,Y), e(Y,Z).")
+       (q "? e(a,a)."));
+  check Alcotest.bool "repeated variable against distinct constants" true
+    (signature_case "p(X,X) into p(a,b)" ~general:(q "? p(X,X).")
+       (q "? p(a,b)."));
+  (* a constant spelled like the frozen canonical variable meets it *)
+  let frozen_general v =
+    Cq.boolean
+      [ Atom.app "e" [ Term.cst (Cq.frozen_name v); Term.var "X" ] ]
+  in
+  check Alcotest.bool "frozen-name constant: kept" false
+    (signature_case "frozen-name constant" ~general:(frozen_general "_hc0")
+       (q "? e(Y,Z)."));
+  check Alcotest.bool "frozen-name constant: contained" true
+    (Containment.subsumes ~hc:Hc.Interned ~general:(frozen_general "_hc0")
+       (q "? e(Y,Z)."));
+  check Alcotest.bool "frozen-name constant of no variable: rejected" true
+    (signature_case "frozen-name twin" ~general:(frozen_general "_hc7")
+       (q "? e(Y,Z)."))
+
+(* Each pair a scan tests is either settled by the index or is exactly
+   one memo lookup, and the verdicts are the structural ones. *)
+let test_index_accounting () =
+  Hc.reset ();
+  let st = Random.State.make [| 7; 29 |] in
+  let qs = List.init 24 (fun _ -> Cq.boolean (Cq.body (random_cq st))) in
+  let prepared = List.map (Containment.prepare ~hc:Hc.Interned) qs in
+  let count s k = Option.value ~default:0 (M.find_int s k) in
+  let s0 = M.snapshot () in
+  let scanned = ref 0 in
+  for _ = 1 to 2 do
+    List.iter
+      (fun g ->
+        List.iter
+          (fun s ->
+            incr scanned;
+            check Alcotest.bool "prepared verdict is the structural one"
+              (structural_subsumes ~general:(Containment.query g)
+                 (Containment.query s))
+              (Containment.prepared_subsumes ~general:g s))
+          prepared)
+      prepared
+  done;
+  let s1 = M.snapshot () in
+  let d k = count s1 k - count s0 k in
+  check Alcotest.int "index rejects + memo lookups = pairs scanned" !scanned
+    (d "containment.index_rejects" + d "containment.memo_lookups");
+  check Alcotest.bool "the index settled some pairs" true
+    (d "containment.index_rejects" > 0);
+  check Alcotest.int "no shape test inside the memo for prepared pairs" 0
+    (d "containment.prefilter_rejects")
+
+(* ----------------------------------------------------------------- *)
 
 let suite =
   ( "hc",
@@ -831,4 +995,8 @@ let suite =
       tc "obs: identical workloads, identical counter deltas" test_counters_repeatable;
       tc "obs: tracing on/off leaves hc counters inert" test_trace_inertness;
       tc "serve: eviction resets the store without drift" test_serve_eviction_no_drift;
+      tc "index: signature rejects are sound and match the shape scan"
+        test_index_signatures;
+      tc "index: rejects plus memo lookups are the pairs scanned"
+        test_index_accounting;
     ] )

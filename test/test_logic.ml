@@ -181,7 +181,8 @@ let test_rule_datalog () =
 
 let test_rule_empty_body () =
   Alcotest.check_raises "empty body" (Invalid_argument "Rule.make: empty body")
-    (fun () -> ignore (Rule.make ~body:[] ~head:[ Atom.app "p" [ c "a" ] ] ()))
+    (fun () ->
+      ignore (Rule.make ~name:"r1" ~body:[] ~head:[ Atom.app "p" [ c "a" ] ] ()))
 
 let test_theory_tgps () =
   let t =

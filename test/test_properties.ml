@@ -75,10 +75,16 @@ let rule_gen =
             head
       | _ -> head
     in
-    return (Rule.make ~body ~head:[ head ] ()))
+    return (Rule.make ~name:"r1" ~body ~head:[ head ] ()))
 
 let theory_gen =
-  QCheck.Gen.map Theory.make QCheck.Gen.(list_size (int_range 1 3) rule_gen)
+  QCheck.Gen.map
+    (fun rules ->
+      Theory.make
+        (List.mapi
+           (fun i r -> { r with Rule.name = Printf.sprintf "r%d" (i + 1) })
+           rules))
+    QCheck.Gen.(list_size (int_range 1 3) rule_gen)
 
 let make_test ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)

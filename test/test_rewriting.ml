@@ -160,7 +160,7 @@ let test_kappa_incomplete () =
 let test_rewrite_rejects_multihead () =
   let t =
     Theory.make
-      [ Rule.make
+      [ Rule.make ~name:"r1"
           ~body:[ Atom.app "p" [ Term.var "X" ] ]
           ~head:
             [ Atom.app "e" [ Term.var "X"; Term.var "Y" ];

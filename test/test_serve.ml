@@ -365,6 +365,22 @@ let test_judge_slices_once () =
     (Obs.Metrics.value slices - before);
   check Alcotest.int "one memo hit" 1 (Obs.Metrics.value hits - hits0)
 
+(* Rule names come from the program alone: a session loaded after
+   others, in a process that has parsed other programs, still names its
+   rules r1..rn by position. *)
+let test_rule_names_per_program () =
+  let store = Session.create () in
+  let names name source =
+    let e = Session.load store ~name ~source in
+    List.map Rule.name (Theory.rules (Session.warm store e).Session.theory)
+  in
+  let first = names "a" "e(X,Y) -> exists Z. e(Y,Z). e(a,b)." in
+  let second = names "b" "p(X) -> q(X). q(X) -> r(X). p(a)." in
+  let third = names "c" "e(X,Y) -> exists Z. e(Y,Z). e(a,b)." in
+  check Alcotest.(list string) "first load" [ "r1" ] first;
+  check Alcotest.(list string) "second load" [ "r1"; "r2" ] second;
+  check Alcotest.(list string) "third load" [ "r1" ] third
+
 let suite =
   ( "serve",
     [ tc "protocol round-trip and fixed field order" test_protocol_roundtrip;
@@ -377,4 +393,5 @@ let suite =
       tc "overload sheds beyond max_inflight with retry hint" test_overload_bound;
       tc "server metrics reconcile with the script" test_metrics_reconcile;
       tc "shutdown drains and stops" test_shutdown_drains;
-      tc "a judge miss slices once" test_judge_slices_once ] )
+      tc "a judge miss slices once" test_judge_slices_once;
+      tc "each load numbers its rules from r1" test_rule_names_per_program ] )
