@@ -45,9 +45,9 @@ type params = {
   strategy : Chase.strategy; (* evaluation strategy for every chase *)
   eval : Eval.engine; (* join engine for every evaluation stage *)
   hc : Hc.mode;
-      (* containment backend for kappa: Interned (the default) goes
-         through the hash-consed store and memo caches, Structural is
-         the uncached differential oracle *)
+      (* containment backend for kappa: Interned (the default) runs on
+         prepared queries with the signature index, Structural is the
+         differential oracle *)
   preflight : bool;
       (* before the truncated schedule, test the normalized theory for
          weak/joint acyclicity; a positive proof lets the chase run

@@ -34,9 +34,9 @@ type params = {
       (** join engine for every evaluation stage (default [Compiled]) *)
   hc : Bddfc_hom.Hc.mode;
       (** containment backend for kappa (default
-          {!Bddfc_hom.Hc.default_mode}): [Interned] goes through the
-          hash-consed store and memo caches, [Structural] is the
-          uncached differential oracle *)
+          {!Bddfc_hom.Hc.default_mode}): [Interned] runs on prepared
+          queries with the signature index, [Structural] is the
+          differential oracle *)
   preflight : bool;
       (** test the normalized theory for weak/joint acyclicity first
           (default [true]): a positive proof lets the chase run fuel-free

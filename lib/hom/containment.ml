@@ -5,20 +5,14 @@
    of q1 mapping answer variables of q2 to the frozen answer variables of
    q1 in order.
 
-   Two modes (Hc.mode, default Interned): the structural path below is
-   the original code, kept verbatim as the differential oracle; the
-   interned path routes each (general, specific) pair through the Hc
-   unique table and replays cached verdicts by id.  Containment is
-   invariant under α-renaming of either query, so verdicts computed on
-   the canonical representatives are correct for every α-variant pair
-   hitting the same ids.
-
-   On a memo miss the interned path first runs [shape_rejects], a
-   cheap atom-shape test that refutes most hopeless pairs without
-   building the frozen instance — the computed-table discipline of a
-   BDD package: the cheap test before the expensive apply.  It sits
-   inside the memo's compute, so lookups and hits keep their meaning,
-   and the structural oracle never sees it. *)
+   Two modes (Hc.mode, default Interned).  The structural path is the
+   original code, kept as the differential oracle.  The interned path
+   prepares both sides: a signature test refutes most hopeless pairs
+   without building a frozen instance — the cheap test before the
+   expensive apply of a BDD package — and every other pair searches the
+   specific side's frozen instance, built once and kept with its
+   prepared value.  Nothing is cached across calls: a prepared value
+   lives as long as its holder keeps it. *)
 
 open Bddfc_logic
 open Bddfc_structure
@@ -33,10 +27,9 @@ let frozen_instance (q : Cq.t) =
 let same_arity (g : Cq.t) (s : Cq.t) =
   List.length (Cq.answer g) = List.length (Cq.answer s)
 
-(* The homomorphism search, witness included, over a frozen instance of
-   [specific] ([frz] the freezing): a satisfying binding of [general]'s
-   body, read back as a substitution into [specific]'s terms (frozen
-   constants thawed to the variables they froze).  Answer arities must
+(* The homomorphism search over a frozen instance of [specific] ([frz]
+   the freezing), answer variables of [general] bound positionally to
+   the frozen answer variables of [specific].  Answer arities must
    match. *)
 let search ?engine ~(general : Cq.t) inst frz (specific : Cq.t) =
   let init =
@@ -50,38 +43,9 @@ let search ?engine ~(general : Cq.t) inst frz (specific : Cq.t) =
         | _ -> acc)
       Smap.empty (Cq.answer general) (Cq.answer specific)
   in
-  match Eval.first_solution ~init ?engine inst (Cq.body general) with
-  | None -> (false, None)
-  | Some b ->
-      let thaw = Hashtbl.create 16 in
-      List.iter
-        (fun (x, t) ->
-          match t with
-          | Term.Cst c -> Hashtbl.replace thaw c x
-          | Term.Var _ -> ())
-        (Subst.bindings frz);
-      let w =
-        Smap.fold
-          (fun v id acc ->
-            match Instance.const_name inst id with
-            | Some c -> (
-                match Hashtbl.find_opt thaw c with
-                | Some x -> Subst.add v (Term.Var x) acc
-                | None -> Subst.add v (Term.Cst c) acc)
-            | None -> acc)
-          b Subst.empty
-      in
-      (true, Some w)
+  Eval.satisfiable ~init ?engine inst (Cq.body general)
 
-(* The structural decision, witness included. *)
-let subsumes_core ?engine ~(general : Cq.t) (specific : Cq.t) =
-  if not (same_arity general specific) then (false, None)
-  else begin
-    let inst, frz = frozen_instance specific in
-    search ?engine ~general inst frz specific
-  end
-
-(* The original verdict-only decision, byte for byte: the differential
+(* The original uncached decision, byte for byte: the differential
    oracle must not even change its evaluation shape. *)
 let subsumes_structural ?engine ~(general : Cq.t) (specific : Cq.t) =
   if List.length (Cq.answer general) <> List.length (Cq.answer specific) then
@@ -322,64 +286,43 @@ let subset (needs : int array) (hosts : int array) =
 
 (* ---------------- prepared queries ---------------- *)
 
-(* A query as the rewriting loop holds it: interned once, its signature
-   and its frozen instance built on first use and kept with it.  They
-   are built from the canonical representative, so a verdict computed
-   here is the one the memo stores for the id pair. *)
+(* A query prepared for many containment tests: its signature and its
+   frozen instance, built on first use and kept with it.  Both are read
+   off the query as given; containment is invariant under renaming, and
+   so are the verdicts they yield. *)
 type prepared = {
   cq : Cq.t;
   hc : Hc.mode;
-  id : int; (* -1 under Structural *)
   needs : int array Lazy.t;
   hosts : int array Lazy.t;
   frozen : (Instance.t * Subst.t) Lazy.t;
 }
 
+let mode = function Some m -> m | None -> Hc.default_mode ()
+
 let prepare ?hc (q : Cq.t) =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
-  let id, canon =
-    match hc with
-    | Hc.Interned ->
-        let id = Hc.intern q in
-        (id, Hc.node id)
-    | Hc.Structural -> (-1, q)
-  in
   {
     cq = q;
-    hc;
-    id;
-    needs = lazy (needs canon);
-    hosts = lazy (hosts canon);
-    frozen = lazy (frozen_instance canon);
+    hc = mode hc;
+    needs = lazy (needs q);
+    hosts = lazy (hosts q);
+    frozen = lazy (frozen_instance q);
   }
 
 let query p = p.cq
 let signature p = (Lazy.force p.needs, Lazy.force p.hosts)
 
 let rejects ~general specific =
-  not (subset (Lazy.force general.needs) (Lazy.force specific.hosts))
-
-let m_prefilter_rejects =
-  Bddfc_obs.Obs.Metrics.counter "containment.prefilter_rejects"
+  (not (same_arity general.cq specific.cq))
+  || not (subset (Lazy.force general.needs) (Lazy.force specific.hosts))
 
 let m_index_rejects = Bddfc_obs.Obs.Metrics.counter "containment.index_rejects"
+let m_searches = Bddfc_obs.Obs.Metrics.counter "containment.searches"
 
-(* The memo's compute on a pair nobody prepared: the signature test,
-   then the homomorphism search. *)
-let compute_interned ?engine g s =
-  if not (same_arity g s) then (false, None)
-  else if not (subset (needs g) (hosts s)) then begin
-    Bddfc_obs.Obs.Metrics.incr m_prefilter_rejects;
-    (false, None)
-  end
-  else
-    let inst, frz = frozen_instance s in
-    search ?engine ~general:g inst frz s
-
-(* [prepared_subsumes ~general specific]: {!subsumes} on prepared
-   queries.  Under [Interned] the signatures settle the pair before the
-   memo is consulted, and a miss searches the specific side's kept
-   frozen instance. *)
+(* [prepared_subsumes ~general specific]: does [general] hold whenever
+   [specific] does (i.e. specific is contained in general)?  Under
+   [Interned] the signatures settle the pair first, and a pair they let
+   through searches the specific side's kept frozen instance. *)
 let prepared_subsumes ?engine ~general specific =
   match specific.hc with
   | Hc.Structural ->
@@ -389,71 +332,24 @@ let prepared_subsumes ?engine ~general specific =
         Bddfc_obs.Obs.Metrics.incr m_index_rejects;
         false
       end
-      else
-        fst
-          (Hc.memo_subsumes ~general:general.id ~specific:specific.id
-             (fun g s ->
-               if not (same_arity g s) then (false, None)
-               else
-                 let inst, frz = Lazy.force specific.frozen in
-                 search ?engine ~general:g inst frz s))
+      else begin
+        Bddfc_obs.Obs.Metrics.incr m_searches;
+        let inst, frz = Lazy.force specific.frozen in
+        search ?engine ~general:general.cq inst frz specific.cq
+      end
 
-(* [subsumes ~general ~specific]: does [general] hold whenever [specific]
-   does (i.e. specific is contained in general)?  Both must have the same
-   answer arity. *)
 let subsumes ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
-  match hc with
-  | Hc.Structural -> subsumes_structural ?engine ~general specific
-  | Hc.Interned ->
-      let gid = Hc.intern general in
-      let sid = Hc.intern specific in
-      fst
-        (Hc.memo_subsumes ~general:gid ~specific:sid
-           (compute_interned ?engine))
-
-(* [subsumes], also returning the witness homomorphism (general's
-   variables into specific's terms) when the verdict is positive.  The
-   interned path caches witnesses in the canonical namespaces and
-   translates through the two renamings. *)
-let subsumes_witness ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
-  match hc with
-  | Hc.Structural -> subsumes_core ?engine ~general specific
-  | Hc.Interned ->
-      let gid, ren_g = Hc.intern_renamed general in
-      let sid, ren_s = Hc.intern_renamed specific in
-      let verdict, w_canon =
-        Hc.memo_subsumes ~general:gid ~specific:sid
-          (compute_interned ?engine)
-      in
-      let w =
-        Option.map
-          (fun wc ->
-            let inv_s = List.map (fun (o, c) -> (c, o)) ren_s in
-            List.fold_left
-              (fun acc (xo, xc) ->
-                match Subst.find_opt xc wc with
-                | Some (Term.Var v) ->
-                    let v' =
-                      match List.assoc_opt v inv_s with
-                      | Some o -> o
-                      | None -> v
-                    in
-                    Subst.add xo (Term.Var v') acc
-                | Some (Term.Cst c) -> Subst.add xo (Term.Cst c) acc
-                | None -> acc)
-              Subst.empty ren_g)
-          w_canon
-      in
-      (verdict, w)
-
-let equivalent ?engine ?hc q1 q2 =
-  subsumes ?engine ?hc ~general:q1 q2 && subsumes ?engine ?hc ~general:q2 q1
+  let hc = mode hc in
+  prepared_subsumes ?engine ~general:(prepare ~hc general)
+    (prepare ~hc specific)
 
 (* Core (minimization) of a CQ: remove atoms whose deletion preserves
-   equivalence.  The result is homomorphically equivalent to the input. *)
+   equivalence.  The result is homomorphically equivalent to the input.
+   The query is the general side of every check, so it is prepared
+   once. *)
 let minimize ?engine ?hc (q : Cq.t) =
+  let hc = mode hc in
+  let general = prepare ~hc q in
   let removable body a =
     let body' = List.filter (fun x -> x != a) body in
     if body' = [] then false
@@ -464,7 +360,8 @@ let minimize ?engine ?hc (q : Cq.t) =
           (Cq.answer q)
       in
       keep_answers
-      && subsumes ?engine ?hc ~general:q (Cq.make ~answer:(Cq.answer q) body')
+      && prepared_subsumes ?engine ~general
+           (prepare ~hc (Cq.make ~answer:(Cq.answer q) body'))
   in
   let rec go body =
     match List.find_opt (removable body) body with
@@ -472,16 +369,3 @@ let minimize ?engine ?hc (q : Cq.t) =
     | None -> body
   in
   Cq.make ~answer:(Cq.answer q) (go (Cq.body q))
-
-(* UCQ-level subsumption pruning: keep only maximal disjuncts. *)
-let prune_ucq ?engine ?hc (qs : Cq.t list) =
-  let rec go kept = function
-    | [] -> List.rev kept
-    | q :: rest ->
-        let dominated =
-          List.exists (fun q' -> subsumes ?engine ?hc ~general:q' q) kept
-          || List.exists (fun q' -> subsumes ?engine ?hc ~general:q' q) rest
-        in
-        if dominated then go kept rest else go (q :: kept) rest
-  in
-  go [] qs

@@ -1,5 +1,5 @@
-(* Hash-consed canonical-query store plus two compute caches: the
-   BDD-package unique-table/compute-cache pattern transplanted to
+(* Hash-consed canonical-query store plus an evaluation compute cache:
+   the BDD-package unique-table/compute-cache pattern transplanted to
    conjunctive queries.
 
    Interning is two-level, like a BDD node store: atoms first (loc
@@ -10,10 +10,10 @@
    equality from then on.
 
    Coherence: every cached verdict is computed *on the canonical
-   representatives*, and both cached judgements (containment between two
-   queries; satisfiability of a query over a version-stamped instance)
-   are invariant under α-renaming of the queries involved.  So a hit for
-   an α-variant pair returns exactly what recomputation would.
+   representative*, and the cached judgement (satisfiability of a query
+   over a version-stamped instance) is invariant under α-renaming of the
+   query.  So a hit for an α-variant returns exactly what recomputation
+   would.
 
    The store is global and unsynchronized, like the Plan cache: the
    program runs on one domain. *)
@@ -40,8 +40,6 @@ let m_lookups = Obs.Metrics.counter "hc.lookups"
 let m_hits = Obs.Metrics.counter "hc.hits"
 let m_resets = Obs.Metrics.counter "hc.resets"
 let g_nodes = Obs.Metrics.gauge "hc.nodes"
-let m_memo_lookups = Obs.Metrics.counter "containment.memo_lookups"
-let m_memo_hits = Obs.Metrics.counter "containment.memo_hits"
 let m_eval_lookups = Obs.Metrics.counter "hc.eval_memo_lookups"
 let m_eval_hits = Obs.Metrics.counter "hc.eval_memo_hits"
 
@@ -146,7 +144,6 @@ type store = {
   cqs : int Cq_tbl.t;
   mutable next_cq : int;
   rev : (int, Cq.t) Hashtbl.t; (* cq id -> canonical representative *)
-  memo : (int * int, bool * Subst.t option) Hashtbl.t;
   eval_memo : (int * int * int * (string * Element.id) list * int, bool)
       Hashtbl.t;
       (* (token, version, cq id, sorted canonical anchors, engine) *)
@@ -159,7 +156,6 @@ let st =
     cqs = Cq_tbl.create 256;
     next_cq = 0;
     rev = Hashtbl.create 256;
-    memo = Hashtbl.create 256;
     eval_memo = Hashtbl.create 256;
   }
 
@@ -179,8 +175,8 @@ let intern_atom a =
       id
 
 (* Physical-identity fast path in front of canonicalization, the
-   {!Plan} cache trick: the rewriting loop and the ptype sweeps
-   re-intern the same retained [Cq.t] values thousands of times, and
+   {!Plan} cache trick: the ptype sweeps and the converge trace
+   re-evaluate the same retained [Cq.t] values many times over, and
    re-canonicalizing each time would cost more than the memo saves.
    [Hashtbl.hash] is depth-bounded and agrees on physically equal keys;
    physically distinct but structurally equal queries just canonicalize
@@ -228,22 +224,6 @@ let intern q = fst (intern_renamed q)
 let node id = Hashtbl.find st.rev id
 let same q1 q2 = intern q1 = intern q2
 let store_size () = (st.next_atom, st.next_cq)
-
-(* ---------------- the containment memo ---------------- *)
-
-let memo_subsumes ~general ~specific compute =
-  Obs.Metrics.incr m_memo_lookups;
-  match Hashtbl.find_opt st.memo (general, specific) with
-  | Some r ->
-      Obs.Metrics.incr m_memo_hits;
-      r
-  | None ->
-      let r = compute (node general) (node specific) in
-      Hashtbl.replace st.memo (general, specific) r;
-      r
-
-let memo_entries () =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.memo []
 
 (* ---------------- the evaluation memo ---------------- *)
 
@@ -296,7 +276,6 @@ let reset () =
   Cq_tbl.reset st.cqs;
   st.next_cq <- 0;
   Hashtbl.reset st.rev;
-  Hashtbl.reset st.memo;
   Hashtbl.reset st.eval_memo;
   Obs.Metrics.incr m_resets;
   nodes_gauge ()

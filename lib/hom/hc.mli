@@ -1,34 +1,34 @@
-(** Hash-consed canonical-query store and containment memo cache.
+(** Hash-consed canonical-query store and the evaluation memo.
 
     The BDD-package trick applied to conjunctive queries: a unique table
     interns α-canonicalized CQs (and their atoms) into a global node
     store, so structural equality becomes id equality, and a compute
-    cache keys containment verdicts — with their witness homomorphisms —
-    on [(id, id)] pairs.  {!Containment}, {!Ptypes}, the rewriting loop
-    and the pipeline's quotient checks thread a {!mode} switch: the
-    interned path consults the caches, the structural path is the
-    original code, retained verbatim as the differential oracle.
+    cache keys ground evaluation verdicts on the interned id.  {!Ptypes}
+    and [Converge] thread a {!mode} switch: the interned path consults
+    the cache, the structural path is the original code, retained
+    verbatim as the differential oracle.  Containment takes the same
+    switch but keeps no state here: under [Interned] it runs on
+    {!Containment.prepared} values, which live as long as their holder
+    keeps them.
 
     Canonicalization renames every variable to ["_hc<k>"] by first
     occurrence (answer variables first, then body atoms left to right)
     and strips source locations, so α-equivalent queries — same atom
     order modulo a variable renaming — intern to the same node.  The
-    verdicts the caches store are invariant under exactly that
+    verdicts the cache stores are invariant under exactly that
     equivalence, which is the coherence argument (DESIGN.md §13).
 
     The store is process-global and unsynchronized, like the {!Plan}
     cache: touch it from one domain only.  {!reset} drops
-    everything — the [serve] warm-session eviction hook, and the
-    re-intern-from-empty point the obs tests pivot on.  It is the only
-    process-wide containment state: signatures and frozen instances
-    live in {!Containment.prepared} values, for as long as their
-    holder keeps them. *)
+    everything — the re-intern-from-empty point the obs tests pivot
+    on. *)
 
 open Bddfc_logic
 open Bddfc_structure
 
 type mode =
-  | Interned (** unique table + memo caches (default) *)
+  | Interned
+      (** prepared containment and the evaluation memo (default) *)
   | Structural (** the original structural code paths (differential oracle) *)
 
 val mode_tag : mode -> string
@@ -57,10 +57,6 @@ val intern : Cq.t -> int
     queries return the same id; distinct ids imply structurally distinct
     canonical forms. *)
 
-val intern_renamed : Cq.t -> int * (string * string) list
-(** {!intern}, also returning the canonicalizing renaming (needed to
-    translate witnesses and anchors into the canonical namespace). *)
-
 val node : int -> Cq.t
 (** The canonical representative of an interned id.
     @raise Not_found on an id the store never issued (or after {!reset}). *)
@@ -71,28 +67,6 @@ val same : Cq.t -> Cq.t -> bool
 
 val store_size : unit -> int * int
 (** [(atoms, cqs)] currently interned. *)
-
-(** {1 The containment memo}
-
-    Verdicts are computed on canonical representatives, so a cached
-    entry is correct for every α-variant pair mapping to the same ids
-    (containment is invariant under variable renaming).  Witnesses are
-    stored in the canonical namespaces; {!Containment.subsumes_witness}
-    translates them back. *)
-
-val memo_subsumes :
-  general:int -> specific:int ->
-  (Cq.t -> Cq.t -> bool * Subst.t option) ->
-  bool * Subst.t option
-(** [memo_subsumes ~general ~specific compute]: the cached verdict for
-    the id pair, or [compute g s] on the canonical representatives,
-    stored and returned.  Charges [containment.memo_lookups] /
-    [containment.memo_hits].  Pairs {!Containment.prepared_subsumes}
-    settles by signature never get here. *)
-
-val memo_entries : unit -> ((int * int) * (bool * Subst.t option)) list
-(** Every cached [(general, specific)] verdict — the replay surface of
-    the memo-coherence test suite. *)
 
 (** {1 The evaluation memo}
 
@@ -113,6 +87,6 @@ val holds_memo :
 (** {1 Lifecycle} *)
 
 val reset : unit -> unit
-(** Drop the unique table and both memo caches and zero the [hc.nodes]
-    gauge (bumping [hc.resets]).  Interned ids issued before the reset
-    are dead.  The [serve] eviction hook. *)
+(** Drop the unique table and the evaluation memo and zero the
+    [hc.nodes] gauge (bumping [hc.resets]).  Interned ids issued before
+    the reset are dead. *)

@@ -13,12 +13,11 @@
    kept disjunct (1,991 of remark3's 2,002), so a narrow candidate meets
    the kept set before it is minimized, and only the survivors pay for
    minimization.  The kept set holds prepared queries
-   (Containment.prepare): each candidate is interned and signed once,
-   both scans test signatures before they touch the containment memo
-   (on sec55 that settles 35,255 pairs and leaves the memo 3,113
-   lookups), and a memo miss searches the specific side's frozen
-   instance, built once and kept for the run.  The structural oracle is
-   untouched by either.  test/reference_rewrite.ml keeps the
+   (Containment.prepare): each candidate is signed once, both scans test
+   signatures first (on sec55 that settles 35,255 pairs), and a pair
+   they let through searches the specific side's frozen instance, built
+   once and kept for the run.  Nothing outlives the run.  The structural
+   oracle is untouched by either.  test/reference_rewrite.ml keeps the
    minimize-first loop as the differential oracle. *)
 
 open Bddfc_budget

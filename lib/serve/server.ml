@@ -313,8 +313,7 @@ let dispatch t ~fault (r : Protocol.request) =
           if stats.Maintain.bailed_out then incr bailouts)
         keys;
       (* judge/cert verdicts are db-dependent — drop them; the rule
-         slices are theory-only and stay.  The Hc eval memo keys on the
-         instance version, which every mutation above bumped. *)
+         slices are theory-only and stay. *)
       Hashtbl.reset w.Session.verdicts;
       (match Session.find t.store name with
       | Some entry -> Session.log_update entry ~insert ~retract

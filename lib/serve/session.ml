@@ -101,12 +101,6 @@ let evict store name =
   match Hashtbl.find_opt store name with
   | Some ({ warm = Some _; _ } as entry) ->
       entry.warm <- None;
-      (* eviction is the server's memory-pressure / poisoning valve, so
-         it must also drop the process-global interned state: the
-         rebuilt session re-interns from an empty store (ids are not
-         stable across the reset, verdicts are — the obs suite checks
-         the no-drift half) *)
-      Bddfc_hom.Hc.reset ();
       true
   | Some { warm = None; _ } | None -> false
 

@@ -74,9 +74,7 @@ val log_update :
     logged prefix. *)
 
 val evict : store -> string -> bool
-(** Drop the warm state; [true] if there was any to drop.  Also resets
-    the process-global hash-cons store ({!Bddfc_hom.Hc.reset}), so a
-    rebuilt session re-interns from empty. *)
+(** Drop the warm state; [true] if there was any to drop. *)
 
 val count : store -> int
 (** Resident (non-evicted) sessions. *)

@@ -21,8 +21,9 @@ dune build @all
 #   sliced vs unsliced, from single chases up to construct and judge;
 # - serve: the isolation barrier, fault-injection sweep, eviction,
 #   overload and metrics reconciliation;
-# - hc: unique-table properties, containment fuzzing, memo-coherence
-#   replay and the serve eviction no-drift check;
+# - hc: unique-table properties, containment fuzzing, signature-index
+#   soundness and accounting, the empty store after kappa and serve,
+#   and the serve eviction no-drift check;
 # - rewrite: the library rewriting loop against the test-only reference
 #   loop, under both containment backends;
 # - maintain: incremental maintenance against a from-scratch chase;
@@ -53,9 +54,9 @@ if [ -n "$make_bad" ]; then
   exit 1
 fi
 
-# the structural-containment lane: the whole tier-1 suite again with
-# the hash-consed store switched off (every defaulted containment
-# backend forced to structural), so each suite doubles as a
+# the structural lane: the whole tier-1 suite again with every
+# defaulted containment and ptype backend forced to structural (no
+# signature index, no evaluation memo), so each suite doubles as a
 # differential oracle for the interned run above
 BDDFC_TEST_HC=structural dune runtest --force
 
@@ -71,12 +72,11 @@ BDDFC_TEST_HC=structural dune runtest --force
 #         unsliced verdicts identical, >= 1.5x probe reduction on the
 #         padded workloads, every zoo dataflow report builds and its
 #         JSON re-parses
-#   EX-21 hash-consing: memo/eval counters within 10%, verdicts exact,
-#         hit rate not >10% below the committed one, interned and
-#         structural verdicts identical, > 50% hit rate on the
-#         depth-sweep rows, >= 1.5x interned speedup somewhere; the
-#         kappa row on normalized sec55 also gates the signature
-#         index's rejects within 10%
+#   EX-21 interned vs structural: index rejects, searches and
+#         eval-memo counters within 10%, verdicts exact, interned and
+#         structural verdicts identical, eval-memo hit rate not >10%
+#         below the committed one and > 50% on the ptype row, >= 1.5x
+#         interned speedup somewhere
 #   EX-22 maintenance churn: counters within 10%, every batch
 #         bit-identical to a re-chase, stats reconcile with instance
 #         size; >= 5x speedup gated only on machines with >= 4 cores
