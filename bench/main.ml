@@ -288,22 +288,15 @@ let thm2_vs_naive () =
 
 let rewriting_kappa () =
   header "EX-7: BDD detection, rewriting size and kappa across the zoo";
-  Fmt.pr "%-18s %-8s %-10s %-8s %s@." "theory" "rules" "complete" "kappa"
-    "per-rule (vars, complete)";
+  Fmt.pr "%-18s %-8s %-10s %s@." "theory" "rules" "complete" "kappa";
   List.iter
     (fun (e : Zoo.entry) ->
       let k =
         Rewriting.Rewrite.kappa ~max_disjuncts:80 ~max_steps:1500 e.Zoo.theory
       in
-      let detail =
-        String.concat " "
-          (List.map
-             (fun (_, v, c) -> Printf.sprintf "(%d,%b)" v c)
-             k.Rewriting.Rewrite.per_rule)
-      in
-      Fmt.pr "%-18s %-8d %-10b %-8d %s@." e.Zoo.name
+      Fmt.pr "%-18s %-8d %-10b %d@." e.Zoo.name
         (Logic.Theory.size e.Zoo.theory)
-        k.Rewriting.Rewrite.all_complete k.Rewriting.Rewrite.kappa detail)
+        k.Rewriting.Rewrite.all_complete k.Rewriting.Rewrite.kappa)
     (List.filter
        (fun (e : Zoo.entry) -> Logic.Theory.all_single_head e.Zoo.theory)
        Zoo.all)
@@ -1641,12 +1634,18 @@ let run_ex20 () =
    evaluation the memo absorbed.  The ptype row re-asks the same
    canonical queries of one fixed structure, so its evaluation-memo hit
    rate is gated above 50%; the wall-clock ratio is gated (>= 1.5x
-   somewhere) only live, where both arms ran on the same machine in the
-   same process. *)
+   on some row that compares the backends) only live, where both arms
+   ran on the same machine in the same process. *)
+
+(* What a row's two arms compare.  A [Backends] row's wall ratio counts
+   toward the 1.5x speedup check; a [Hit_rate] row's also does, and its
+   eval-memo hit rate is gated; a [No_backends] row runs one path in both
+   arms, so only its verdicts and counters are checked. *)
+type ex21_kind = Backends | Hit_rate | No_backends
 
 type ex21_row = {
   h_workload : string;
-  h_gate_hits : bool;
+  h_kind : ex21_kind;
   h_verdict_structural : string;
   h_verdict_interned : string;
   h_index_rejects : int;
@@ -1686,7 +1685,7 @@ let ex21_judge_sig (v : Finitemodel.Judge.verdict) =
       Printf.sprintf "nosmall:%d" max_extra
   | Finitemodel.Judge.Open _ -> "open"
 
-(* (name, gates-the-hit-rate, verdict-producing run) *)
+(* (name, kind, verdict-producing run) *)
 let ex21_workloads () =
   let gen_padded =
     Logic.Parser.parse_theory
@@ -1710,8 +1709,7 @@ let ex21_workloads () =
   in
   let redundant_path =
     (* a 12-edge path with shadow detours that all fold onto it: every
-       minimize pass does one large-query subsumption check per atom,
-       and each structural check compiles and runs a ~20-atom join *)
+       minimize pass searches for the 20-atom query once per atom *)
     let e i j = Logic.Atom.app "e" [ Logic.Term.var i; Logic.Term.var j ] in
     let x i = "x" ^ string_of_int i in
     let chain = List.init 12 (fun i -> e (x i) (x (i + 1))) in
@@ -1725,20 +1723,21 @@ let ex21_workloads () =
     Logic.Cq.make ~answer:[ x 0 ] (chain @ shadows)
   in
   [ ( "minimize-x40/path12",
-      false,
-      fun hc ->
+      No_backends,
+      fun _ ->
         (* the same large query minimized over and over: every pass does
-           one large-query subsumption check per atom, which the
-           signatures settle or send to the search *)
+           one large-query homomorphism search per atom.  Minimization
+           has one path, so both arms run the same code and the row's
+           wall ratio says nothing about the backends. *)
         let last = ref "" in
         for _ = 1 to 40 do
           last :=
             Printf.sprintf "min:%d"
-              (Logic.Cq.num_atoms (Hom.Containment.minimize ~hc redundant_path))
+              (Logic.Cq.num_atoms (Hom.Containment.minimize redundant_path))
         done;
         !last );
     ( "rewrite-x3/tc-sym",
-      false,
+      Backends,
       fun hc ->
         (* the saturating rewriting: every kept disjunct is subsumption-
            checked against every candidate, and the whole loop repeats
@@ -1755,7 +1754,7 @@ let ex21_workloads () =
         done;
         !last );
     ( "kappa-x5/gen-pad",
-      false,
+      Backends,
       fun hc ->
         let last = ref "" in
         for _ = 1 to 5 do
@@ -1770,7 +1769,7 @@ let ex21_workloads () =
         done;
         !last );
     ( "judge-x3/ex1",
-      false,
+      Backends,
       fun hc ->
         let budget =
           {
@@ -1787,7 +1786,7 @@ let ex21_workloads () =
         done;
         !last );
     ( "classes-x3/null-chain24",
-      true,
+      Hit_rate,
       fun hc ->
         (* the 2-variable ptype partition of one fixed null-rich
            structure, three times over: the canonical queries of
@@ -1802,7 +1801,7 @@ let ex21_workloads () =
         done;
         !last );
     ( "converge-sweep/cycle5",
-      false,
+      Backends,
       fun hc ->
         let coloring = Ptp.Coloring.natural ~m:2 (Gen.cycle ~len:5 ()) in
         let p =
@@ -1821,7 +1820,7 @@ let ex21_workloads () =
                  (List.length pt.Ptp.Converge.gained))
              trace.Ptp.Converge.points) );
     ( "kappa/sec55-normalized",
-      false,
+      Backends,
       fun hc ->
         (* the kept-set scans of the judge-zoo bottleneck at the
            pipeline's caps: the signature index settles most pairs *)
@@ -1836,7 +1835,7 @@ let ex21_workloads () =
           (if k.Rewriting.Rewrite.all_complete then "complete"
            else "incomplete") );
     ( "pipeline-x2/ex7",
-      false,
+      Backends,
       fun hc ->
         let params = ex21_params hc in
         let last = ref "" in
@@ -1851,7 +1850,7 @@ let ex21_workloads () =
 
 let ex21_measure () =
   List.map
-    (fun (name, gate_hits, run) ->
+    (fun (name, kind, run) ->
       let arm hc =
         Hom.Hc.reset ();
         let v, t, delta = measure (fun () -> run hc) in
@@ -1862,7 +1861,7 @@ let ex21_measure () =
       let atoms, cqs = Hom.Hc.store_size () in
       {
         h_workload = name;
-        h_gate_hits = gate_hits;
+        h_kind = kind;
         h_verdict_structural = vs;
         h_verdict_interned = vi;
         h_index_rejects = d "containment.index_rejects";
@@ -1896,11 +1895,13 @@ let ex21_table rows =
   List.iter
     (fun row ->
       Fmt.pr "%-24s %-18s %-8d %-8d %5d/%-7d %-6.2f %-6d %-10.3f %-10.3f \
-              %.2fx@."
+              %s@."
         row.h_workload row.h_verdict_interned row.h_index_rejects
         row.h_searches row.h_eval_hits row.h_eval_lookups
         (ex21_hit_rate row) row.h_store_nodes row.h_wall_structural_s
-        row.h_wall_interned_s (ex21_speedup row))
+        row.h_wall_interned_s
+        (if row.h_kind = No_backends then "n/a"
+         else Printf.sprintf "%.2fx" (ex21_speedup row)))
     rows
 
 let ex21_structural rows =
@@ -1913,11 +1914,16 @@ let ex21_structural rows =
       if row.h_index_rejects + row.h_searches + row.h_eval_lookups = 0 then
         fail "%s tested no containment pair and evaluated nothing"
           row.h_workload;
-      if row.h_gate_hits && ex21_hit_rate row <= 0.5 then
+      if row.h_kind = Hit_rate && ex21_hit_rate row <= 0.5 then
         fail "%s eval-memo hit rate %.2f (want > 0.5)" row.h_workload
           (ex21_hit_rate row))
     rows;
-  if not (List.exists (fun row -> ex21_speedup row >= 1.5) rows) then
+  if
+    not
+      (List.exists
+         (fun row -> row.h_kind <> No_backends && ex21_speedup row >= 1.5)
+         rows)
+  then
     fail "no workload reached a 1.5x interned speedup"
 
 (* The counters drift at most 10% either way and the verdicts not at

@@ -91,7 +91,6 @@ let judge ?(budget = default_budget) ?slice theory db query =
         {
           Rewriting.Rewrite.kappa = 0;
           all_complete = false;
-          per_rule = [];
           tripped = None;
         }
     in

@@ -345,27 +345,56 @@ let subsumes ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
 
 (* Core (minimization) of a CQ: remove atoms whose deletion preserves
    equivalence.  The result is homomorphically equivalent to the input.
-   The query is the general side of every check, so it is prepared
-   once. *)
-let minimize ?engine ?hc (q : Cq.t) =
-  let hc = mode hc in
-  let general = prepare ~hc q in
-  let removable body a =
-    let body' = List.filter (fun x -> x != a) body in
-    if body' = [] then false
-    else
-      let keep_answers =
-        List.for_all
-          (fun x -> Cq.SS.mem x (Atom.vars_of_atoms body'))
-          (Cq.answer q)
+
+   The query is frozen once, and one pass over its atoms decides each
+   removal with one homomorphism search, charging
+   [containment.searches]: the atom's fact leaves the frozen instance,
+   the query's body is searched for in what is left, and the fact goes
+   back when the search fails.  A fact that another remaining atom also
+   freezes to stays in the instance, so a duplicate atom always goes.
+   The remaining body is equivalent to the query, so searching the
+   query's own body is the same test, and one compiled plan serves every
+   search of the call.
+
+   One pass removes the same atoms as restarting from the first atom
+   after every removal: an atom that cannot be removed from a body
+   cannot be removed from an equivalent sub-body either, since a
+   homomorphism from the sub-body into the rest, after one from the body
+   into the sub-body, would remove it from the body.  Bodies of 0 or 1
+   atoms, and queries with nothing to remove, are returned as they
+   are. *)
+let minimize ?engine (q : Cq.t) =
+  match Cq.body q with
+  | [] | [ _ ] -> q
+  | body ->
+      let inst, frz = frozen_instance q in
+      let fact a =
+        Fact.make (Atom.pred a)
+          (Array.of_list
+             (List.map
+                (function
+                  | Term.Cst c -> Instance.const inst c
+                  | Term.Var x -> invalid_arg ("Containment.minimize: " ^ x))
+                (Atom.args a)))
       in
-      keep_answers
-      && prepared_subsumes ?engine ~general
-           (prepare ~hc (Cq.make ~answer:(Cq.answer q) body'))
-  in
-  let rec go body =
-    match List.find_opt (removable body) body with
-    | Some a -> go (List.filter (fun x -> x != a) body)
-    | None -> body
-  in
-  Cq.make ~answer:(Cq.answer q) (go (Cq.body q))
+      let facts = Array.of_list (List.map fact (Subst.apply_atoms frz body)) in
+      let alive = Array.make (Array.length facts) true in
+      let shared i =
+        let rec go j =
+          j < Array.length facts
+          && ((j <> i && alive.(j) && Fact.equal facts.(j) facts.(i))
+             || go (j + 1))
+        in
+        go 0
+      in
+      Array.iteri
+        (fun i f ->
+          let drop = not (shared i) in
+          if drop then ignore (Instance.remove_facts inst [ f ]);
+          Bddfc_obs.Obs.Metrics.incr m_searches;
+          if search ?engine ~general:q inst frz q then alive.(i) <- false
+          else if drop then ignore (Instance.add_fact inst f))
+        facts;
+      if Array.for_all Fun.id alive then q
+      else
+        Cq.make ~answer:(Cq.answer q) (List.filteri (fun j _ -> alive.(j)) body)

@@ -1,10 +1,11 @@
 (** Conjunctive-query containment via canonical (frozen) instances.
 
-    Every decision takes an [?hc] switch ({!Hc.mode}, default
-    {!Hc.default_mode}): [Interned] runs on {!prepared} queries,
-    [Structural] is the original code — the differential oracle the
-    fuzzing battery compares against.  Neither keeps state across
-    calls.
+    Every decision between two queries takes an [?hc] switch
+    ({!Hc.mode}, default {!Hc.default_mode}): [Interned] runs on
+    {!prepared} queries, [Structural] is the original code — the
+    differential oracle the fuzzing battery compares against.  Neither
+    keeps state across calls.  {!minimize} has one path, which the
+    tests hold to the original minimization.
 
     Under [Interned] every pair first tests a {e signature}: a
     necessary condition for a homomorphism from [general] into the
@@ -32,10 +33,13 @@ val subsumes :
     [general] — i.e. [specific] is contained in [general].  Answer arities
     must match; answer variables correspond positionally. *)
 
-val minimize : ?engine:Eval.engine -> ?hc:Hc.mode -> Cq.t -> Cq.t
+val minimize : ?engine:Eval.engine -> Cq.t -> Cq.t
 (** Remove redundant atoms; the result is equivalent to the input (the
-    query core up to atom deletion).  The query is prepared once, as the
-    general side of every check. *)
+    query core up to atom deletion).  One pass over the atoms removes
+    each atom whose fact the whole remaining body can do without, in the
+    query's frozen instance, built once.  Each check is one search and
+    charges [containment.searches].  Bodies of 0 or 1 atoms, and queries
+    with nothing to remove, are returned as they are. *)
 
 (** {1 Prepared queries} *)
 

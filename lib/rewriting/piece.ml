@@ -11,104 +11,99 @@
      - no other existential variable,
      - no query variable occurring in q outside S.
 
-   The rewriting replaces S by theta(body).  Answer variables are expected
-   to be frozen into constants by the caller (Rewrite), which makes the
-   conditions above protect them automatically. *)
+   The rewriting replaces S by theta(body).  Only minimal pieces are
+   built, by closure (single-piece unifiers, as in König, Leclère, Mugnier
+   and Thomazo, "Sound, complete and minimal UCQ-rewriting for existential
+   rules", Semantic Web 6(5), 2015): each atom with the head's predicate
+   seeds a piece, and every atom outside it that an existential's class
+   reaches joins it and is unified in turn, until no class reaches out or
+   a condition fails.  A step thus costs one closure per candidate atom,
+   and no piece size is capped.  Larger pieces are unions of minimal ones
+   and add nothing to the saturated rewriting.  Answer variables are
+   expected to be frozen into constants by the caller (Rewrite), which
+   makes the conditions above protect them automatically. *)
 
 open Bddfc_logic
 
-let subsets_upto k l =
-  (* nonempty subsets of [l] of size <= k *)
-  let rec go l =
-    match l with
-    | [] -> [ [] ]
-    | x :: rest ->
-        let without = go rest in
-        let with_x =
-          List.filter_map
-            (fun s -> if List.length s < k then Some (x :: s) else None)
-            without
-        in
-        with_x @ without
-  in
-  List.filter (fun s -> s <> []) (go l)
-
-(* Occurrences of variable [v] in atoms. *)
-let occurs_in v atoms =
-  List.exists (fun a -> List.mem (Term.Var v) (Atom.args a)) atoms
-
-(* The largest piece tried: at most this many query atoms unify with one
-   rule head in a step. *)
-let max_piece = 5
+let rec distinct = function
+  | [] -> true
+  | x :: rest -> (not (List.exists (Term.equal x) rest)) && distinct rest
 
 let one_steps rule (q : Cq.t) =
   assert (Rule.is_single_head rule);
   let rule = Rule.rename_apart rule in
   let head = List.hd (Rule.head rule) in
-  let exvars = Rule.SS.elements (Rule.existential_vars rule) in
-  let frontier = Rule.SS.elements (Rule.frontier rule) in
-  let candidates =
-    List.filter (fun a -> Pred.equal (Atom.pred a) (Atom.pred head)) (Cq.body q)
-  in
-  let pieces = subsets_upto max_piece candidates in
-  List.filter_map
-    (fun piece ->
-      (* common unifier of every atom of the piece with the head *)
-      let theta =
-        List.fold_left
-          (fun acc a ->
-            match acc with
-            | None -> None
-            | Some s -> Unify.atoms ~init:s head a)
-          (Some Subst.empty) piece
+  let var x = Term.Var x in
+  let exvars = List.map var (Rule.SS.elements (Rule.existential_vars rule)) in
+  let frontier = List.map var (Rule.SS.elements (Rule.frontier rule)) in
+  let atoms = Array.of_list (Cq.body q) in
+  let n = Array.length atoms in
+  let qvars = Cq.SS.elements (Cq.all_vars q) in
+  (* the atoms each query variable occurs in *)
+  let occurs = Hashtbl.create 16 in
+  Array.iteri
+    (fun i a ->
+      List.iter
+        (function Term.Var x -> Hashtbl.add occurs x i | Term.Cst _ -> ())
+        (Atom.args a))
+    atoms;
+  (* The closure of the piece seeded by atom [seed]: its membership and
+     unifier, or [None] when some class breaks a condition. *)
+  let closure seed =
+    let piece = Array.make n false in
+    piece.(seed) <- true;
+    let rec grow theta =
+      let resolve t = Subst.resolve_term theta t in
+      let z_images = List.map resolve exvars in
+      let sound =
+        List.for_all (function Term.Cst _ -> false | Term.Var _ -> true)
+          z_images
+        && distinct z_images
+        && not
+             (List.exists
+                (fun y -> List.exists (Term.equal (resolve y)) z_images)
+                frontier)
       in
-      match theta with
+      if not sound then None
+      else
+        (* the atoms outside the piece that an existential's class reaches *)
+        let reached =
+          List.concat_map
+            (fun x ->
+              if List.exists (Term.equal (resolve (var x))) z_images then
+                List.filter (fun i -> not piece.(i)) (Hashtbl.find_all occurs x)
+              else [])
+            qvars
+        in
+        if reached = [] then Some (piece, theta)
+        else
+          let theta =
+            List.fold_left
+              (fun acc i ->
+                match acc with
+                | None -> None
+                | Some s when piece.(i) -> Some s
+                | Some s ->
+                    piece.(i) <- true;
+                    Unify.atoms ~init:s head atoms.(i))
+              (Some theta) reached
+          in
+          Option.bind theta grow
+    in
+    Option.bind (Unify.atoms head atoms.(seed)) grow
+  in
+  (* Two seeds can close to the same piece; it rewrites once. *)
+  let seen = ref [] in
+  List.filter_map
+    (fun seed ->
+      match closure seed with
       | None -> None
-      | Some theta -> (
-          let resolve t = Subst.resolve_term theta t in
-          let z_images = List.map (fun z -> resolve (Term.Var z)) exvars in
-          let frontier_images =
-            List.map (fun y -> resolve (Term.Var y)) frontier
+      | Some (piece, _) when List.mem piece !seen -> None
+      | Some (piece, theta) ->
+          seen := piece :: !seen;
+          let rest =
+            List.filteri (fun i _ -> not piece.(i)) (Cq.body q)
           in
-          let rest_atoms =
-            List.filter (fun a -> not (List.memq a piece)) (Cq.body q)
-          in
-          let distinct_pairwise l =
-            let rec go = function
-              | [] -> true
-              | x :: rest -> (not (List.exists (Term.equal x) rest)) && go rest
-            in
-            go l
-          in
-          let sound =
-            List.for_all
-              (fun img ->
-                match img with
-                | Term.Cst _ -> false
-                | Term.Var v ->
-                    (* the class of z must stay inside the piece: no query
-                       variable of the class occurs in the rest of q *)
-                    let class_vars =
-                      List.filter_map
-                        (fun x ->
-                          match Subst.resolve_term theta (Term.Var x) with
-                          | Term.Var v' when String.equal v v' -> Some x
-                          | _ -> None)
-                        (Cq.SS.elements (Cq.all_vars q))
-                    in
-                    not (List.exists (fun x -> occurs_in x rest_atoms) class_vars))
-              z_images
-            && distinct_pairwise z_images
-            && List.for_all
-                 (fun zi -> not (List.exists (Term.equal zi) frontier_images))
-                 z_images
-          in
-          if not sound then None
-          else begin
-            let solved = Unify.solved theta in
-            let body' =
-              Subst.apply_atoms solved (Rule.body rule @ rest_atoms)
-            in
-            Some (Cq.boolean body')
-          end))
-    pieces
+          let solved = Unify.solved theta in
+          Some (Cq.boolean (Subst.apply_atoms solved (Rule.body rule @ rest))))
+    (List.init n Fun.id)

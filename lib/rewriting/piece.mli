@@ -8,6 +8,8 @@
 open Bddfc_logic
 
 val one_steps : Rule.t -> Cq.t -> Cq.t list
-(** All sound one-step rewritings of the query with the rule, over pieces
-    of at most 5 atoms.
+(** All sound one-step rewritings of the query with the rule over its
+    minimal pieces, each built by closure from one query atom: one
+    rewriting per distinct piece, in the order of the atoms that seed
+    them.
     @raise Assert_failure on a multi-head rule. *)

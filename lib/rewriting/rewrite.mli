@@ -35,11 +35,11 @@ val rewrite :
 val ucq_holds : ?eval:Bddfc_hom.Eval.engine -> Instance.t -> Cq.t list -> bool
 
 type kappa_result = {
-  kappa : int; (** max variables over all computed body rewritings *)
-  all_complete : bool;
-  per_rule : (string * int * bool) list; (** rule name, max vars, complete *)
+  kappa : int;
+      (** max variables over the disjuncts of the body rewritings computed *)
+  all_complete : bool; (** every body rewriting reached a fixpoint *)
   tripped : Budget.resource option;
-      (** first resource that stopped a per-rule rewriting *)
+      (** the resource that stopped the incomplete body rewriting, if any *)
 }
 
 val kappa :
@@ -48,4 +48,8 @@ val kappa :
   ?max_steps:int -> ?max_disjunct_vars:int ->
   Theory.t -> kappa_result
 (** The kappa of Section 3.3: the maximal number of variables in a
-    positive rewriting of the body of some rule of the theory. *)
+    positive rewriting of the body of some rule of the theory.  The bodies
+    are rewritten in rule order, and the first incomplete one ends the
+    computation: then [all_complete] is [false], [kappa] covers only the
+    bodies rewritten so far (the divergent one included) and is no bound
+    on anything, and [tripped] is that body's. *)

@@ -76,7 +76,7 @@ BDDFC_TEST_HC=structural dune runtest --force
 #         eval-memo counters within 10%, verdicts exact, interned and
 #         structural verdicts identical, eval-memo hit rate not >10%
 #         below the committed one and > 50% on the ptype row, >= 1.5x
-#         interned speedup somewhere
+#         interned speedup on some row that compares the backends
 #   EX-22 maintenance churn: counters within 10%, every batch
 #         bit-identical to a re-chase, stats reconcile with instance
 #         size; >= 5x speedup gated only on machines with >= 4 cores

@@ -732,11 +732,7 @@ let test_pipeline_reference_agreement () =
       (scope_str v)
   in
   let kappa_str (k : Bddfc_rewriting.Rewrite.kappa_result) =
-    Printf.sprintf "kappa %d, complete %b, [%s]" k.kappa k.all_complete
-      (String.concat "; "
-         (List.map
-            (fun (r, v, c) -> Printf.sprintf "%s:%d:%b" r v c)
-            k.per_rule))
+    Printf.sprintf "kappa %d, complete %b" k.kappa k.all_complete
   in
   let default = Pipeline.default_params in
   let configs =

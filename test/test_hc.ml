@@ -186,10 +186,13 @@ let check_pair_agrees name q1 q2 =
         (Containment.subsumes ~hc:Hc.Structural ~general specific)
         (Containment.subsumes ~hc:Hc.Interned ~general specific))
     [ (q1, q2); (q2, q1); (q1, q1) ];
-  check cq
-    (name ^ ": minimize agrees")
-    (Containment.minimize ~hc:Hc.Structural q1)
-    (Containment.minimize ~hc:Hc.Interned q1)
+  List.iter
+    (fun hc ->
+      check cq
+        (name ^ ": minimize agrees")
+        (Reference_rewrite.minimize ~hc q1)
+        (Containment.minimize q1))
+    [ Hc.Structural; Hc.Interned ]
 
 let test_fuzz_containment () =
   for seed = 0 to 239 do

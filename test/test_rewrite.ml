@@ -37,9 +37,6 @@ let check_kappa name (a : Rewrite.kappa_result) (b : Rewrite.kappa_result) =
   check Alcotest.bool (name ^ ": all_complete") a.Rewrite.all_complete
     b.Rewrite.all_complete;
   check
-    Alcotest.(list (triple string int bool))
-    (name ^ ": per_rule") a.Rewrite.per_rule b.Rewrite.per_rule;
-  check
     Alcotest.(option string)
     (name ^ ": tripped")
     (Option.map Budget.resource_name a.Rewrite.tripped)
@@ -175,9 +172,9 @@ let test_budget_points () =
         budgets)
     modes
 
-(* remark3's body rewriting collapses 2,001 candidates onto a handful of
-   kept disjuncts: nearly every candidate is dropped before minimizing,
-   and the counter says so. *)
+(* remark3's query rewriting collapses 136 candidates onto 8 kept
+   disjuncts: 105 of them are dropped before minimizing, and the counter
+   says so. *)
 let test_presubsumed_counter () =
   let e = Option.get (Zoo.find "remark3") in
   let before = M.snapshot () in
@@ -193,9 +190,168 @@ let test_presubsumed_counter () =
   check Alcotest.int "rewrite.steps counts every candidate" r.Rewrite.generated
     (count "rewrite.steps");
   check Alcotest.bool "most candidates never reach minimize" true
-    (count "rewrite.presubsumed" > 9 * r.Rewrite.generated / 10);
+    (count "rewrite.presubsumed" > 3 * r.Rewrite.generated / 4);
   check Alcotest.bool "presubsumed candidates are steps" true
     (count "rewrite.presubsumed" <= r.Rewrite.generated)
+
+(* ------------------------------------------------------------------ *)
+(* Minimal pieces by closure against the uncapped subset walk          *)
+(* ------------------------------------------------------------------ *)
+
+(* Each disjunct of one UCQ is contained in a disjunct of the other, both
+   ways, by the structural containment test. *)
+let check_equivalent name (a : Cq.t list) (b : Cq.t list) =
+  let covered by d =
+    List.exists
+      (fun g -> Containment.subsumes ~hc:Hc.Structural ~general:g d)
+      by
+  in
+  check Alcotest.bool (name ^ ": closure disjuncts map into the walk's") true
+    (List.for_all (covered b) a);
+  check Alcotest.bool (name ^ ": walk disjuncts map into the closure's") true
+    (List.for_all (covered a) b)
+
+(* The rewriting of [query] by closure and by the walk.  [None] when the
+   walk met a query with more than 8 atoms of a head's predicate;
+   otherwise the closure is complete whenever the walk is, and complete
+   UCQs are equivalent.  Returns whether both completed. *)
+let closure_meets_walk ~max_disjuncts ~max_steps name theory query =
+  match
+    pinned (fun () ->
+        Reference.rewrite ~one_steps:(Reference.walk_steps ~max_candidates:8)
+          ~max_disjuncts ~max_steps theory query)
+  with
+  | exception Reference.Too_wide -> None
+  | walk ->
+      let closure =
+        pinned (fun () -> Rewrite.rewrite ~max_disjuncts ~max_steps theory query)
+      in
+      if walk.Rewrite.complete then
+        check Alcotest.bool (name ^ ": complete as the walk is") true
+          closure.Rewrite.complete;
+      let both = walk.Rewrite.complete && closure.Rewrite.complete in
+      if both then check_equivalent name closure.Rewrite.ucq walk.Rewrite.ucq;
+      Some both
+
+(* The zoo bodies and the random theories' bodies and queries: the walk
+   is exponential in the atoms sharing a head's predicate, so queries
+   with more than 8 are skipped, and the test insists that most inputs
+   are compared. *)
+let test_pieces_walk () =
+  let compared = ref 0 and total = ref 0 in
+  let run ~max_disjuncts ~max_steps name theory query =
+    incr total;
+    match closure_meets_walk ~max_disjuncts ~max_steps name theory query with
+    | Some true -> incr compared
+    | Some false | None -> ()
+  in
+  let bodies ~max_disjuncts ~max_steps name theory =
+    List.iter
+      (fun rule ->
+        run ~max_disjuncts ~max_steps
+          (name ^ " " ^ Rule.name rule)
+          theory (Rule.body_query rule))
+      (Theory.rules theory)
+  in
+  List.iter
+    (fun (e : Zoo.entry) ->
+      if Theory.all_single_head e.Zoo.theory then begin
+        bodies ~max_disjuncts:60 ~max_steps:400 e.Zoo.name e.Zoo.theory;
+        run ~max_disjuncts:60 ~max_steps:400 (e.Zoo.name ^ " query")
+          e.Zoo.theory e.Zoo.query
+      end)
+    Zoo.all;
+  for seed = 0 to 59 do
+    let theory = Gen.random_binary_theory ~rules:4 ~seed () in
+    let st = Random.State.make [| seed; 401 |] in
+    let query = Test_hc.random_cq st in
+    let name = Printf.sprintf "seed %d" seed in
+    run ~max_disjuncts:30 ~max_steps:150 (name ^ " query") theory query;
+    bodies ~max_disjuncts:30 ~max_steps:150 name theory
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "most inputs compared (%d of %d)" !compared !total)
+    true
+    (10 * !compared >= 9 * !total)
+
+(* ? a1(X1), ..., ak(Xk), e(X1,Y), ..., e(Xk,Y) under
+   p(X) -> exists Z. e(X,Z): the only piece holds all k e-atoms. *)
+let star k =
+  let idx = List.init k (fun i -> string_of_int (i + 1)) in
+  Parser.parse_query
+    ("? "
+    ^ String.concat ", "
+        (List.map (fun i -> Printf.sprintf "a%s(X%s)" i i) idx
+        @ List.map (fun i -> Printf.sprintf "e(X%s,Y)" i) idx)
+    ^ ".")
+
+let test_pieces_star () =
+  let theory = Parser.parse_theory "p(X) -> exists Z. e(X,Z)." in
+  List.iter
+    (fun k ->
+      let name = Printf.sprintf "star %d" k in
+      let r = Rewrite.rewrite theory (star k) in
+      check Alcotest.bool (name ^ ": complete") true r.Rewrite.complete;
+      (* the query itself and p(X), a1(X), ..., ak(X) *)
+      check Alcotest.int (name ^ ": two disjuncts") 2 (List.length r.Rewrite.ucq);
+      check Alcotest.bool (name ^ ": the p disjunct") true
+        (List.exists
+           (fun d -> Cq.num_atoms d = k + 1 && Cq.num_vars d = 1)
+           r.Rewrite.ucq);
+      if k <= 8 then
+        check Alcotest.(option bool) (name ^ ": walk agrees") (Some true)
+          (closure_meets_walk ~max_disjuncts ~max_steps name theory (star k)))
+    [ 1; 2; 5; 6; 7; 8; 10; 16 ]
+
+(* ------------------------------------------------------------------ *)
+(* One-pass minimization against the restart-from-the-head loop        *)
+(* ------------------------------------------------------------------ *)
+
+(* Same atoms in the same order, over every zoo body (as written and
+   normalized), the random theories' bodies and queries, and every
+   one-step rewriting of those by each rule of their theory. *)
+let test_minimize_reference () =
+  let checked = ref 0 in
+  let same name q =
+    incr checked;
+    List.iter
+      (fun hc ->
+        check Test_hc.cq
+          (Printf.sprintf "%s [%s]" name (Hc.mode_tag hc))
+          (Reference.minimize ~hc q) (Containment.minimize q))
+      modes
+  in
+  let with_steps name theory q =
+    same name q;
+    List.iter
+      (fun rule ->
+        List.iteri
+          (fun i c -> same (Printf.sprintf "%s/%s.%d" name (Rule.name rule) i) c)
+          (Bddfc_rewriting.Piece.one_steps rule q))
+      (Theory.rules theory)
+  in
+  let bodies name theory =
+    List.iter
+      (fun rule ->
+        with_steps (name ^ " " ^ Rule.name rule) theory (Rule.body_query rule))
+      (Theory.rules theory)
+  in
+  List.iter
+    (fun (e : Zoo.entry) ->
+      if Theory.all_single_head e.Zoo.theory then bodies e.Zoo.name e.Zoo.theory;
+      let hidden = Normalize.hide_query e.Zoo.theory e.Zoo.query in
+      match Normalize.spade5 hidden.Normalize.theory with
+      | exception Normalize.Unsupported _ -> ()
+      | split -> bodies (e.Zoo.name ^ "/t2") split.Normalize.theory)
+    Zoo.all;
+  for seed = 0 to 59 do
+    let theory = Gen.random_binary_theory ~rules:4 ~seed () in
+    let st = Random.State.make [| seed; 401 |] in
+    let name = Printf.sprintf "seed %d" seed in
+    with_steps (name ^ " query") theory (Test_hc.random_cq st);
+    bodies name theory
+  done;
+  check Alcotest.bool "queries checked" true (!checked > 500)
 
 let suite =
   ( "rewrite",
@@ -206,4 +362,7 @@ let suite =
         test_wide_candidates;
       tc "budget points: same trips as the reference" test_budget_points;
       tc "presubsumed counter" test_presubsumed_counter;
+      tc "pieces: closure UCQs equal the uncapped walk's" test_pieces_walk;
+      tc "pieces: one piece of k atoms, any k" test_pieces_star;
+      tc "minimize: one pass equals the restart loop" test_minimize_reference;
     ] )
