@@ -969,11 +969,6 @@ let obs_smoke () =
   List.iter
     (fun (name, theory, db, mode) ->
       let run = run_of mode theory db in
-      (* Warm the compiled-plan cache first: otherwise the first measured
-         run pays eval.plans_compiled and the second collects
-         eval.plan_cache_hits, and the counter deltas differ for cache
-         reasons, not tracing ones. *)
-      ignore (run ());
       Obs.Trace.set_sink None;
       let fp_off, delta_off = observe run in
       let c = Obs.Trace.install_collector () in

@@ -305,8 +305,7 @@ let witness_exists ?eval ~upto ~wsince ~wupto snapshot tg head env =
           (fun b (h, r) -> Smap.add (Plan.var_name hplan h) env.(r) b)
           Smap.empty tg.t_fill
       in
-      Eval.satisfiable ~init ?upto ~engine:Eval.Interp snapshot
-        (Rule.head tg.t_rule)
+      Eval.first_env ~init ?upto ~engine:Eval.Interp snapshot head <> None
   | Some Eval.Compiled | None ->
       Eval.satisfiable_filled ~fill:tg.t_fill ~src:env ~wsince ~wupto snapshot
         head

@@ -240,17 +240,19 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
               let exist = Rule.existential_vars rule in
               let frontier = Rule.frontier rule in
               let heads = Rule.head rule in
+              let body = Eval.prepare (Rule.body rule) in
+              let head = Eval.prepare heads in
               (* a datalog head whose body holds comes back outright; an
                  existential head refires iff no surviving witness
                  blocks it — the live rounds' restricted-chase check *)
               let fires binding =
                 Rule.is_datalog rule
-                || not
-                     (Eval.satisfiable
-                        ~init:
-                          (Smap.filter (fun x _ -> Rule.SS.mem x frontier)
-                             binding)
-                        ?engine:eval inst heads)
+                || Eval.first_env
+                     ~init:
+                       (Smap.filter (fun x _ -> Rule.SS.mem x frontier)
+                          binding)
+                     ?engine:eval inst head
+                   = None
               in
               List.iter
                 (fun f ->
@@ -260,8 +262,9 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
                         match
                           Option.bind (unify_head exist head_atom f)
                             (fun init ->
-                              Eval.first_solution ~init ?engine:eval inst
-                                (Rule.body rule))
+                              Option.map
+                                (Eval.binding_of_prepared body)
+                                (Eval.first_env ~init ?engine:eval inst body))
                         with
                         | Some bnd when fires bnd ->
                             Chase.commit ~record ~budget:b ~round:r0 tally

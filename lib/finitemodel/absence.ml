@@ -97,16 +97,21 @@ let ground ?eval ~budget theory query sp =
             List.iter (fun v -> emit [ -a; v ]) vs;
             a)
   in
+  (* each rule's body and head compiled once: the head runs once per
+     body solution *)
   List.iter
     (fun rule ->
       let frontier = Rule.frontier rule in
-      Eval.iter_solutions ?engine:eval full (Rule.body rule) (fun b ->
+      let body = Eval.prepare (Rule.body rule) in
+      let head = Eval.prepare (Rule.head rule) in
+      Eval.iter_env ?engine:eval full body (fun env ->
+          let b = Eval.binding_of_prepared body env in
           charge budget m_clauses;
           let heads = ref [] in
-          Eval.iter_solutions ?engine:eval
-            ~init:(Smap.filter (fun x _ -> Rule.SS.mem x frontier) b)
-            full (Rule.head rule)
-            (fun h -> heads := vars_of (Rule.head rule) h :: !heads);
+          let init = Smap.filter (fun x _ -> Rule.SS.mem x frontier) b in
+          Eval.iter_env ?engine:eval ~init full head (fun env ->
+              let h = Eval.binding_of_prepared head env in
+              heads := vars_of (Rule.head rule) h :: !heads);
           (* a witness made of D's facts alone satisfies the clause *)
           if not (List.mem [] !heads) then
             emit

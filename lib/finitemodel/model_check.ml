@@ -14,20 +14,21 @@ type violation = {
 
 exception Enough
 
+(* Each rule's body and head are compiled once per call: the body runs
+   once, the head once per body solution. *)
 let violations ?(limit = 10) ?eval theory inst =
   let found = ref [] in
   let count = ref 0 in
   (try
      List.iter
        (fun rule ->
-         Eval.iter_solutions ?engine:eval inst (Rule.body rule)
-           (fun binding ->
-             let frontier = Rule.frontier rule in
+         let body = Eval.prepare (Rule.body rule) in
+         let head = Eval.prepare (Rule.head rule) in
+         let frontier = Rule.frontier rule in
+         Eval.iter_env ?engine:eval inst body (fun env ->
+             let binding = Eval.binding_of_prepared body env in
              let init = Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding in
-             let ok =
-               Eval.satisfiable ~init ?engine:eval inst (Rule.head rule)
-             in
-             if not ok then begin
+             if Eval.first_env ~init ?engine:eval inst head = None then begin
                found := { rule; binding = Smap.bindings binding } :: !found;
                incr count;
                if !count >= limit then raise Enough

@@ -54,30 +54,6 @@ let default_search_params = { max_size = 12; max_nodes = 20_000; max_facts = 400
 
 exception Got_model of Instance.t
 
-(* First unsatisfied existential trigger, if any. *)
-let find_trigger ?eval theory inst =
-  let found = ref None in
-  (try
-     List.iter
-       (fun rule ->
-         if Rule.is_existential rule then
-           Eval.iter_solutions ?engine:eval inst (Rule.body rule)
-             (fun binding ->
-               let frontier = Rule.frontier rule in
-               let init =
-                 Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
-               in
-               if
-                 not
-                   (Eval.satisfiable ~init ?engine:eval inst (Rule.head rule))
-               then begin
-                 found := Some (rule, binding);
-                 raise Exit
-               end))
-       (Theory.rules theory)
-   with Exit -> ());
-  !found
-
 let rec all_assignments elements = function
   | [] -> [ [] ]
   | z :: zs ->
@@ -100,6 +76,11 @@ let search ?budget ?strategy ?eval ?(params = default_search_params) theory
      when no fuel pool ran dry *)
   let limited : Budget.resource option ref = ref None in
   let note r = if !limited = None then limited := Some r in
+  (* the unsatisfied triggers worth branching on: the datalog rules hold
+     after every saturation, so only the existential ones are checked *)
+  let existential =
+    Theory.make (List.filter Rule.is_existential (Theory.rules theory))
+  in
   let rec explore inst =
     incr nodes;
     Obs.Metrics.incr m_nodes;
@@ -121,13 +102,15 @@ let search ?budget ?strategy ?eval ?(params = default_search_params) theory
       complete := false
     end
     else
-      match find_trigger ?eval theory inst with
-      | None -> raise (Got_model inst)
-      | Some (rule, binding) ->
+      match Model_check.violations ~limit:1 ?eval existential inst with
+      | [] -> raise (Got_model inst)
+      | { Model_check.rule; binding } :: _ ->
           let zs = Rule.SS.elements (Rule.existential_vars rule) in
           let frontier = Rule.frontier rule in
           let base_binding =
-            Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
+            Smap.filter
+              (fun x _ -> Rule.SS.mem x frontier)
+              (Smap.of_list binding)
           in
           let head_facts inst' assignment =
             let full =

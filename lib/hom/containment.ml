@@ -9,10 +9,11 @@
    original code, kept as the differential oracle.  The interned path
    prepares both sides: a signature test refutes most hopeless pairs
    without building a frozen instance — the cheap test before the
-   expensive apply of a BDD package — and every other pair searches the
-   specific side's frozen instance, built once and kept with its
-   prepared value.  Nothing is cached across calls: a prepared value
-   lives as long as its holder keeps it. *)
+   expensive apply of a BDD package — and every other pair runs the
+   general side's compiled body over the specific side's frozen
+   instance, each built once and kept with its prepared value.  Nothing
+   is cached across calls: a prepared value lives as long as its holder
+   keeps it. *)
 
 open Bddfc_logic
 open Bddfc_structure
@@ -29,9 +30,9 @@ let same_arity (g : Cq.t) (s : Cq.t) =
 
 (* The homomorphism search over a frozen instance of [specific] ([frz]
    the freezing), answer variables of [general] bound positionally to
-   the frozen answer variables of [specific].  Answer arities must
-   match. *)
-let search ?engine ~(general : Cq.t) inst frz (specific : Cq.t) =
+   the frozen answer variables of [specific].  [body] is [general]'s
+   body, prepared by the caller.  Answer arities must match. *)
+let search ?engine ~(general : Cq.t) body inst frz (specific : Cq.t) =
   let init =
     List.fold_left2
       (fun acc xg xs ->
@@ -43,7 +44,7 @@ let search ?engine ~(general : Cq.t) inst frz (specific : Cq.t) =
         | _ -> acc)
       Smap.empty (Cq.answer general) (Cq.answer specific)
   in
-  Eval.satisfiable ~init ?engine inst (Cq.body general)
+  Eval.first_env ~init ?engine inst body <> None
 
 (* The original uncached decision, byte for byte: the differential
    oracle must not even change its evaluation shape. *)
@@ -286,16 +287,18 @@ let subset (needs : int array) (hosts : int array) =
 
 (* ---------------- prepared queries ---------------- *)
 
-(* A query prepared for many containment tests: its signature and its
-   frozen instance, built on first use and kept with it.  Both are read
-   off the query as given; containment is invariant under renaming, and
-   so are the verdicts they yield. *)
+(* A query prepared for many containment tests: its signature, its
+   frozen instance (for the specific side) and its compiled body (for
+   the general side), built on first use and kept with it.  All are
+   read off the query as given; containment is invariant under
+   renaming, and so are the verdicts they yield. *)
 type prepared = {
   cq : Cq.t;
   hc : Hc.mode;
   needs : int array Lazy.t;
   hosts : int array Lazy.t;
   frozen : (Instance.t * Subst.t) Lazy.t;
+  body : Eval.prepared Lazy.t;
 }
 
 let mode = function Some m -> m | None -> Hc.default_mode ()
@@ -307,6 +310,7 @@ let prepare ?hc (q : Cq.t) =
     needs = lazy (needs q);
     hosts = lazy (hosts q);
     frozen = lazy (frozen_instance q);
+    body = lazy (Eval.prepare (Cq.body q));
   }
 
 let query p = p.cq
@@ -335,7 +339,8 @@ let prepared_subsumes ?engine ~general specific =
       else begin
         Bddfc_obs.Obs.Metrics.incr m_searches;
         let inst, frz = Lazy.force specific.frozen in
-        search ?engine ~general:general.cq inst frz specific.cq
+        search ?engine ~general:general.cq (Lazy.force general.body) inst frz
+          specific.cq
       end
 
 let subsumes ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
@@ -353,8 +358,8 @@ let subsumes ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
    back when the search fails.  A fact that another remaining atom also
    freezes to stays in the instance, so a duplicate atom always goes.
    The remaining body is equivalent to the query, so searching the
-   query's own body is the same test, and one compiled plan serves every
-   search of the call.
+   query's own body is the same test, and one plan, compiled here,
+   serves every search of the call.
 
    One pass removes the same atoms as restarting from the first atom
    after every removal: an atom that cannot be removed from a body
@@ -368,6 +373,7 @@ let minimize ?engine (q : Cq.t) =
   | [] | [ _ ] -> q
   | body ->
       let inst, frz = frozen_instance q in
+      let plan = Eval.prepare body in
       let fact a =
         Fact.make (Atom.pred a)
           (Array.of_list
@@ -392,7 +398,7 @@ let minimize ?engine (q : Cq.t) =
           let drop = not (shared i) in
           if drop then ignore (Instance.remove_facts inst [ f ]);
           Bddfc_obs.Obs.Metrics.incr m_searches;
-          if search ?engine ~general:q inst frz q then alive.(i) <- false
+          if search ?engine ~general:q plan inst frz q then alive.(i) <- false
           else if drop then ignore (Instance.add_fact inst f))
         facts;
       if Array.for_all Fun.id alive then q

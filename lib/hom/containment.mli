@@ -21,9 +21,10 @@
     "needs ⊆ hosts" never counts atoms, since homomorphisms need not be
     injective ([e(X,Y), e(Y,Z)] maps into [e(a,a)]).  A pair the test
     settles charges [containment.index_rejects]; every other pair
-    charges [containment.searches] and searches the specific side's
-    frozen instance.  The rewriting loop holds prepared queries, so
-    each query's signature and frozen instance are built once. *)
+    charges [containment.searches] and runs the general side's compiled
+    body over the specific side's frozen instance.  The rewriting loop
+    holds prepared queries, so each query's signature, frozen instance
+    and plan are built once. *)
 
 open Bddfc_logic
 
@@ -37,16 +38,17 @@ val minimize : ?engine:Eval.engine -> Cq.t -> Cq.t
 (** Remove redundant atoms; the result is equivalent to the input (the
     query core up to atom deletion).  One pass over the atoms removes
     each atom whose fact the whole remaining body can do without, in the
-    query's frozen instance, built once.  Each check is one search and
-    charges [containment.searches].  Bodies of 0 or 1 atoms, and queries
-    with nothing to remove, are returned as they are. *)
+    query's frozen instance, built once, by the query's body, compiled
+    once.  Each check is one search and charges [containment.searches].
+    Bodies of 0 or 1 atoms, and queries with nothing to remove, are
+    returned as they are. *)
 
 (** {1 Prepared queries} *)
 
 type prepared
-(** A query prepared once for many containment tests: its signature and
-    its frozen instance, each built on first use from the query as given
-    and kept with the value. *)
+(** A query prepared once for many containment tests: its signature,
+    its frozen instance and its compiled body, each built on first use
+    from the query as given and kept with the value. *)
 
 val prepare : ?hc:Hc.mode -> Cq.t -> prepared
 (** Under [Structural] nothing is ever built, and {!prepared_subsumes}
@@ -69,5 +71,5 @@ val prepared_subsumes :
 (** {!subsumes} on prepared queries, under the mode the specific side
     was prepared in.  Under [Interned], a pair that {!rejects} charges
     [containment.index_rejects]; every other pair charges
-    [containment.searches] and searches the specific side's kept frozen
-    instance. *)
+    [containment.searches] and runs the general side's kept plan over
+    the specific side's kept frozen instance. *)

@@ -6,8 +6,9 @@
 
      - [Compiled] (default): per-body query plans from [Plan] — integer
        registers instead of [Smap] bindings, O(1) cardinality scoring,
-       allocation-free probes off the index buckets, plans cached across
-       chase rounds.
+       allocation-free probes off the index buckets.  A {!prepared} body
+       holds its plan; the atom-list entry points prepare the body for
+       the one call and run the prepared path.
      - [Interp]: the original interpreter, kept verbatim as a
        differential oracle (test/test_differential.ml holds the two to
        solution-set equality over the zoo and fuzzed workloads).
@@ -178,6 +179,33 @@ let iter_solutions_windowed ?(init = Smap.empty) inst watoms yield =
   in
   go init watoms
 
+(* The semi-naive passes of the interpreter, as in [compiled_delta]
+   below: pass k pins atom k to the delta, atoms before k to the
+   pre-delta prefix and atoms after k to the full window, so a binding
+   is produced only by the pass of its first delta atom.  With
+   [since <= 0] it is the one pass over the full window. *)
+let interp_delta ?init ~since ?upto inst atoms yield =
+  if since <= 0 then
+    let w = { full_window with w_upto = upto } in
+    iter_solutions_windowed ?init inst (List.map (fun a -> (a, w)) atoms) yield
+  else begin
+    let delta = { w_since = since; w_upto = upto } in
+    let old = { w_since = 0; w_upto = Some since } in
+    let all = { w_since = 0; w_upto = upto } in
+    List.iteri
+      (fun k _ ->
+        let watoms =
+          List.mapi
+            (fun i a ->
+              if i = k then (a, delta)
+              else if i < k then (a, old)
+              else (a, all))
+            atoms
+        in
+        iter_solutions_windowed ?init inst watoms yield)
+      atoms
+  end
+
 (* ---------------------------------------------------------------- *)
 (* The compiled engine                                              *)
 (* ---------------------------------------------------------------- *)
@@ -192,11 +220,6 @@ let binding_of_env plan init env =
     if env.(r) >= 0 then b := Smap.add (Plan.var_name plan r) env.(r) !b
   done;
   !b
-
-let iter_compiled ?(init = Smap.empty) ?upto inst atoms yield =
-  let plan = Plan.of_atoms atoms in
-  Plan.exec ~init ?upto inst plan (fun env ->
-      yield (binding_of_env plan init env))
 
 (* The semi-naive passes of a compiled body, yielding the live register
    environment: pass k pins atom k to the delta [since, u), atoms before
@@ -223,25 +246,20 @@ let compiled_delta ?init ~since ?upto inst plan n yield =
     Plan.exec_windowed ?init ~wsince ~wupto inst plan yield
   done
 
-let iter_compiled_delta ?(init = Smap.empty) ~since ?upto inst atoms yield =
-  let plan = Plan.of_atoms atoms in
-  compiled_delta ~init ~since ?upto inst plan (List.length atoms) (fun env ->
-      yield (binding_of_env plan init env))
-
 (* ---------------------------------------------------------------- *)
 (* Prepared bodies                                                  *)
 (* ---------------------------------------------------------------- *)
 
-(* A body resolved to its compiled plan once, so that a chase run looks
-   the plan up once per rule rather than once per round and witness
-   check. *)
+(* A body compiled once, for a holder that runs it many times: a chase
+   run per rule, a containment test's general side, a model check per
+   rule.  The plan lives as long as the holder keeps the value. *)
 type prepared = { p_atoms : Atom.t list; p_natoms : int; p_plan : Plan.t }
 
 let prepare atoms =
   {
     p_atoms = atoms;
     p_natoms = List.length atoms;
-    p_plan = Plan.of_atoms atoms;
+    p_plan = Plan.compile atoms;
   }
 
 let plan p = p.p_plan
@@ -256,78 +274,55 @@ let satisfiable_filled ~fill ~src ~wsince ~wupto inst p =
    with Found -> ());
   !result
 
-(* ---------------------------------------------------------------- *)
-(* Engine-dispatching entry points                                  *)
-(* ---------------------------------------------------------------- *)
-
-let iter_solutions ?init ?upto ?(engine = Compiled) inst atoms yield =
-  match engine with
-  | Compiled -> iter_compiled ?init ?upto inst atoms yield
-  | Interp ->
-      let w = { full_window with w_upto = upto } in
-      iter_solutions_windowed ?init inst
-        (List.map (fun a -> (a, w)) atoms)
-        yield
-
-(* Semi-naive enumeration: exactly the bindings of [iter_solutions ?upto]
-   that touch at least one fact born in [since, upto), each once.  The
-   k-th pass pins atom k to the delta, atoms before k to the pre-delta
-   prefix and atoms after k to the full window, so a binding is produced
-   only by the pass of its first delta atom. *)
-let iter_solutions_delta ?init ~since ?upto ?(engine = Compiled) inst atoms
-    yield =
-  if since <= 0 then iter_solutions ?init ?upto ~engine inst atoms yield
-  else
-    match engine with
-    | Compiled -> iter_compiled_delta ?init ~since ?upto inst atoms yield
-    | Interp ->
-        let delta = { w_since = since; w_upto = upto } in
-        let old = { w_since = 0; w_upto = Some since } in
-        let all = { w_since = 0; w_upto = upto } in
-        List.iteri
-          (fun k _ ->
-            let watoms =
-              List.mapi
-                (fun i a ->
-                  if i = k then (a, delta)
-                  else if i < k then (a, old)
-                  else (a, all))
-                atoms
-            in
-            iter_solutions_windowed ?init inst watoms yield)
-          atoms
-
 (* The solutions of a prepared body as register environments (the
-   plan's numbering): those of [iter_solutions_delta] (of
-   [iter_solutions] when [since <= 0]), in the same order.  The
-   interpreter's named bindings are translated register by register, so
-   both engines feed the chase the same environments. *)
-let iter_env ?(engine = Compiled) ?(since = 0) ?upto inst p yield =
+   plan's numbering): exactly the bindings that match at least one fact
+   born in [since, upto), each once (every binding when [since <= 0]).
+   The interpreter's named bindings are translated register by
+   register, so both engines yield the same set of environments. *)
+let iter_env ?(engine = Compiled) ?init ?(since = 0) ?upto inst p yield =
   match engine with
   | Compiled ->
-      if since <= 0 then Plan.exec ?upto inst p.p_plan yield
-      else compiled_delta ~since ?upto inst p.p_plan p.p_natoms yield
+      if since <= 0 then Plan.exec ?init ?upto inst p.p_plan yield
+      else compiled_delta ?init ~since ?upto inst p.p_plan p.p_natoms yield
   | Interp ->
       let plan = p.p_plan in
       let n = Plan.nvars plan in
       let env = Array.make (max n 1) (-1) in
-      iter_solutions_delta ~since ?upto ~engine:Interp inst p.p_atoms (fun b ->
+      interp_delta ?init ~since ?upto inst p.p_atoms (fun b ->
           for r = 0 to n - 1 do
             env.(r) <- Smap.find (Plan.var_name plan r) b
           done;
           yield env)
 
-let first_solution ?init ?upto ?engine inst atoms =
+let first_env ?engine ?init ?upto inst p =
   let result = ref None in
   (try
-     iter_solutions ?init ?upto ?engine inst atoms (fun b ->
-         result := Some b;
+     iter_env ?engine ?init ?upto inst p (fun env ->
+         result := Some (Array.copy env);
          raise Found)
    with Found -> ());
   !result
 
+(* ---------------------------------------------------------------- *)
+(* Atom-list entry points: prepare, then the prepared path          *)
+(* ---------------------------------------------------------------- *)
+
+let iter_solutions_delta ?(init = Smap.empty) ~since ?upto ?engine inst atoms
+    yield =
+  let p = prepare atoms in
+  iter_env ?engine ~init ~since ?upto inst p (fun env ->
+      yield (binding_of_env p.p_plan init env))
+
+let iter_solutions ?init ?upto ?engine inst atoms yield =
+  iter_solutions_delta ?init ~since:0 ?upto ?engine inst atoms yield
+
+let first_solution ?(init = Smap.empty) ?upto ?engine inst atoms =
+  let p = prepare atoms in
+  Option.map (binding_of_env p.p_plan init)
+    (first_env ?engine ~init ?upto inst p)
+
 let satisfiable ?init ?upto ?engine inst atoms =
-  first_solution ?init ?upto ?engine inst atoms <> None
+  first_env ?engine ?init ?upto inst (prepare atoms) <> None
 
 let holds ?init ?upto ?engine inst (q : Cq.t) =
   satisfiable ?init ?upto ?engine inst (Cq.body q)

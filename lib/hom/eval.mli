@@ -2,7 +2,7 @@
     most-constrained-atom-first ordering over the instance indexes.
 
     Two {!engine}s produce the same solution sets: [Compiled] (default)
-    runs cached integer-register plans from {!Plan}; [Interp] is the
+    runs integer-register plans from {!Plan}; [Interp] is the
     original interpreter, kept as a differential oracle.  Probe *order*
     may differ between them (scoring heuristics differ), solution sets
     never do.
@@ -19,7 +19,7 @@ open Bddfc_structure
 type binding = Element.id Smap.t
 
 type engine =
-  | Compiled (** cached per-body query plans (default) *)
+  | Compiled (** per-body query plans (default) *)
   | Interp (** the reference interpreter (differential oracle) *)
 
 val engine_tag : engine -> string
@@ -57,10 +57,14 @@ val holds_at : ?engine:engine -> Instance.t -> Cq.t -> string -> Element.id -> b
 (** [holds_at inst q y e]: the paper's [C |= exists x. Psi(x, e)] — the
     query with its free variable [y] bound to [e]. *)
 
-(** {1 Prepared bodies — the chase's entry points}
+(** {1 Prepared bodies}
 
-    A {!prepared} is a body resolved once to its compiled plan, so a
-    chase run looks each rule's plan up once, not once per round.
+    A {!prepared} is a body compiled once to its plan, for a holder that
+    runs the body many times: a chase run holds one per rule, a
+    containment test's general side holds one, a model check holds one
+    per rule for the call.  The plan lives as long as its holder keeps
+    the value.  The atom-list entry points above prepare their body for
+    the one call.
 
     Solutions come out as {e register environments}: an
     [Element.id array] indexed by the registers of {!plan} (see
@@ -70,7 +74,7 @@ val holds_at : ?engine:engine -> Instance.t -> Cq.t -> string -> Element.id -> b
 type prepared
 
 val prepare : Atom.t list -> prepared
-(** Resolve a body to its cached compiled plan. *)
+(** Compile a body to its plan (one [eval.plans_compiled]). *)
 
 val plan : prepared -> Plan.t
 
@@ -79,12 +83,19 @@ val binding_of_prepared : prepared -> Element.id array -> binding
     only). *)
 
 val iter_env :
-  ?engine:engine -> ?since:int -> ?upto:int -> Instance.t -> prepared ->
-  (Element.id array -> unit) -> unit
-(** The solutions of [iter_solutions ?upto] ([since <= 0], the default)
-    or of [iter_solutions_delta ~since ?upto], same order, as register
-    environments.  Under [Interp] each named binding is translated into
-    the plan's registers. *)
+  ?engine:engine -> ?init:binding -> ?since:int -> ?upto:int -> Instance.t ->
+  prepared -> (Element.id array -> unit) -> unit
+(** The solutions of [iter_solutions ?init ?upto] ([since <= 0], the
+    default) or of [iter_solutions_delta ?init ~since ?upto], same
+    order, as register environments.  Under [Interp] each named binding
+    is translated into the plan's registers. *)
+
+val first_env :
+  ?engine:engine -> ?init:binding -> ?upto:int -> Instance.t -> prepared ->
+  Element.id array option
+(** The first environment of [iter_env ?init ?upto], copied: the
+    prepared [first_solution], and [satisfiable] when compared with
+    [None]. *)
 
 val satisfiable_filled :
   fill:(int * int) array -> src:Element.id array -> wsince:int array ->
@@ -101,7 +112,6 @@ val probe_count : unit -> int
     engine and strategy comparator.  The registry also carries
     [eval.index_ops] (probe-equivalent index operations: candidates
     materialized by the interpreter; cardinality reads plus probes for
-    compiled plans) and the {!Plan} cache counters
-    [eval.plans_compiled] / [eval.plan_cache_hits]. *)
+    compiled plans) and [eval.plans_compiled], one per {!prepare}. *)
 
 val reset_probes : unit -> unit

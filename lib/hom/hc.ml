@@ -15,8 +15,8 @@
    query.  So a hit for an α-variant returns exactly what recomputation
    would.
 
-   The store is global and unsynchronized, like the Plan cache: the
-   program runs on one domain. *)
+   The store is global and unsynchronized, the only process-wide table
+   in this library: the program runs on one domain. *)
 
 open Bddfc_logic
 open Bddfc_structure

@@ -18,8 +18,9 @@
     verdicts the cache stores are invariant under exactly that
     equivalence, which is the coherence argument (DESIGN.md §13).
 
-    The store is process-global and unsynchronized, like the {!Plan}
-    cache: touch it from one domain only.  {!reset} drops
+    The store is process-global and unsynchronized, the only
+    process-wide table in this library ({!Plan} keeps none): touch it
+    from one domain only.  {!reset} drops
     everything — the re-intern-from-empty point the obs tests pivot
     on. *)
 

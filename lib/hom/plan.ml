@@ -1,5 +1,5 @@
 (* Compiled join plans: each CQ/rule body is compiled once into an
-   integer-register program and cached across chase rounds.
+   integer-register program, which its holder runs as often as it likes.
 
    Compilation numbers the body's variables into registers of an
    [Element.id array] environment (-1 = unbound) and its constants into a
@@ -40,7 +40,6 @@ module Obs = Bddfc_obs.Obs
 let probes = Obs.Metrics.counter "eval.join_probes"
 let index_ops = Obs.Metrics.counter "eval.index_ops"
 let m_compiled = Obs.Metrics.counter "eval.plans_compiled"
-let m_cache_hits = Obs.Metrics.counter "eval.plan_cache_hits"
 
 type slot =
   | S_reg of int (* environment register *)
@@ -67,8 +66,9 @@ let reg_of_var plan x =
   in
   go 0
 
-(* Compile a body, bypassing the cache. *)
+(* Compile a body.  Nothing keeps the plan but the caller. *)
 let compile atom_list =
+  Obs.Metrics.incr m_compiled;
   let var_idx : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let vars = ref [] in
   let nvars = ref 0 in
@@ -111,36 +111,6 @@ let compile atom_list =
     var_names = Array.of_list (List.rev !vars);
     const_names = Array.of_list (List.rev !csts);
   }
-
-(* The plan cache, keyed by *physical* identity of the atom list: rule
-   bodies and query bodies are immutable values that persist across chase
-   rounds, so the pointer is a sound and O(1) key.  (The structural hash
-   is depth-bounded and agrees on physically equal keys; physically
-   distinct but structurally equal lists merely compile twice.)  The cap
-   is a safety valve against unbounded growth under generated queries. *)
-module Cache = Hashtbl.Make (struct
-  type nonrec t = Atom.t list
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let cache : t Cache.t = Cache.create 256
-let cache_cap = 4096
-
-let of_atoms atom_list =
-  match Cache.find_opt cache atom_list with
-  | Some plan ->
-      Obs.Metrics.incr m_cache_hits;
-      plan
-  | None ->
-      if Cache.length cache >= cache_cap then Cache.reset cache;
-      let plan = compile atom_list in
-      Obs.Metrics.incr m_compiled;
-      Cache.replace cache atom_list plan;
-      plan
-
-let reset_cache () = Cache.reset cache
 
 (* Sentinels: registers use -1 for "unbound"; resolved constants use -2
    for "name not interned in this instance" (distinct from every element

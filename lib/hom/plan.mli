@@ -1,31 +1,25 @@
-(** Compiled join plans: a CQ/rule body compiled once into an
+(** Compiled join plans: a CQ/rule body compiled into an
     integer-register program — variables numbered into an
     [Element.id array] environment, constants pre-resolved per execution,
-    per-atom access paths chosen by O(1) index cardinalities — and cached
-    per body across chase rounds.
+    per-atom access paths chosen by O(1) index cardinalities.
 
     Execution enumerates exactly the solutions of the interpreted join in
     [Eval] (probe order may differ: scoring reads windowed bucket
     cardinalities by binary search, and ties can break differently) and
-    counts probes through the same [eval.join_probes] registry handle.  Plans are
-    instance-independent; the cache counts [eval.plans_compiled] and
-    [eval.plan_cache_hits]. *)
+    counts probes through the same [eval.join_probes] registry handle.
+    Plans are instance-independent, and nothing here keeps one: a plan
+    lives as long as its holder, usually an [Eval.prepared] (DESIGN.md
+    §9 says who holds which).  Every compile counts
+    [eval.plans_compiled]. *)
 
 open Bddfc_logic
 open Bddfc_structure
 
 type t
 
-val of_atoms : Atom.t list -> t
-(** Cached compilation, keyed by physical identity of the list — rule and
-    query bodies are immutable and persist across rounds, so each body
-    compiles once per process. *)
-
-val reset_cache : unit -> unit
-(** Empty the plan cache.  The cache also empties itself whenever it
-    reaches its cap; a caller that compares [eval.plans_compiled] or
-    [eval.plan_cache_hits] across runs resets it first, so no cap reset
-    can land between the runs it compares. *)
+val compile : Atom.t list -> t
+(** Compile a body.  Each call compiles afresh and counts
+    [eval.plans_compiled]. *)
 
 val nvars : t -> int
 val var_name : t -> int -> string

@@ -9,9 +9,8 @@
     (never the source) and the next request rebuilds from scratch —
     poisoned state is never served.
 
-    The compiled join plans of {!Bddfc_hom.Plan} are cached per rule
-    body by physical identity, so keeping one theory value resident
-    also keeps its query plans warm across requests for free. *)
+    A session keeps no compiled join plans: each request compiles the
+    bodies it runs ({!Bddfc_hom.Eval.prepare}). *)
 
 open Bddfc_logic
 open Bddfc_structure

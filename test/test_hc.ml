@@ -855,6 +855,43 @@ let test_index_accounting () =
   check Alcotest.(pair int int) "the store stays empty" (0, 0)
     (Hc.store_size ())
 
+(* Plans belong to their holders: a minimization compiles the query's
+   body once for all its searches, and a prepared general side compiles
+   its body once for every specific side it is tested against. *)
+let with_deltas f =
+  let count s k = Option.value ~default:0 (M.find_int s k) in
+  let s0 = M.snapshot () in
+  let v = f () in
+  let s1 = M.snapshot () in
+  (v, fun k -> count s1 k - count s0 k)
+
+let test_minimize_one_plan () =
+  let q = Parser.parse_query "? e(X,Y), e(X,Z), e(Z,W), e(X,X2), p(X)." in
+  let m, d = with_deltas (fun () -> Containment.minimize q) in
+  check Alcotest.int "atoms kept" 3 (Cq.num_atoms m);
+  check Alcotest.int "one search per atom" 5 (d "containment.searches");
+  check Alcotest.int "one plan for the call" 1 (d "eval.plans_compiled")
+
+let test_general_side_one_plan () =
+  let general =
+    Containment.prepare ~hc:Hc.Interned (Parser.parse_query "? e(X,Y), p(Y).")
+  in
+  let specifics =
+    List.init 12 (fun i ->
+        Containment.prepare ~hc:Hc.Interned
+          (Parser.parse_query
+             (Printf.sprintf "? e(a%d,Y), p(Y), e(Y,Z%d)." i i)))
+  in
+  let verdicts, d =
+    with_deltas (fun () ->
+        List.map (fun s -> Containment.prepared_subsumes ~general s) specifics)
+  in
+  check Alcotest.(list bool) "every specific side is contained"
+    (List.map (fun _ -> true) specifics) verdicts;
+  check Alcotest.int "one search per pair" 12 (d "containment.searches");
+  check Alcotest.int "the general side compiled once" 1
+    (d "eval.plans_compiled")
+
 (* ----------------------------------------------------------------- *)
 
 let suite =
@@ -889,4 +926,7 @@ let suite =
         test_index_signatures;
       tc "index: rejects plus searches are the pairs scanned"
         test_index_accounting;
+      tc "plans: a minimization compiles one plan" test_minimize_one_plan;
+      tc "plans: a prepared general side compiles once"
+        test_general_side_one_plan;
     ] )

@@ -353,6 +353,144 @@ let test_minimize_reference () =
   done;
   check Alcotest.bool "queries checked" true (!checked > 500)
 
+(* ------------------------------------------------------------------ *)
+(* The chase-based completeness oracle                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A UCQ the rewriting marks complete is the whole rewriting: over a
+   theory whose chase terminates, it holds on a database exactly when
+   the chase to fixpoint entails the query.  Nothing here shares code
+   with piece.ml: the chase is the reference, and the rewriting is
+   judged by its answers alone.  Queries are made Boolean, so the
+   verdicts compare as they are.  Returns the (query, database) pairs
+   compared. *)
+let chase_agrees name theory queries dbs =
+  let theory =
+    if Theory.all_single_head theory then theory
+    else
+      (Bddfc_classes.Multihead.to_single_head theory)
+        .Bddfc_classes.Multihead.theory
+  in
+  let module T = Bddfc_chase.Termination in
+  let module C = Bddfc_chase.Chase in
+  if not (T.weakly_acyclic theory || T.jointly_acyclic theory) then 0
+  else begin
+    let chased =
+      List.map
+        (fun db ->
+          let r = C.run ~max_rounds:200 ~max_elements:50_000 theory db in
+          check Alcotest.bool (name ^ ": the chase reaches its fixpoint") true
+            (r.C.outcome = C.Fixpoint);
+          (db, r.C.instance))
+        dbs
+    in
+    List.fold_left
+      (fun n (qname, q) ->
+        let q = Cq.boolean (Cq.body q) in
+        let r = Rewrite.rewrite ~max_disjuncts ~max_steps theory q in
+        if not r.Rewrite.complete then n
+        else
+          List.fold_left
+            (fun (n, i) (db, model) ->
+              check Alcotest.bool
+                (Printf.sprintf
+                   "%s %s db %d: the UCQ holds iff the chase entails" name
+                   qname i)
+                (Eval.holds model q)
+                (Rewrite.ucq_holds db r.Rewrite.ucq);
+              (n + 1, i + 1))
+            (n, 0) chased
+          |> fst)
+      0 queries
+  end
+
+let body_queries theory =
+  List.map
+    (fun rule -> (Rule.name rule, Rule.body_query rule))
+    (Theory.rules theory)
+
+(* [facts] random facts over the predicates of [preds], with constants
+   drawn from [consts]. *)
+let random_db ~seed ~facts ~consts preds =
+  let st = Random.State.make [| seed; 613 |] in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let preds = Array.of_list preds and consts = Array.of_list consts in
+  Bddfc_structure.Instance.of_atoms
+    (List.init facts (fun _ ->
+         let p = pick preds in
+         Atom.make p
+           (List.init (Pred.arity p) (fun _ -> Term.cst (pick consts)))))
+
+let test_oracle_zoo () =
+  let compared =
+    List.fold_left
+      (fun n (e : Zoo.entry) ->
+        let sg = Theory.signature e.Zoo.theory in
+        let preds = Signature.preds sg in
+        let consts = "a" :: "b" :: Signature.consts sg in
+        let dbs =
+          Zoo.database_instance e
+          :: List.init 6 (fun seed ->
+                 random_db ~seed ~facts:(3 + seed) ~consts preds)
+        in
+        n
+        + chase_agrees e.Zoo.name e.Zoo.theory
+            (("query", e.Zoo.query) :: body_queries e.Zoo.theory)
+            dbs)
+      0 Zoo.all
+  in
+  check Alcotest.bool
+    (Printf.sprintf "zoo pairs compared (%d)" compared)
+    true (compared > 40)
+
+let test_oracle_random () =
+  let compared = ref 0 in
+  for seed = 0 to 59 do
+    let theory = Gen.random_binary_theory ~rules:4 ~seed () in
+    let st = Random.State.make [| seed; 401 |] in
+    let dbs =
+      List.init 4 (fun i ->
+          Gen.random_instance ~facts:(4 + i) ~seed:(seed + 1000 + (100 * i)) ())
+    in
+    compared :=
+      !compared
+      + chase_agrees
+          (Printf.sprintf "seed %d" seed)
+          theory
+          (("query", Test_hc.random_cq st) :: body_queries theory)
+          dbs
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "random pairs compared (%d)" !compared)
+    true (!compared > 500)
+
+(* The piece-size family: the query holds on [p(c), a1(c), ..., ak(c)]
+   only through the disjunct a k-atom piece yields. *)
+let test_oracle_pieces () =
+  let theory = Parser.parse_theory "p(X) -> exists Z. e(X,Z)." in
+  List.iter
+    (fun k ->
+      let db src = Bddfc_structure.Instance.of_atoms (Parser.parse_atoms src) in
+      let ais c j =
+        List.init j (fun i -> Printf.sprintf "a%d(%s)." (i + 1) c)
+      in
+      let preds =
+        Pred.make "p" 1 :: Pred.make "e" 2
+        :: List.init k (fun i -> Pred.make (Printf.sprintf "a%d" (i + 1)) 1)
+      in
+      let dbs =
+        [ db (String.concat " " ("p(c)." :: ais "c" k));
+          db (String.concat " " ("p(c)." :: ais "c" (k - 1)));
+          db (String.concat " " ("e(c,d)." :: ais "c" k));
+        ]
+        @ List.init 6 (fun seed ->
+              random_db ~seed ~facts:(k + 3) ~consts:[ "c"; "d" ] preds)
+      in
+      let name = Printf.sprintf "star %d" k in
+      let compared = chase_agrees name theory [ ("query", star k) ] dbs in
+      check Alcotest.int (name ^ ": pairs compared") (List.length dbs) compared)
+    [ 6; 7; 10 ]
+
 let suite =
   ( "rewrite",
     [
@@ -365,4 +503,7 @@ let suite =
       tc "pieces: closure UCQs equal the uncapped walk's" test_pieces_walk;
       tc "pieces: one piece of k atoms, any k" test_pieces_star;
       tc "minimize: one pass equals the restart loop" test_minimize_reference;
+      tc "oracle: complete zoo UCQs agree with the chase" test_oracle_zoo;
+      tc "oracle: complete random UCQs agree with the chase" test_oracle_random;
+      tc "oracle: complete star UCQs agree with the chase" test_oracle_pieces;
     ] )
