@@ -1682,19 +1682,13 @@ let ex21_judge_sig (v : Finitemodel.Judge.verdict) =
 
 (* (name, kind, verdict-producing run) *)
 let ex21_workloads () =
-  let gen_padded =
-    Logic.Parser.parse_theory
-      {| e(X,Y) -> exists Z. e(Y,Z).
-         e(X,Y), e(Y,Z) -> p(X,Z).
-         f(U,V) -> exists W. f(V,W).
-         f(U,V), f(V,W) -> q(U,W). |}
-  in
   let tc_sym =
     Logic.Parser.parse_theory "e(X,Y) -> e(Y,X). e(X,Y), e(Y,Z) -> e(X,Z)."
   in
   let tc_query = Logic.Parser.parse_query "? e(X,Y)." in
   let ex1 = Option.get (Zoo.find "ex1") in
   let ex7 = Option.get (Zoo.find "ex7") in
+  let remark3 = Option.get (Zoo.find "remark3") in
   let sec55 = Option.get (Zoo.find "sec55") in
   let sec55_normalized =
     (Finitemodel.Normalize.spade5
@@ -1728,7 +1722,8 @@ let ex21_workloads () =
         for _ = 1 to 40 do
           last :=
             Printf.sprintf "min:%d"
-              (Logic.Cq.num_atoms (Hom.Containment.minimize redundant_path))
+              (Logic.Cq.num_atoms
+                 Hom.Containment.(query (minimize (prepare redundant_path))))
         done;
         !last );
     ( "rewrite-x3/tc-sym",
@@ -1748,14 +1743,16 @@ let ex21_workloads () =
               (if r.Rewriting.Rewrite.complete then "complete" else "capped")
         done;
         !last );
-    ( "kappa-x5/gen-pad",
+    ( "kappa-x5/remark3",
       Backends,
       fun hc ->
+        (* the second body's rewriting diverges: most of its candidates
+           meet the kept set and are subsumed there *)
         let last = ref "" in
         for _ = 1 to 5 do
           let k =
             Rewriting.Rewrite.kappa ?budget:!governor ~hc ~max_disjuncts:60
-              ~max_steps:600 gen_padded
+              ~max_steps:600 remark3.Zoo.theory
           in
           last :=
             Printf.sprintf "kappa:%d:%s" k.Rewriting.Rewrite.kappa

@@ -14,28 +14,40 @@ type violation = {
 
 exception Enough
 
-(* Each rule's body and head are compiled once per call: the body runs
-   once, the head once per body solution. *)
-let violations ?(limit = 10) ?eval theory inst =
-  let found = ref [] in
-  let count = ref 0 in
-  (try
-     List.iter
-       (fun rule ->
-         let body = Eval.prepare (Rule.body rule) in
-         let head = Eval.prepare (Rule.head rule) in
-         let frontier = Rule.frontier rule in
-         Eval.iter_env ?engine:eval inst body (fun env ->
-             let binding = Eval.binding_of_prepared body env in
-             let init = Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding in
-             if Eval.first_env ~init ?engine:eval inst head = None then begin
-               found := { rule; binding = Smap.bindings binding } :: !found;
-               incr count;
-               if !count >= limit then raise Enough
-             end))
-       (Theory.rules theory)
-   with Enough -> ());
-  List.rev !found
+(* Each rule's body and head are compiled on first use and kept by the
+   closure [violations ?limit ?eval theory] returns: the body runs once
+   per instance, the head once per body solution.  A full application
+   compiles what it uses once; a caller that checks many instances
+   against one theory applies it to the theory once. *)
+let violations ?(limit = 10) ?eval theory =
+  let rules =
+    List.map
+      (fun rule ->
+        ( rule,
+          lazy (Eval.prepare (Rule.body rule), Eval.prepare (Rule.head rule)) ))
+      (Theory.rules theory)
+  in
+  fun inst ->
+    let found = ref [] in
+    let count = ref 0 in
+    (try
+       List.iter
+         (fun (rule, plans) ->
+           let body, head = Lazy.force plans in
+           let frontier = Rule.frontier rule in
+           Eval.iter_env ?engine:eval inst body (fun env ->
+               let binding = Eval.binding_of_prepared body env in
+               let init =
+                 Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
+               in
+               if Eval.first_env ~init ?engine:eval inst head = None then begin
+                 found := { rule; binding = Smap.bindings binding } :: !found;
+                 incr count;
+                 if !count >= limit then raise Enough
+               end))
+         rules
+     with Enough -> ());
+    List.rev !found
 
 let is_model ?eval theory inst = violations ~limit:1 ?eval theory inst = []
 

@@ -13,6 +13,10 @@ type violation = {
 val violations :
   ?limit:int -> ?eval:Bddfc_hom.Eval.engine -> Theory.t -> Instance.t ->
   violation list
+(** Each rule's body and head are compiled on first use and kept by the
+    function [violations ?limit ?eval theory] returns, so applying it to
+    the theory once and then to many instances compiles each at most
+    once. *)
 
 val is_model : ?eval:Bddfc_hom.Eval.engine -> Theory.t -> Instance.t -> bool
 

@@ -81,6 +81,10 @@ let search ?budget ?strategy ?eval ?(params = default_search_params) theory
   let existential =
     Theory.make (List.filter Rule.is_existential (Theory.rules theory))
   in
+  (* the query and the existential rules' bodies and heads are compiled
+     once for the whole search, not at every node *)
+  let query_body = Eval.prepare (Cq.body query) in
+  let violations = Model_check.violations ~limit:1 ?eval existential in
   let rec explore inst =
     incr nodes;
     Obs.Metrics.incr m_nodes;
@@ -96,13 +100,14 @@ let search ?budget ?strategy ?eval ?(params = default_search_params) theory
       | _ -> note Budget.Rounds);
       complete := false
     end
-    else if Eval.holds ?engine:eval inst query then () (* dead branch *)
+    else if Eval.first_env ?engine:eval inst query_body <> None then
+      () (* dead branch *)
     else if Instance.num_facts inst > params.max_facts then begin
       note Budget.Facts;
       complete := false
     end
     else
-      match Model_check.violations ~limit:1 ?eval existential inst with
+      match violations inst with
       | [] -> raise (Got_model inst)
       | { Model_check.rule; binding } :: _ ->
           let zs = Rule.SS.elements (Rule.existential_vars rule) in

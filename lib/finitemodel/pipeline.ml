@@ -194,7 +194,7 @@ let rec construct_main ~params theory db (query : Cq.t) =
       let kappa =
         kappa_once (fun budget ->
             step "pipeline.kappa" t_kappa @@ fun () ->
-            Rewrite.kappa ?budget ~eval:params.eval ~hc:params.hc
+            Rewrite.kappa ?budget ~hc:params.hc
               ~max_disjuncts:params.rewrite_max_disjuncts
               ~max_steps:params.rewrite_max_steps t2)
       in

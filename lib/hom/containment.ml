@@ -6,14 +6,16 @@
    q1 in order.
 
    Two modes (Hc.mode, default Interned).  The structural path is the
-   original code, kept as the differential oracle.  The interned path
-   prepares both sides: a signature test refutes most hopeless pairs
-   without building a frozen instance — the cheap test before the
-   expensive apply of a BDD package — and every other pair runs the
-   general side's compiled body over the specific side's frozen
-   instance, each built once and kept with its prepared value.  Nothing
-   is cached across calls: a prepared value lives as long as its holder
-   keeps it. *)
+   original code, kept as the differential oracle: it builds the frozen
+   [Instance] and runs [Eval] over it.  The interned path prepares both
+   sides once, as int-coded queries: a signature test refutes most
+   hopeless pairs — the cheap test before the expensive apply of a BDD
+   package — and every other pair is one run of a small matcher from the
+   general side's atoms into the specific side's, grouped by predicate.
+   The matcher is also the only search behind [minimize].  The interned
+   path builds the coding and the signature, and no [Instance] or plan.
+   Nothing is cached across calls: a prepared value lives as long as its
+   holder keeps it. *)
 
 open Bddfc_logic
 open Bddfc_structure
@@ -28,27 +30,9 @@ let frozen_instance (q : Cq.t) =
 let same_arity (g : Cq.t) (s : Cq.t) =
   List.length (Cq.answer g) = List.length (Cq.answer s)
 
-(* The homomorphism search over a frozen instance of [specific] ([frz]
-   the freezing), answer variables of [general] bound positionally to
-   the frozen answer variables of [specific].  [body] is [general]'s
-   body, prepared by the caller.  Answer arities must match. *)
-let search ?engine ~(general : Cq.t) body inst frz (specific : Cq.t) =
-  let init =
-    List.fold_left2
-      (fun acc xg xs ->
-        match Subst.find_opt xs frz with
-        | Some (Term.Cst c) -> (
-            match Instance.const_opt inst c with
-            | Some id -> Smap.add xg id acc
-            | None -> acc)
-        | _ -> acc)
-      Smap.empty (Cq.answer general) (Cq.answer specific)
-  in
-  Eval.first_env ~init ?engine inst body <> None
-
 (* The original uncached decision, byte for byte: the differential
    oracle must not even change its evaluation shape. *)
-let subsumes_structural ?engine ~(general : Cq.t) (specific : Cq.t) =
+let subsumes_structural ~(general : Cq.t) (specific : Cq.t) =
   if List.length (Cq.answer general) <> List.length (Cq.answer specific) then
     false
   else begin
@@ -64,8 +48,145 @@ let subsumes_structural ?engine ~(general : Cq.t) (specific : Cq.t) =
           | _ -> acc)
         Smap.empty (Cq.answer general) (Cq.answer specific)
     in
-    Eval.satisfiable ~init ?engine inst (Cq.body general)
+    Eval.satisfiable ~init inst (Cq.body general)
   end
+
+(* ---------------- the int-coded query ---------------- *)
+
+(* A query as the matcher reads it.  Variables are registers [0, nvars)
+   and constants the negative codes [-1 - k], [k] indexing [consts].
+   [args] is the general side's reading of each atom.  [sargs] is the
+   specific side's, the frozen body: a constant spelled like a frozen
+   variable of the query freezes to that variable's term, so it reads
+   as the variable's register there ([cvalues] gives each constant's
+   reading; [sargs] is [args] when no constant is so spelled).  Atoms
+   are grouped by predicate id ([preds]): [group.(i)] lists the atoms
+   of atom [i]'s predicate, one array shared by the group.  [answer]
+   holds the answer variables' registers and [order] the order in
+   which the general side matches its atoms. *)
+type code = {
+  preds : int array;
+  args : int array array;
+  sargs : int array array;
+  var_names : string array;
+  consts : string array;
+  cvalues : int array;
+  group : int array array;
+  answer : int array;
+  order : int array;
+}
+
+let find_name names n s =
+  let rec go i =
+    if i = n then -1 else if String.equal names.(i) s then i else go (i + 1)
+  in
+  go 0
+
+(* [Cq.frozen_name x] is this prefix followed by [x]. *)
+let frozen_prefix = Cq.frozen_name ""
+
+(* The register of the variable whose frozen name is [c], or -1. *)
+let frozen_var var_names c =
+  let lp = String.length frozen_prefix in
+  if String.length c > lp && String.starts_with ~prefix:frozen_prefix c then
+    find_name var_names (Array.length var_names)
+      (String.sub c lp (String.length c - lp))
+  else -1
+
+(* The general side's order: answer variables count as bound; next comes
+   the atom with the most constant or bound positions, then the one
+   with the fewest atoms of its predicate, then the first. *)
+let match_order args group answer nvars =
+  let n = Array.length args in
+  let bound = Array.make nvars false in
+  Array.iter (fun r -> bound.(r) <- true) answer;
+  let placed = Array.make n false in
+  Array.init n (fun _ ->
+      let best = ref (-1) and best_bound = ref (-1) and best_size = ref 0 in
+      for i = 0 to n - 1 do
+        if not placed.(i) then begin
+          let b =
+            Array.fold_left
+              (fun b x -> if x < 0 || bound.(x) then b + 1 else b)
+              0 args.(i)
+          in
+          let size = Array.length group.(i) in
+          if b > !best_bound || (b = !best_bound && size < !best_size)
+          then begin
+            best := i;
+            best_bound := b;
+            best_size := size
+          end
+        end
+      done;
+      placed.(!best) <- true;
+      Array.iter (fun x -> if x >= 0 then bound.(x) <- true) args.(!best);
+      !best)
+
+let code (q : Cq.t) =
+  let body = Array.of_list (Cq.body q) in
+  let n = Array.length body in
+  let width = Array.fold_left (fun w a -> w + Atom.arity a) 0 body in
+  let vars = Array.make width "" and nv = ref 0 in
+  let csts = Array.make width "" and nc = ref 0 in
+  let intern names count s =
+    match find_name names !count s with
+    | -1 ->
+        names.(!count) <- s;
+        incr count;
+        !count - 1
+    | i -> i
+  in
+  let args =
+    Array.map
+      (fun a ->
+        Array.of_list
+          (List.map
+             (function
+               | Term.Var x -> intern vars nv x
+               | Term.Cst c -> -1 - intern csts nc c)
+             (Atom.args a)))
+      body
+  in
+  let var_names = Array.sub vars 0 !nv and consts = Array.sub csts 0 !nc in
+  let cvalues =
+    Array.mapi
+      (fun k c -> match frozen_var var_names c with -1 -> -1 - k | r -> r)
+      consts
+  in
+  let sargs =
+    if Array.for_all (fun v -> v < 0) cvalues then args
+    else
+      Array.map
+        (Array.map (fun x -> if x >= 0 then x else cvalues.(-1 - x)))
+        args
+  in
+  let preds = Array.map (fun a -> Pred.id (Atom.pred a)) body in
+  let group = Array.make n [||] in
+  Array.iteri
+    (fun i p ->
+      if Array.length group.(i) = 0 then begin
+        let g =
+          Array.of_list
+            (List.filter (fun j -> preds.(j) = p) (List.init n Fun.id))
+        in
+        Array.iter (fun j -> group.(j) <- g) g
+      end)
+    preds;
+  let answer =
+    Array.of_list (List.map (find_name var_names !nv) (Cq.answer q))
+  in
+  {
+    preds;
+    args;
+    sargs;
+    var_names;
+    consts;
+    cvalues;
+    group;
+    answer;
+    order = match_order args group answer !nv;
+  }
 
 (* ---------------- signatures ---------------- *)
 
@@ -112,14 +233,14 @@ let hash_string h s =
 
 let const_slot h hc = mix (mix h 1) hc
 let var_slot h first = mix (mix h 2) first
-let shape_start pred = mix 0x2545f4914f6cdd1d (Pred.id pred)
+let shape_start pred_id = mix 0x2545f4914f6cdd1d pred_id
 let shape_code h = h land max_int
 let join_pos_bound = 32
 let join_pred_bound = 1 lsl 23
 
-let occurrence pred i =
-  if i < join_pos_bound && Pred.id pred < join_pred_bound then
-    (Pred.id pred * join_pos_bound) + i
+let occurrence pred_id i =
+  if i < join_pos_bound && pred_id < join_pred_bound then
+    (pred_id * join_pos_bound) + i
   else -1
 
 let join_code (o1 : int) (o2 : int) =
@@ -154,123 +275,100 @@ let sorted_unique (l : int list) =
     Array.sub a 0 !k
   end
 
-(* The occurrences of a query's terms, position by position: the term's
-   key (a variable name for needs, a frozen term for hosts), its hash and
-   its packed occurrence (-1 past the packing bounds). *)
-type occurrences = {
-  keys : string array;
-  hashes : int array;
-  occs : int array;
-}
-
-let occurrences (q : Cq.t) key =
-  let n = List.fold_left (fun n a -> n + Atom.arity a) 0 (Cq.body q) in
-  let o =
-    { keys = Array.make n ""; hashes = Array.make n 0; occs = Array.make n (-1) }
-  in
-  let k = ref 0 in
-  List.iter
-    (fun a ->
-      List.iteri
-        (fun i t ->
-          let s = key t in
-          o.keys.(!k) <- s;
-          o.hashes.(!k) <- hash_string 0 s;
-          o.occs.(!k) <- occurrence (Atom.pred a) i;
+(* The terms of a coded query position by position, flattened ([terms]
+   is [args] or [sargs]), with their packed occurrences (-1 past the
+   packing bounds). *)
+let occurrences (c : code) terms =
+  let vals = Array.concat (Array.to_list terms) in
+  let occs = Array.make (Array.length vals) (-1) and k = ref 0 in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun p _ ->
+          occs.(!k) <- occurrence c.preds.(i) p;
           incr k)
-        (Atom.args a))
-    (Cq.body q);
-  o
+        a)
+    terms;
+  (vals, occs)
 
 (* Joins between two occurrences of one term, [keep] saying which terms
    count.  Two occurrences at the same position of one predicate need
    nothing beyond that predicate's shape, so they carry no feature. *)
-let joins ~keep o acc =
+let joins ~keep (vals, occs) acc =
   let acc = ref acc in
-  let n = Array.length o.occs in
+  let n = Array.length vals in
   for i = 0 to n - 1 do
-    let oi = o.occs.(i) in
-    if oi >= 0 && keep i then
+    let oi = occs.(i) in
+    if oi >= 0 && keep vals.(i) then
       for j = i + 1 to n - 1 do
-        let oj = o.occs.(j) in
-        if oj >= 0 && oj <> oi && keep j
-           && o.hashes.(i) = o.hashes.(j)
-           && String.equal o.keys.(i) o.keys.(j)
-        then acc := join_code oi oj :: !acc
+        let oj = occs.(j) in
+        if oj >= 0 && oj <> oi && vals.(j) = vals.(i) then
+          acc := join_code oi oj :: !acc
       done
   done;
   !acc
 
-let needs (q : Cq.t) =
-  let o =
-    occurrences q (function Term.Var x -> x | Term.Cst c -> c)
+(* The general side reads its atoms as written: a constant by its
+   spelling, a variable by the first position of the same register in
+   the atom. *)
+let needs (c : code) =
+  let chash = Array.map (hash_string 0) c.consts in
+  let shape i a =
+    let h = ref (shape_start c.preds.(i)) in
+    Array.iter
+      (fun x ->
+        if x < 0 then h := const_slot !h chash.(-1 - x)
+        else begin
+          let j = ref 0 in
+          while a.(!j) <> x do
+            incr j
+          done;
+          h := var_slot !h !j
+        end)
+      a;
+    shape_code !h
   in
-  let is_var = Array.make (Array.length o.keys) false in
-  let k = ref 0 in
-  let shapes =
-    List.map
-      (fun a ->
-        let base = !k in
-        let h = ref (shape_start (Atom.pred a)) in
-        List.iteri
-          (fun i t ->
-            (match t with
-            | Term.Cst _ -> h := const_slot !h o.hashes.(base + i)
-            | Term.Var _ ->
-                is_var.(base + i) <- true;
-                let j = ref 0 in
-                while
-                  not
-                    (is_var.(base + !j)
-                    && String.equal o.keys.(base + !j) o.keys.(base + i))
-                do
-                  incr j
-                done;
-                h := var_slot !h !j);
-            incr k)
-          (Atom.args a);
-        shape_code !h)
-      (Cq.body q)
-  in
-  sorted_unique (joins ~keep:(fun i -> is_var.(i)) o shapes)
+  sorted_unique
+    (joins ~keep:(fun x -> x >= 0) (occurrences c c.args)
+       (Array.to_list (Array.mapi shape c.args)))
 
-(* Every shape one atom of the frozen body satisfies, by a walk over its
-   positions that extends the hash as it goes: position i holds a
+(* Every shape one atom [b] of the frozen body satisfies, by a walk over
+   its positions that extends the hash as it goes: position i holds a
    constant, starts a variable, or repeats an earlier variable over the
-   same frozen term. *)
-let atom_hosts o base (a : Atom.t) acc =
-  let n = Atom.arity a in
+   same frozen term.  [hash] is a frozen term's hash. *)
+let atom_hosts hash pred_id (b : int array) acc =
+  let n = Array.length b in
   let var_start = Array.make n false in
   let rec go i h acc =
     if i = n then shape_code h :: acc
     else begin
-      let acc = go (i + 1) (const_slot h o.hashes.(base + i)) acc in
+      let acc = go (i + 1) (const_slot h (hash b.(i))) acc in
       var_start.(i) <- true;
       let acc = go (i + 1) (var_slot h i) acc in
       var_start.(i) <- false;
       let acc = ref acc in
       for j = 0 to i - 1 do
-        if var_start.(j)
-           && o.hashes.(base + j) = o.hashes.(base + i)
-           && String.equal o.keys.(base + j) o.keys.(base + i)
-        then acc := go (i + 1) (var_slot h j) !acc
+        if var_start.(j) && b.(j) = b.(i) then
+          acc := go (i + 1) (var_slot h j) !acc
       done;
       !acc
     end
   in
-  go 0 (shape_start (Atom.pred a)) acc
+  go 0 (shape_start pred_id) acc
 
-let hosts (q : Cq.t) =
-  let o =
-    occurrences q (function Term.Var x -> Cq.frozen_name x | Term.Cst c -> c)
-  in
-  let _, shapes =
-    List.fold_left
-      (fun (base, acc) a ->
-        (base + Atom.arity a, atom_hosts o base a acc))
-      (0, []) (Cq.body q)
-  in
-  sorted_unique (joins ~keep:(fun _ -> true) o shapes)
+(* The specific side reads its atoms frozen ([sargs]): a variable as the
+   spelling of its frozen constant, so it hashes like a constant so
+   spelled. *)
+let hosts (c : code) =
+  let vhash =
+    Array.map (fun x -> hash_string 0 (Cq.frozen_name x)) c.var_names
+  and chash = Array.map (hash_string 0) c.consts in
+  let hash v = if v >= 0 then vhash.(v) else chash.(-1 - v) in
+  let shapes = ref [] in
+  Array.iteri
+    (fun i b -> shapes := atom_hosts hash c.preds.(i) b !shapes)
+    c.sargs;
+  sorted_unique (joins ~keep:(fun _ -> true) (occurrences c c.sargs) !shapes)
 
 let subset (needs : int array) (hosts : int array) =
   let n = Array.length needs and m = Array.length hosts in
@@ -285,32 +383,137 @@ let subset (needs : int array) (hosts : int array) =
   in
   go 0 0
 
+(* ---------------- the matcher ---------------- *)
+
+let unbound = min_int
+
+(* The frozen term a constant of the general side meets on the specific
+   side: a constant of the same spelling, or the variable whose frozen
+   name it is.  [unbound], which no term reads as, when it meets
+   nothing. *)
+let reading (s : code) c =
+  match find_name s.consts (Array.length s.consts) c with
+  | -1 -> ( match frozen_var s.var_names c with -1 -> unbound | r -> r)
+  | k -> s.cvalues.(k)
+
+(* The first atom of the specific side with predicate id [p], or -1. *)
+let pred_atom (s : code) p =
+  let rec go j =
+    if j = Array.length s.preds then -1
+    else if s.preds.(j) = p then j
+    else go (j + 1)
+  in
+  go 0
+
+(* One search of the matcher: [general]'s atoms in its order, each tried
+   against [cands.(d)], the specific atoms of its predicate, skipping
+   those [alive] masks (an empty [alive] masks none).  [tr] reads the
+   general side's constants in the specific side's coding.  Variable
+   bindings live in [env]; [trail.(0 .. top - 1)] lists the registers
+   bound so far, so a backtrack unbinds back to a mark. *)
+type search = {
+  g : code;
+  s : code;
+  tr : int array;
+  cands : int array array;
+  alive : bool array;
+  env : int array;
+  trail : int array;
+  mutable top : int;
+}
+
+let undo st mark =
+  while st.top > mark do
+    st.top <- st.top - 1;
+    st.env.(st.trail.(st.top)) <- unbound
+  done
+
+(* Extend the bindings so that general atom [a] maps onto specific
+   atom [b], from position [p] on. *)
+let rec unify st a b p =
+  p = Array.length a
+  ||
+  let x = a.(p) and v = b.(p) in
+  if x < 0 then st.tr.(-1 - x) = v && unify st a b (p + 1)
+  else
+    let e = st.env.(x) in
+    if e = unbound then begin
+      st.env.(x) <- v;
+      st.trail.(st.top) <- x;
+      st.top <- st.top + 1;
+      unify st a b (p + 1)
+    end
+    else e = v && unify st a b (p + 1)
+
+let rec descend st d =
+  d = Array.length st.cands || try_atoms st d st.top 0
+
+and try_atoms st d mark c =
+  let cs = st.cands.(d) in
+  c < Array.length cs
+  &&
+  let j = cs.(c) in
+  ((Array.length st.alive = 0 || st.alive.(j))
+   && unify st st.g.args.(st.g.order.(d)) st.s.sargs.(j) 0
+   && descend st (d + 1))
+  || begin
+       undo st mark;
+       try_atoms st d mark (c + 1)
+     end
+
+(* Is there a homomorphism from the general side into the frozen body of
+   the specific side, answer variables positionally to answer
+   variables?  Answer arities must match.  A general atom whose
+   predicate the specific side lacks has no candidates, and a constant
+   the specific side lacks reads as [unbound]: either fails its atom. *)
+let matches ?(alive = [||]) ~(general : code) (specific : code) =
+  let g = general and s = specific in
+  let nv = Array.length g.var_names in
+  let env = Array.make nv unbound in
+  Array.iteri
+    (fun k r -> if r >= 0 && s.answer.(k) >= 0 then env.(r) <- s.answer.(k))
+    g.answer;
+  descend
+    {
+      g;
+      s;
+      tr = (if g == s then s.cvalues else Array.map (reading s) g.consts);
+      cands =
+        Array.map
+          (fun i ->
+            match pred_atom s g.preds.(i) with -1 -> [||] | j -> s.group.(j))
+          g.order;
+      alive;
+      env;
+      trail = Array.make nv 0;
+      top = 0;
+    }
+    0
+
 (* ---------------- prepared queries ---------------- *)
 
-(* A query prepared for many containment tests: its signature, its
-   frozen instance (for the specific side) and its compiled body (for
-   the general side), built on first use and kept with it.  All are
-   read off the query as given; containment is invariant under
+(* A query prepared for many containment tests: its int coding, built
+   at once, and its signature, built on first use, both kept with it.
+   Both are read off the query as given; containment is invariant under
    renaming, and so are the verdicts they yield. *)
 type prepared = {
   cq : Cq.t;
   hc : Hc.mode;
+  code : code;
   needs : int array Lazy.t;
   hosts : int array Lazy.t;
-  frozen : (Instance.t * Subst.t) Lazy.t;
-  body : Eval.prepared Lazy.t;
 }
 
 let mode = function Some m -> m | None -> Hc.default_mode ()
 
 let prepare ?hc (q : Cq.t) =
+  let c = code q in
   {
     cq = q;
     hc = mode hc;
-    needs = lazy (needs q);
-    hosts = lazy (hosts q);
-    frozen = lazy (frozen_instance q);
-    body = lazy (Eval.prepare (Cq.body q));
+    code = c;
+    needs = lazy (needs c);
+    hosts = lazy (hosts c);
   }
 
 let query p = p.cq
@@ -326,11 +529,10 @@ let m_searches = Bddfc_obs.Obs.Metrics.counter "containment.searches"
 (* [prepared_subsumes ~general specific]: does [general] hold whenever
    [specific] does (i.e. specific is contained in general)?  Under
    [Interned] the signatures settle the pair first, and a pair they let
-   through searches the specific side's kept frozen instance. *)
-let prepared_subsumes ?engine ~general specific =
+   through is one run of the matcher. *)
+let prepared_subsumes ~general specific =
   match specific.hc with
-  | Hc.Structural ->
-      subsumes_structural ?engine ~general:general.cq specific.cq
+  | Hc.Structural -> subsumes_structural ~general:general.cq specific.cq
   | Hc.Interned ->
       if rejects ~general specific then begin
         Bddfc_obs.Obs.Metrics.incr m_index_rejects;
@@ -338,69 +540,59 @@ let prepared_subsumes ?engine ~general specific =
       end
       else begin
         Bddfc_obs.Obs.Metrics.incr m_searches;
-        let inst, frz = Lazy.force specific.frozen in
-        search ?engine ~general:general.cq (Lazy.force general.body) inst frz
-          specific.cq
+        matches ~general:general.code specific.code
       end
 
-let subsumes ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
+let subsumes ?hc ~(general : Cq.t) (specific : Cq.t) =
   let hc = mode hc in
-  prepared_subsumes ?engine ~general:(prepare ~hc general)
-    (prepare ~hc specific)
+  prepared_subsumes ~general:(prepare ~hc general) (prepare ~hc specific)
 
 (* Core (minimization) of a CQ: remove atoms whose deletion preserves
    equivalence.  The result is homomorphically equivalent to the input.
 
-   The query is frozen once, and one pass over its atoms decides each
-   removal with one homomorphism search, charging
-   [containment.searches]: the atom's fact leaves the frozen instance,
-   the query's body is searched for in what is left, and the fact goes
-   back when the search fails.  A fact that another remaining atom also
-   freezes to stays in the instance, so a duplicate atom always goes.
-   The remaining body is equivalent to the query, so searching the
-   query's own body is the same test, and one plan, compiled here,
-   serves every search of the call.
+   One pass over the atoms decides each removal with one run of the
+   matcher, charging [containment.searches]: the atom is masked out of
+   the query's frozen body, and the query's whole body is matched
+   against what is left.  The remaining body is equivalent to the
+   query, so matching the query's own body is the same test.  An atom
+   another remaining atom duplicates always goes.  An atom with no
+   other remaining atom of its predicate carrying its constants at its
+   constant positions has nothing to map to, so it stays without a
+   search.
 
    One pass removes the same atoms as restarting from the first atom
    after every removal: an atom that cannot be removed from a body
    cannot be removed from an equivalent sub-body either, since a
    homomorphism from the sub-body into the rest, after one from the body
-   into the sub-body, would remove it from the body.  Bodies of 0 or 1
-   atoms, and queries with nothing to remove, are returned as they
-   are. *)
-let minimize ?engine (q : Cq.t) =
-  match Cq.body q with
-  | [] | [ _ ] -> q
-  | body ->
-      let inst, frz = frozen_instance q in
-      let plan = Eval.prepare body in
-      let fact a =
-        Fact.make (Atom.pred a)
-          (Array.of_list
-             (List.map
-                (function
-                  | Term.Cst c -> Instance.const inst c
-                  | Term.Var x -> invalid_arg ("Containment.minimize: " ^ x))
-                (Atom.args a)))
-      in
-      let facts = Array.of_list (List.map fact (Subst.apply_atoms frz body)) in
-      let alive = Array.make (Array.length facts) true in
-      let shared i =
-        let rec go j =
-          j < Array.length facts
-          && ((j <> i && alive.(j) && Fact.equal facts.(j) facts.(i))
-             || go (j + 1))
+   into the sub-body, would remove it from the body.  A query with
+   nothing to remove comes back as the value it was given. *)
+let minimize p =
+  let c = p.code in
+  let n = Array.length c.args in
+  let alive = Array.make n true in
+  let hostable i =
+    let a = c.args.(i) and sa = c.sargs.(i) in
+    Array.exists
+      (fun j ->
+        j <> i && alive.(j)
+        &&
+        let sb = c.sargs.(j) in
+        let rec same k =
+          k = Array.length a
+          || ((a.(k) >= 0 || sb.(k) = sa.(k)) && same (k + 1))
         in
-        go 0
-      in
-      Array.iteri
-        (fun i f ->
-          let drop = not (shared i) in
-          if drop then ignore (Instance.remove_facts inst [ f ]);
-          Bddfc_obs.Obs.Metrics.incr m_searches;
-          if search ?engine ~general:q plan inst frz q then alive.(i) <- false
-          else if drop then ignore (Instance.add_fact inst f))
-        facts;
-      if Array.for_all Fun.id alive then q
-      else
-        Cq.make ~answer:(Cq.answer q) (List.filteri (fun j _ -> alive.(j)) body)
+        same 0)
+      c.group.(i)
+  in
+  for i = 0 to n - 1 do
+    if hostable i then begin
+      Bddfc_obs.Obs.Metrics.incr m_searches;
+      alive.(i) <- false;
+      if not (matches ~alive ~general:c c) then alive.(i) <- true
+    end
+  done;
+  if Array.for_all Fun.id alive then p
+  else
+    prepare ~hc:p.hc
+      (Cq.make ~answer:(Cq.answer p.cq)
+         (List.filteri (fun j _ -> alive.(j)) (Cq.body p.cq)))

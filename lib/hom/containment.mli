@@ -3,9 +3,19 @@
     Every decision between two queries takes an [?hc] switch
     ({!Hc.mode}, default {!Hc.default_mode}): [Interned] runs on
     {!prepared} queries, [Structural] is the original code — the
-    differential oracle the fuzzing battery compares against.  Neither
-    keeps state across calls.  {!minimize} has one path, which the
-    tests hold to the original minimization.
+    differential oracle the fuzzing battery compares against, which
+    freezes the specific side into an [Instance] and evaluates the
+    general side's body over it.  Neither keeps state across calls.
+    {!minimize} has one path, which the tests hold to the original
+    minimization.
+
+    A prepared query is coded once into ints: per atom a predicate id
+    and an int array (variables as registers, constants as negative
+    codes), atoms grouped by predicate.  One small matcher over two
+    codings — a depth-first search with a register array and a trail —
+    decides every pair the interned path searches and every removal
+    {!minimize} tries.  The interned path never builds an [Instance] or
+    an [Eval] plan.
 
     Under [Interned] every pair first tests a {e signature}: a
     necessary condition for a homomorphism from [general] into the
@@ -21,38 +31,27 @@
     "needs ⊆ hosts" never counts atoms, since homomorphisms need not be
     injective ([e(X,Y), e(Y,Z)] maps into [e(a,a)]).  A pair the test
     settles charges [containment.index_rejects]; every other pair
-    charges [containment.searches] and runs the general side's compiled
-    body over the specific side's frozen instance.  The rewriting loop
-    holds prepared queries, so each query's signature, frozen instance
-    and plan are built once. *)
+    charges [containment.searches] and runs the matcher.  The rewriting
+    loop holds prepared queries, so each query is coded and signed
+    once. *)
 
 open Bddfc_logic
 
-val subsumes :
-  ?engine:Eval.engine -> ?hc:Hc.mode -> general:Cq.t -> Cq.t -> bool
+val subsumes : ?hc:Hc.mode -> general:Cq.t -> Cq.t -> bool
 (** [subsumes ~general specific]: whenever [specific] holds, so does
     [general] — i.e. [specific] is contained in [general].  Answer arities
     must match; answer variables correspond positionally. *)
 
-val minimize : ?engine:Eval.engine -> Cq.t -> Cq.t
-(** Remove redundant atoms; the result is equivalent to the input (the
-    query core up to atom deletion).  One pass over the atoms removes
-    each atom whose fact the whole remaining body can do without, in the
-    query's frozen instance, built once, by the query's body, compiled
-    once.  Each check is one search and charges [containment.searches].
-    Bodies of 0 or 1 atoms, and queries with nothing to remove, are
-    returned as they are. *)
-
 (** {1 Prepared queries} *)
 
 type prepared
-(** A query prepared once for many containment tests: its signature,
-    its frozen instance and its compiled body, each built on first use
-    from the query as given and kept with the value. *)
+(** A query prepared once for many containment tests: its int coding,
+    built by {!prepare}, and its signature, built on first use, both
+    kept with the value. *)
 
 val prepare : ?hc:Hc.mode -> Cq.t -> prepared
-(** Under [Structural] nothing is ever built, and {!prepared_subsumes}
-    runs the structural oracle. *)
+(** Under [Structural] the signature is never built, and
+    {!prepared_subsumes} runs the structural oracle. *)
 
 val query : prepared -> Cq.t
 (** The query as given to {!prepare}. *)
@@ -66,10 +65,20 @@ val rejects : general:prepared -> prepared -> bool
     not among the hosts of the specific side: no homomorphism exists, so
     {!subsumes} is [false]. *)
 
-val prepared_subsumes :
-  ?engine:Eval.engine -> general:prepared -> prepared -> bool
+val prepared_subsumes : general:prepared -> prepared -> bool
 (** {!subsumes} on prepared queries, under the mode the specific side
     was prepared in.  Under [Interned], a pair that {!rejects} charges
     [containment.index_rejects]; every other pair charges
-    [containment.searches] and runs the general side's kept plan over
-    the specific side's kept frozen instance. *)
+    [containment.searches] and runs the matcher over the two kept
+    codings. *)
+
+val minimize : prepared -> prepared
+(** Remove redundant atoms; the result is equivalent to the input (the
+    query core up to atom deletion), prepared in the input's mode.  One
+    pass over the atoms removes each atom the whole query can do
+    without: the matcher maps the query's body into its own atoms with
+    that atom masked.  Each such check charges [containment.searches].
+    An atom is kept without a check when no other remaining atom has its
+    predicate and its constants at its constant positions.  A query with
+    nothing to remove, bodies of 0 or 1 atoms included, comes back as
+    the value it was given. *)

@@ -20,12 +20,16 @@
    disjunct (105 of the 136 of remark3's query), so a narrow candidate
    meets the kept set before it is minimized, and only the survivors pay
    for minimization.  The kept set holds prepared queries
-   (Containment.prepare): each candidate is signed once, both scans test
-   signatures first (on sec55's judge that settles 10,434 of the 12,297
-   pairs, minimization's checks, all searches, included), and a pair
-   they let through searches the specific side's frozen instance, built
-   once and kept for the run.  Nothing outlives the run.  The structural
-   oracle is untouched by either.  test/reference_rewrite.ml keeps the
+   (Containment.prepare): each candidate is coded into ints once, and
+   that value is the one minimization takes and the kept set keeps.
+   Both scans test signatures first (on sec55's judge that settles
+   10,434 of the 11,962 pairs, minimization's checks included), and a
+   pair they let through is one run of Containment's matcher over the
+   two codings.  κ's containment never builds an Instance or compiles
+   an Eval plan; on sec55's normalized theory at the pipeline's caps
+   that took κ from 11.7 ms to 6.1 ms (minimum of 400 release runs,
+   2-core VM).  Nothing outlives the run.  The structural oracle is
+   untouched by either.  test/reference_rewrite.ml keeps the
    minimize-first loop as the differential oracle. *)
 
 open Bddfc_budget
@@ -88,7 +92,7 @@ let _var_count (q : Cq.t) =
   in
   Cq.num_vars q + Cq.SS.cardinal frozen
 
-let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
+let rewrite ?budget ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
     ?(max_disjunct_vars = 16) theory (q : Cq.t) =
   let budget =
     match budget with
@@ -107,15 +111,13 @@ let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
        Bddfc_classes.Multihead.to_single_head first";
   let answer = Cq.answer q in
   let prepare = Containment.prepare ?hc in
-  let q0 = Containment.minimize ?engine:eval (freeze_answers q) in
-  let kept = ref [ prepare q0 ] in
+  let q0 = Containment.minimize (prepare (freeze_answers q)) in
+  let kept = ref [ q0 ] in
   let subsumed_by_kept p =
-    List.exists
-      (fun k -> Containment.prepared_subsumes ?engine:eval ~general:k p)
-      !kept
+    List.exists (fun k -> Containment.prepared_subsumes ~general:k p) !kept
   in
   let queue = Queue.create () in
-  Queue.add q0 queue;
+  Queue.add (Containment.query q0) queue;
   let generated = ref 0 in
   let complete = ref true in
   let tripped = ref None in
@@ -139,41 +141,32 @@ let rewrite ?budget ?eval ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
                     candidate meets the kept set raw, and only the
                     survivors pay for minimization *)
                  let narrow = _var_count q' <= max_disjunct_vars in
-                 let raw = if narrow then Some (prepare q') else None in
-                 match raw with
-                 | Some p when subsumed_by_kept p ->
-                     Obs.Metrics.incr m_presubsumed
-                 | _ ->
-                     let core = Containment.minimize ?engine:eval q' in
-                     if _var_count core > max_disjunct_vars then
-                       (* a disjunct this wide signals divergence; dropping
-                          it keeps the result a sound under-approximation *)
-                       complete := false
-                     else begin
-                       (* a candidate its minimization left alone keeps
-                          its prepared form *)
-                       let p =
-                         match raw with
-                         | Some p when Cq.body core == Cq.body q' -> p
-                         | _ -> prepare core
-                       in
-                       if narrow || not (subsumed_by_kept p) then begin
-                         (* drop disjuncts that the core now subsumes *)
-                         kept :=
-                           p
-                           :: List.filter
-                                (fun k ->
-                                  not
-                                    (Containment.prepared_subsumes
-                                       ?engine:eval ~general:p k))
-                                !kept;
-                         if List.length !kept > max_disjuncts then begin
-                           complete := false;
-                           raise Exit
-                         end;
-                         Queue.add core queue
-                       end
-                     end)
+                 let raw = prepare q' in
+                 if narrow && subsumed_by_kept raw then
+                   Obs.Metrics.incr m_presubsumed
+                 else
+                   (* a candidate its minimization leaves alone comes back
+                      as its prepared form *)
+                   let p = Containment.minimize raw in
+                   let core = Containment.query p in
+                   if _var_count core > max_disjunct_vars then
+                     (* a disjunct this wide signals divergence; dropping it
+                        keeps the result a sound under-approximation *)
+                     complete := false
+                   else if narrow || not (subsumed_by_kept p) then begin
+                     (* drop disjuncts that the core now subsumes *)
+                     kept :=
+                       p
+                       :: List.filter
+                            (fun k ->
+                              not (Containment.prepared_subsumes ~general:p k))
+                            !kept;
+                     if List.length !kept > max_disjuncts then begin
+                       complete := false;
+                       raise Exit
+                     end;
+                     Queue.add core queue
+                   end)
                (Piece.one_steps rule cur))
            (Theory.rules theory)
      done
@@ -216,14 +209,14 @@ type kappa_result = {
   tripped : Budget.resource option; (* what stopped the divergent body *)
 }
 
-let kappa ?budget ?eval ?hc ?max_disjuncts ?max_steps ?max_disjunct_vars
+let kappa ?budget ?eval:_ ?hc ?max_disjuncts ?max_steps ?max_disjunct_vars
     theory =
   Obs.Trace.span "rewrite.kappa" @@ fun () ->
   let rec go kappa = function
     | [] -> { kappa; all_complete = true; tripped = None }
     | rule :: rules ->
         let r =
-          rewrite ?budget ?eval ?hc ?max_disjuncts ?max_steps
+          rewrite ?budget ?hc ?max_disjuncts ?max_steps
             ?max_disjunct_vars theory (Rule.body_query rule)
         in
         let kappa =

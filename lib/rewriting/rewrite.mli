@@ -23,8 +23,7 @@ type result = {
 }
 
 val rewrite :
-  ?budget:Budget.t -> ?eval:Bddfc_hom.Eval.engine ->
-  ?hc:Bddfc_hom.Hc.mode -> ?max_disjuncts:int ->
+  ?budget:Budget.t -> ?hc:Bddfc_hom.Hc.mode -> ?max_disjuncts:int ->
   ?max_steps:int -> ?max_disjunct_vars:int ->
   Theory.t -> Cq.t -> result
 (** [?hc] selects the containment backend for the subsumption-driven
@@ -52,4 +51,6 @@ val kappa :
     are rewritten in rule order, and the first incomplete one ends the
     computation: then [all_complete] is [false], [kappa] covers only the
     bodies rewritten so far (the divergent one included) and is no bound
-    on anything, and [tripped] is that body's. *)
+    on anything, and [tripped] is that body's.  [?eval] is ignored:
+    containment runs its own matcher, and no evaluation engine reaches
+    κ.  The label stays while [benchmark/replay.ml] passes it. *)

@@ -8,7 +8,9 @@
      it to this loop, result for result.
    - [minimize] is the original restart-from-the-head minimization: it
      removes the first atom whose deletion keeps the query equivalent,
-     by one containment test, and starts over.  [rewrite] uses it, so the
+     by one containment test, and starts over.  It removes one
+     occurrence by position, so physically shared duplicate atoms go
+     one at a time.  [rewrite] uses it, so the
      library's one-pass minimization meets it on every candidate.
    - [walk_steps] is the original piece enumeration: every subset of the
      atoms with the head's predicate, unified with the head and tested
@@ -67,10 +69,11 @@ let _var_count (q : Cq.t) =
 
 (* ---------------- minimization ---------------- *)
 
-let minimize ?engine ?hc (q : Cq.t) =
+let minimize ?hc (q : Cq.t) =
   let general = Containment.prepare ?hc q in
-  let removable body a =
-    let body' = List.filter (fun x -> x != a) body in
+  let without i body = List.filteri (fun j _ -> j <> i) body in
+  let removable body i =
+    let body' = without i body in
     if body' = [] then false
     else
       let keep_answers =
@@ -79,12 +82,13 @@ let minimize ?engine ?hc (q : Cq.t) =
           (Cq.answer q)
       in
       keep_answers
-      && Containment.prepared_subsumes ?engine ~general
+      && Containment.prepared_subsumes ~general
            (Containment.prepare ?hc (Cq.make ~answer:(Cq.answer q) body'))
   in
   let rec go body =
-    match List.find_opt (removable body) body with
-    | Some a -> go (List.filter (fun x -> x != a) body)
+    let positions = List.init (List.length body) Fun.id in
+    match List.find_opt (removable body) positions with
+    | Some i -> go (without i body)
     | None -> body
   in
   Cq.make ~answer:(Cq.answer q) (go (Cq.body q))
@@ -177,7 +181,7 @@ let walk_steps ?(max_candidates = 8) rule (q : Cq.t) =
 
 (* ---------------- the saturation loop ---------------- *)
 
-let rewrite ?budget ?eval ?hc ?(one_steps = Piece.one_steps)
+let rewrite ?budget ?hc ?(one_steps = Piece.one_steps)
     ?(max_disjuncts = 400) ?(max_steps = 20_000) ?(max_disjunct_vars = 16)
     theory (q : Cq.t) =
   let budget =
@@ -196,7 +200,7 @@ let rewrite ?budget ?eval ?hc ?(one_steps = Piece.one_steps)
       "Rewrite.rewrite: multi-head rules present; apply \
        Bddfc_classes.Multihead.to_single_head first";
   let answer = Cq.answer q in
-  let q0 = minimize ?engine:eval ?hc (freeze_answers q) in
+  let q0 = minimize ?hc (freeze_answers q) in
   let kept = ref [ q0 ] in
   let queue = Queue.create () in
   Queue.add q0 queue;
@@ -216,7 +220,7 @@ let rewrite ?budget ?eval ?hc ?(one_steps = Piece.one_steps)
                  incr generated;
                  Obs.Metrics.incr m_steps;
                  Budget.charge budget Budget.Rewrite_steps 1;
-                 let q' = minimize ?engine:eval ?hc q' in
+                 let q' = minimize ?hc q' in
                  if _var_count q' > max_disjunct_vars then
                    (* a disjunct this wide signals divergence; dropping it
                       keeps the result a sound under-approximation *)
@@ -225,7 +229,7 @@ let rewrite ?budget ?eval ?hc ?(one_steps = Piece.one_steps)
                  let subsumed =
                    List.exists
                      (fun k ->
-                       Containment.subsumes ?engine:eval ?hc ~general:k q')
+                       Containment.subsumes ?hc ~general:k q')
                      !kept
                  in
                  if not subsumed then begin
@@ -235,7 +239,7 @@ let rewrite ?budget ?eval ?hc ?(one_steps = Piece.one_steps)
                      :: List.filter
                           (fun k ->
                             not
-                              (Containment.subsumes ?engine:eval ?hc
+                              (Containment.subsumes ?hc
                                  ~general:q' k))
                           !kept;
                    if List.length !kept > max_disjuncts then begin
@@ -269,14 +273,14 @@ let rewrite ?budget ?eval ?hc ?(one_steps = Piece.one_steps)
     tripped = !tripped;
   }
 
-let kappa ?budget ?eval ?hc ?max_disjuncts ?max_steps ?max_disjunct_vars
+let kappa ?budget ?hc ?max_disjuncts ?max_steps ?max_disjunct_vars
     theory =
   Obs.Trace.span "rewrite.kappa" @@ fun () ->
   let rec go kappa = function
     | [] -> { Rewrite.kappa; all_complete = true; tripped = None }
     | rule :: rules ->
         let r =
-          rewrite ?budget ?eval ?hc ?max_disjuncts ?max_steps
+          rewrite ?budget ?hc ?max_disjuncts ?max_steps
             ?max_disjunct_vars theory (Rule.body_query rule)
         in
         let kappa =

@@ -710,7 +710,7 @@ let test_slice_fuel_trap_deterministic () =
 (* The reference backends at pipeline level.  Under [strategy = Naive]
    and under [eval = Interp], construct and judge give every zoo entry
    the outcome the defaults give: the same evidence, model size and
-   refinement depth.  kappa is the same under the interpreter. *)
+   refinement depth. *)
 let test_pipeline_reference_agreement () =
   let n_used = function
     | Some n -> string_of_int n
@@ -730,9 +730,6 @@ let test_pipeline_reference_agreement () =
       | Judge.Witness (_, Some st) -> n_used st.Pipeline.n_used
       | _ -> "-")
       (scope_str v)
-  in
-  let kappa_str (k : Bddfc_rewriting.Rewrite.kappa_result) =
-    Printf.sprintf "kappa %d, complete %b" k.kappa k.all_complete
   in
   let default = Pipeline.default_params in
   let configs =
@@ -756,16 +753,7 @@ let test_pipeline_reference_agreement () =
           let label what = Printf.sprintf "%s: %s %s" e.Zoo.name what name in
           check Alcotest.string (label "construct") c0 (construct params);
           check Alcotest.string (label "judge") j0 (judge params))
-        configs;
-      let kappa eval =
-        kappa_str
-          (Bddfc_rewriting.Rewrite.kappa ~eval ~max_disjuncts:100
-             ~max_steps:2_000 e.Zoo.theory)
-      in
-      check Alcotest.string
-        (e.Zoo.name ^ ": kappa interp")
-        (kappa Bddfc_hom.Eval.Compiled)
-        (kappa Bddfc_hom.Eval.Interp))
+        configs)
     Zoo.all
 
 let suite =

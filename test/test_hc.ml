@@ -44,6 +44,7 @@ let tc name f = Alcotest.test_case name `Quick f
 let cq = Alcotest.testable Cq.pp Cq.equal
 let th src = Parser.parse_theory src
 let db src = Instance.of_atoms (Parser.parse_atoms src)
+let minimize q = Containment.(query (minimize (prepare q)))
 
 (* ----------------------------------------------------------------- *)
 (* A seeded random-CQ generator over the Gen.random_binary_theory     *)
@@ -191,7 +192,7 @@ let check_pair_agrees name q1 q2 =
       check cq
         (name ^ ": minimize agrees")
         (Reference_rewrite.minimize ~hc q1)
-        (Containment.minimize q1))
+        (minimize q1))
     [ Hc.Structural; Hc.Interned ]
 
 let test_fuzz_containment () =
@@ -205,6 +206,87 @@ let test_fuzz_containment () =
       (Printf.sprintf "seed %d (alpha)" seed)
       (alpha_variant q1) q2
   done
+
+(* The matcher against the structural oracle, over queries built to
+   reach it: few variables, so that variables repeat within and across
+   atoms; duplicated atoms; constants on one side only, or on both; and
+   answer arities 0 to 3, an answer variable repeating when the query
+   has fewer variables.  Each pair also meets its conjunction, which
+   the first query always maps into and which maps back only
+   sometimes.  Both sides are prepared [Interned] and the
+   oracle runs [Structural], so the case means the same in both lanes;
+   the search count shows that the pairs reach the matcher, not only
+   the signatures. *)
+let matcher_cq st ~consts ~arity =
+  let term () =
+    if consts && Random.State.int st 3 = 0 then
+      Term.cst [| "a"; "b" |].(Random.State.int st 2)
+    else Term.var [| "X"; "Y"; "Z"; "U" |].(Random.State.int st 4)
+  in
+  let atom () =
+    match Random.State.int st 3 with
+    | 0 -> Atom.app "p" [ term () ]
+    | 1 -> Atom.app "e" [ term (); term () ]
+    | _ -> Atom.app "t" [ term (); term (); term () ]
+  in
+  let rec body n acc =
+    if n = 0 then acc
+    else
+      let a =
+        match acc with
+        | a :: _ when Random.State.int st 4 = 0 -> a
+        | _ -> atom ()
+      in
+      body (n - 1) (a :: acc)
+  in
+  let rec with_vars () =
+    let b = body (1 + Random.State.int st 6) [] in
+    match Cq.SS.elements (Atom.vars_of_atoms b) with
+    | [] when arity > 0 -> with_vars ()
+    | vars ->
+        let pick _ = List.nth vars (Random.State.int st (List.length vars)) in
+        Cq.make ~answer:(List.init arity pick) b
+  in
+  with_vars ()
+
+let test_fuzz_matcher () =
+  let searches () =
+    Option.value ~default:0 (M.find_int (M.snapshot ()) "containment.searches")
+  in
+  let contained = ref 0 and pairs = ref 0 and searched = ref 0 in
+  for seed = 0 to 599 do
+    let st = Random.State.make [| seed; 331 |] in
+    let arity = seed mod 4 in
+    let g = matcher_cq st ~consts:(seed mod 3 <> 1) ~arity in
+    let s = matcher_cq st ~consts:(seed mod 3 <> 2) ~arity in
+    let both = Cq.make ~answer:(Cq.answer g) (Cq.body g @ Cq.body s) in
+    List.iter
+      (fun (general, specific) ->
+        incr pairs;
+        let oracle = Containment.subsumes ~hc:Hc.Structural ~general specific in
+        if oracle then incr contained;
+        let s0 = searches () in
+        check Alcotest.bool
+          (Printf.sprintf "seed %d: the matcher agrees with the oracle" seed)
+          oracle
+          (Containment.prepared_subsumes
+             ~general:(Containment.prepare ~hc:Hc.Interned general)
+             (Containment.prepare ~hc:Hc.Interned specific));
+        searched := !searched + searches () - s0)
+      [ (g, s); (s, g); (g, g); (g, both); (both, g) ];
+    List.iter
+      (fun q ->
+        check cq
+          (Printf.sprintf "seed %d: minimize agrees with the oracle" seed)
+          (Reference_rewrite.minimize ~hc:Hc.Structural q)
+          (minimize q))
+      [ g; s; both ]
+  done;
+  (* (g, g) and (g, both) are contained by construction *)
+  check Alcotest.bool "both verdicts occur beyond the trivial pairs" true
+    (!contained > 1200 && !contained < !pairs);
+  check Alcotest.bool "a third of the pairs reach the matcher" true
+    (3 * !searched > !pairs)
 
 (* ----------------------------------------------------------------- *)
 (* The atom-shape prefilter: a rejection is a proof of non-containment *)
@@ -716,7 +798,7 @@ let kappa_pairs theory =
   let pairs = ref [] in
   List.iter
     (fun rule ->
-      let q0 = Containment.minimize (Rule.body_query rule) in
+      let q0 = minimize (Rule.body_query rule) in
       let kept = ref [ q0 ] and queue = Queue.create () and steps = ref 0 in
       Queue.add q0 queue;
       while (not (Queue.is_empty queue)) && !steps < 300 do
@@ -733,7 +815,7 @@ let kappa_pairs theory =
                           (fun k -> Containment.subsumes ~general:k c)
                           !kept)
                   then begin
-                    let core = Containment.minimize c in
+                    let core = minimize c in
                     List.iter (fun k -> pairs := (core, k) :: !pairs) !kept;
                     if Cq.num_vars core <= 16 && List.length !kept < 60 then begin
                       kept :=
@@ -855,9 +937,8 @@ let test_index_accounting () =
   check Alcotest.(pair int int) "the store stays empty" (0, 0)
     (Hc.store_size ())
 
-(* Plans belong to their holders: a minimization compiles the query's
-   body once for all its searches, and a prepared general side compiles
-   its body once for every specific side it is tested against. *)
+(* Containment compiles no plan: preparing, deciding and minimizing run
+   the matcher over int-coded queries, never an [Eval] plan. *)
 let with_deltas f =
   let count s k = Option.value ~default:0 (M.find_int s k) in
   let s0 = M.snapshot () in
@@ -865,32 +946,36 @@ let with_deltas f =
   let s1 = M.snapshot () in
   (v, fun k -> count s1 k - count s0 k)
 
-let test_minimize_one_plan () =
-  let q = Parser.parse_query "? e(X,Y), e(X,Z), e(Z,W), e(X,X2), p(X)." in
-  let m, d = with_deltas (fun () -> Containment.minimize q) in
-  check Alcotest.int "atoms kept" 3 (Cq.num_atoms m);
-  check Alcotest.int "one search per atom" 5 (d "containment.searches");
-  check Alcotest.int "one plan for the call" 1 (d "eval.plans_compiled")
-
-let test_general_side_one_plan () =
-  let general =
-    Containment.prepare ~hc:Hc.Interned (Parser.parse_query "? e(X,Y), p(Y).")
-  in
-  let specifics =
-    List.init 12 (fun i ->
-        Containment.prepare ~hc:Hc.Interned
-          (Parser.parse_query
-             (Printf.sprintf "? e(a%d,Y), p(Y), e(Y,Z%d)." i i)))
-  in
-  let verdicts, d =
+let test_containment_no_plan () =
+  let (kept, verdicts), d =
     with_deltas (fun () ->
-        List.map (fun s -> Containment.prepared_subsumes ~general s) specifics)
+        let q =
+          Containment.prepare ~hc:Hc.Interned
+            (Parser.parse_query "? e(X,Y), e(X,Z), e(Z,W), e(X,X2), p(X).")
+        in
+        let general =
+          Containment.prepare ~hc:Hc.Interned
+            (Parser.parse_query "? e(X,Y), p(Y).")
+        in
+        let specifics =
+          List.init 12 (fun i ->
+              Containment.prepare ~hc:Hc.Interned
+                (Parser.parse_query
+                   (Printf.sprintf "? e(a%d,Y), p(Y), e(Y,Z%d)." i i)))
+        in
+        ( Cq.num_atoms (Containment.query (Containment.minimize q)),
+          Containment.subsumes ~hc:Hc.Interned
+            ~general:(Parser.parse_query "? e(X,Y).")
+            (Parser.parse_query "? e(a,b), p(b).")
+          :: List.map (fun s -> Containment.prepared_subsumes ~general s)
+               specifics ))
   in
+  check Alcotest.int "atoms kept" 3 kept;
   check Alcotest.(list bool) "every specific side is contained"
-    (List.map (fun _ -> true) specifics) verdicts;
-  check Alcotest.int "one search per pair" 12 (d "containment.searches");
-  check Alcotest.int "the general side compiled once" 1
-    (d "eval.plans_compiled")
+    (List.init 13 (fun _ -> true)) verdicts;
+  check Alcotest.int "one search per e atom, one per pair" 17
+    (d "containment.searches");
+  check Alcotest.int "no plan compiled" 0 (d "eval.plans_compiled")
 
 (* ----------------------------------------------------------------- *)
 
@@ -903,6 +988,8 @@ let suite =
       tc "locations never reach the keys" test_locations_never_reach_the_keys;
       tc "atom hashing folds over every argument" test_full_arity_hashing;
       tc "fuzz: containment verdicts agree across modes" test_fuzz_containment;
+      tc "fuzz: the matcher agrees with the structural oracle"
+        test_fuzz_matcher;
       tc "prefilter: rejections are sound on the fuzz pairs"
         test_prefilter_sound_fuzz;
       tc "prefilter: one crafted case per condition" test_prefilter_crafted;
@@ -926,7 +1013,5 @@ let suite =
         test_index_signatures;
       tc "index: rejects plus searches are the pairs scanned"
         test_index_accounting;
-      tc "plans: a minimization compiles one plan" test_minimize_one_plan;
-      tc "plans: a prepared general side compiles once"
-        test_general_side_one_plan;
+      tc "plans: containment compiles no plan" test_containment_no_plan;
     ] )

@@ -318,7 +318,7 @@ let test_minimize_reference () =
       (fun hc ->
         check Test_hc.cq
           (Printf.sprintf "%s [%s]" name (Hc.mode_tag hc))
-          (Reference.minimize ~hc q) (Containment.minimize q))
+          (Reference.minimize ~hc q) (Test_hc.minimize q))
       modes
   in
   let with_steps name theory q =
