@@ -635,9 +635,6 @@ type tolerance =
 type experiment = {
   id : string;
   tolerance : tolerance;
-  (* a gate relating a live row to its committed twin beyond the
-     per-counter tolerance *)
-  relate : committed:row -> row -> string option;
   (* prints the table, reports structural violations through [gate_fail]
      and returns the gated rows *)
   run : unit -> row list;
@@ -772,8 +769,7 @@ let compare_rows experiments ~committed ~live =
           if c.verdict <> now.verdict then
             fail "verdict %s vs committed %s"
               (Option.value now.verdict ~default:"-")
-              (Option.value c.verdict ~default:"-");
-          Option.iter (fail "%s") (e.relate ~committed:c now))
+              (Option.value c.verdict ~default:"-"))
     live;
   List.iter
     (fun c ->
@@ -1617,47 +1613,28 @@ let run_ex20 () =
     rows
 
 (* ------------------------------------------------------------------- *)
-(* EX-21: interned vs structural backends                              *)
+(* EX-21: prepared containment                                         *)
 (* ------------------------------------------------------------------- *)
 
-(* Every workload runs twice from a reset store: once under the
-   structural backend (the original code) and once under the interned
-   one (prepared containment with the signature index, and the
-   evaluation memo).  The verdict strings must be identical — byte for
-   byte.  The interned arm's registry deltas show how the containment
-   pairs split into index rejects and searches, and how much repeated
-   evaluation the memo absorbed.  The ptype row re-asks the same
-   canonical queries of one fixed structure, so its evaluation-memo hit
-   rate is gated above 50%; the wall-clock ratio is gated (>= 1.5x
-   on some row that compares the backends) only live, where both arms
-   ran on the same machine in the same process. *)
-
-(* What a row's two arms compare.  A [Backends] row's wall ratio counts
-   toward the 1.5x speedup check; a [Hit_rate] row's also does, and its
-   eval-memo hit rate is gated; a [No_backends] row runs one path in both
-   arms, so only its verdicts and counters are checked. *)
-type ex21_kind = Backends | Hit_rate | No_backends
+(* Each workload runs once, on the one containment path: prepared
+   queries, the signature index, and the int-coded matcher.  The
+   registry deltas show how its containment pairs split into index
+   rejects and searches; those counters and the verdict strings are
+   gated, the wall time is reported. *)
 
 type ex21_row = {
   h_workload : string;
-  h_kind : ex21_kind;
-  h_verdict_structural : string;
-  h_verdict_interned : string;
+  h_verdict : string;
   h_index_rejects : int;
   h_searches : int;
-  h_eval_lookups : int;
-  h_eval_hits : int;
-  h_store_nodes : int;
-  h_wall_structural_s : float;
-  h_wall_interned_s : float;
+  h_wall_s : float;
 }
 
-let ex21_params hc =
+let ex21_params () =
   {
     Finitemodel.Pipeline.default_params with
     Finitemodel.Pipeline.n_schedule = [ 1; 2; 3 ];
     budget = !governor;
-    hc;
   }
 
 let ex21_pipeline_sig = function
@@ -1680,7 +1657,7 @@ let ex21_judge_sig (v : Finitemodel.Judge.verdict) =
       Printf.sprintf "nosmall:%d" max_extra
   | Finitemodel.Judge.Open _ -> "open"
 
-(* (name, kind, verdict-producing run) *)
+(* (name, verdict-producing run) *)
 let ex21_workloads () =
   let tc_sym =
     Logic.Parser.parse_theory "e(X,Y) -> e(Y,X). e(X,Y), e(Y,Z) -> e(X,Z)."
@@ -1712,12 +1689,9 @@ let ex21_workloads () =
     Logic.Cq.make ~answer:[ x 0 ] (chain @ shadows)
   in
   [ ( "minimize-x40/path12",
-      No_backends,
-      fun _ ->
+      fun () ->
         (* the same large query minimized over and over: every pass does
-           one large-query homomorphism search per atom.  Minimization
-           has one path, so both arms run the same code and the row's
-           wall ratio says nothing about the backends. *)
+           one large-query homomorphism search per atom *)
         let last = ref "" in
         for _ = 1 to 40 do
           last :=
@@ -1727,15 +1701,14 @@ let ex21_workloads () =
         done;
         !last );
     ( "rewrite-x3/tc-sym",
-      Backends,
-      fun hc ->
+      fun () ->
         (* the saturating rewriting: every kept disjunct is subsumption-
            checked against every candidate, and the whole loop repeats
            three times *)
         let last = ref "" in
         for _ = 1 to 3 do
           let r =
-            Rewriting.Rewrite.rewrite ?budget:!governor ~hc ~max_disjuncts:80
+            Rewriting.Rewrite.rewrite ?budget:!governor ~max_disjuncts:80
               ~max_steps:800 tc_sym tc_query
           in
           last :=
@@ -1744,14 +1717,13 @@ let ex21_workloads () =
         done;
         !last );
     ( "kappa-x5/remark3",
-      Backends,
-      fun hc ->
+      fun () ->
         (* the second body's rewriting diverges: most of its candidates
            meet the kept set and are subsumed there *)
         let last = ref "" in
         for _ = 1 to 5 do
           let k =
-            Rewriting.Rewrite.kappa ?budget:!governor ~hc ~max_disjuncts:60
+            Rewriting.Rewrite.kappa ?budget:!governor ~max_disjuncts:60
               ~max_steps:600 remark3.Zoo.theory
           in
           last :=
@@ -1761,12 +1733,11 @@ let ex21_workloads () =
         done;
         !last );
     ( "judge-x3/ex1",
-      Backends,
-      fun hc ->
+      fun () ->
         let budget =
           {
             Finitemodel.Judge.default_budget with
-            Finitemodel.Judge.pipeline_params = ex21_params hc;
+            Finitemodel.Judge.pipeline_params = ex21_params ();
           }
         in
         let last = ref "" in
@@ -1777,48 +1748,13 @@ let ex21_workloads () =
                  (Zoo.database_instance ex1) ex1.Zoo.query)
         done;
         !last );
-    ( "classes-x3/null-chain24",
-      Hit_rate,
-      fun hc ->
-        (* the 2-variable ptype partition of one fixed null-rich
-           structure, three times over: the canonical queries of
-           overlapping null sets repeat across anchors within a pass,
-           and every inclusion check after the first pass hits the
-           evaluation memo (same instance token and version) *)
-        let inst = Gen.null_chain ~len:24 () in
-        let last = ref "" in
-        for _ = 1 to 3 do
-          let _, n = Hom.Ptypes.classes ~hc ~vars:2 inst in
-          last := Printf.sprintf "classes:%d" n
-        done;
-        !last );
-    ( "converge-sweep/cycle5",
-      Backends,
-      fun hc ->
-        let coloring = Ptp.Coloring.natural ~m:2 (Gen.cycle ~len:5 ()) in
-        let p =
-          Logic.Atom.pred
-            (Logic.Atom.app "e" [ Logic.Term.var "X"; Logic.Term.var "Y" ])
-        in
-        let trace =
-          Ptp.Converge.sequence ~hc ~max_n:6 coloring
-            (Ptp.Converge.default_queries [ p ])
-        in
-        String.concat "/"
-          (List.map
-             (fun (pt : Ptp.Converge.point) ->
-               Printf.sprintf "%d:%d:%d" pt.Ptp.Converge.n
-                 pt.Ptp.Converge.quotient_size
-                 (List.length pt.Ptp.Converge.gained))
-             trace.Ptp.Converge.points) );
     ( "kappa/sec55-normalized",
-      Backends,
-      fun hc ->
+      fun () ->
         (* the kept-set scans of the judge-zoo bottleneck at the
            pipeline's caps: the signature index settles most pairs *)
-        let params = ex21_params hc in
+        let params = ex21_params () in
         let k =
-          Rewriting.Rewrite.kappa ?budget:!governor ~hc
+          Rewriting.Rewrite.kappa ?budget:!governor
             ~max_disjuncts:params.Finitemodel.Pipeline.rewrite_max_disjuncts
             ~max_steps:params.Finitemodel.Pipeline.rewrite_max_steps
             sec55_normalized
@@ -1827,9 +1763,8 @@ let ex21_workloads () =
           (if k.Rewriting.Rewrite.all_complete then "complete"
            else "incomplete") );
     ( "pipeline-x2/ex7",
-      Backends,
-      fun hc ->
-        let params = ex21_params hc in
+      fun () ->
+        let params = ex21_params () in
         let last = ref "" in
         for _ = 1 to 2 do
           last :=
@@ -1842,95 +1777,34 @@ let ex21_workloads () =
 
 let ex21_measure () =
   List.map
-    (fun (name, kind, run) ->
-      let arm hc =
-        Hom.Hc.reset ();
-        let v, t, delta = measure (fun () -> run hc) in
-        (v, t, count delta)
-      in
-      let vs, ts, _ = arm Hom.Hc.Structural in
-      let vi, ti, d = arm Hom.Hc.Interned in
-      let atoms, cqs = Hom.Hc.store_size () in
+    (fun (name, run) ->
+      let v, t, delta = measure run in
+      let d = count delta in
       {
         h_workload = name;
-        h_kind = kind;
-        h_verdict_structural = vs;
-        h_verdict_interned = vi;
+        h_verdict = v;
         h_index_rejects = d "containment.index_rejects";
         h_searches = d "containment.searches";
-        h_eval_lookups = d "hc.eval_memo_lookups";
-        h_eval_hits = d "hc.eval_memo_hits";
-        h_store_nodes = atoms + cqs;
-        h_wall_structural_s = ts;
-        h_wall_interned_s = ti;
+        h_wall_s = t;
       })
     (ex21_workloads ())
 
-(* The evaluation memo's hit rate: how much repeated evaluation it
-   absorbs. *)
-let eval_hit_rate ~lookups ~hits =
-  if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
-
-let ex21_hit_rate row =
-  eval_hit_rate ~lookups:row.h_eval_lookups ~hits:row.h_eval_hits
-
-let ex21_speedup row =
-  if row.h_wall_interned_s > 0.0 then
-    row.h_wall_structural_s /. row.h_wall_interned_s
-  else Float.infinity
-
 let ex21_table rows =
-  header "EX-21: interned vs structural backends";
-  Fmt.pr "%-24s %-18s %-8s %-8s %-13s %-6s %-6s %-10s %-10s %s@." "workload"
-    "verdict" "rejects" "searches" "eval-memo" "rate" "nodes" "struct(s)"
-    "intern(s)" "speedup";
+  header "EX-21: prepared containment";
+  Fmt.pr "%-24s %-22s %-8s %-8s %s@." "workload" "verdict" "rejects"
+    "searches" "wall(s)";
   List.iter
     (fun row ->
-      Fmt.pr "%-24s %-18s %-8d %-8d %5d/%-7d %-6.2f %-6d %-10.3f %-10.3f \
-              %s@."
-        row.h_workload row.h_verdict_interned row.h_index_rejects
-        row.h_searches row.h_eval_hits row.h_eval_lookups
-        (ex21_hit_rate row) row.h_store_nodes row.h_wall_structural_s
-        row.h_wall_interned_s
-        (if row.h_kind = No_backends then "n/a"
-         else Printf.sprintf "%.2fx" (ex21_speedup row)))
+      Fmt.pr "%-24s %-22s %-8d %-8d %.3f@." row.h_workload row.h_verdict
+        row.h_index_rejects row.h_searches row.h_wall_s)
     rows
 
 let ex21_structural rows =
-  let fail fmt = gate_fail "EX-21" fmt in
   List.iter
     (fun row ->
-      if row.h_verdict_structural <> row.h_verdict_interned then
-        fail "%s verdicts diverge (%s vs %s)" row.h_workload
-          row.h_verdict_structural row.h_verdict_interned;
-      if row.h_index_rejects + row.h_searches + row.h_eval_lookups = 0 then
-        fail "%s tested no containment pair and evaluated nothing"
-          row.h_workload;
-      if row.h_kind = Hit_rate && ex21_hit_rate row <= 0.5 then
-        fail "%s eval-memo hit rate %.2f (want > 0.5)" row.h_workload
-          (ex21_hit_rate row))
-    rows;
-  if
-    not
-      (List.exists
-         (fun row -> row.h_kind <> No_backends && ex21_speedup row >= 1.5)
-         rows)
-  then
-    fail "no workload reached a 1.5x interned speedup"
-
-(* The counters drift at most 10% either way and the verdicts not at
-   all; beyond that, the eval-memo hit rate may not fall more than 10%
-   below the committed row's. *)
-let ex21_rate_floor ~committed now =
-  let rate r =
-    let c k = Option.value (List.assoc_opt k r.counters) ~default:0 in
-    eval_hit_rate ~lookups:(c "eval_lookups") ~hits:(c "eval_hits")
-  in
-  if rate now < 0.9 *. rate committed then
-    Some
-      (Fmt.str "hit rate %.3f regresses >10%% vs committed %.3f" (rate now)
-         (rate committed))
-  else None
+      if row.h_index_rejects + row.h_searches = 0 then
+        gate_fail "EX-21" "%s tested no containment pair" row.h_workload)
+    rows
 
 let run_ex21 () =
   let rows = ex21_measure () in
@@ -1938,11 +1812,9 @@ let run_ex21 () =
   ex21_structural rows;
   List.map
     (fun row ->
-      gate_row "EX-21" row.h_workload ~verdict:row.h_verdict_interned
+      gate_row "EX-21" row.h_workload ~verdict:row.h_verdict
         [ ("index_rejects", row.h_index_rejects);
-          ("searches", row.h_searches);
-          ("eval_lookups", row.h_eval_lookups);
-          ("eval_hits", row.h_eval_hits) ])
+          ("searches", row.h_searches) ])
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -2142,13 +2014,11 @@ let run_ex22 () =
     rows
 
 let gated =
-  let gate ?(relate = fun ~committed:_ _ -> None) id tolerance run =
-    { id; tolerance; relate; run }
-  in
+  let gate id tolerance run = { id; tolerance; run } in
   [ gate "EX-17" (At_most 0.10) run_ex17;
     gate "EX-18" Exact run_ex18;
     gate "EX-20" (At_most 0.10) run_ex20;
-    gate "EX-21" (Within 0.10) run_ex21 ~relate:ex21_rate_floor;
+    gate "EX-21" (Within 0.10) run_ex21;
     gate "EX-22" (Within 0.10) run_ex22;
   ]
 

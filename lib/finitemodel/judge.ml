@@ -83,7 +83,6 @@ let judge ?(budget = default_budget) ?slice theory db query =
     let kappa =
       if Theory.all_single_head theory then
         Rewriting.Rewrite.kappa ?budget:governor
-          ~hc:budget.pipeline_params.Pipeline.hc
           ~max_disjuncts:budget.pipeline_params.Pipeline.rewrite_max_disjuncts
           ~max_steps:budget.pipeline_params.Pipeline.rewrite_max_steps theory
       else

@@ -44,10 +44,7 @@ type params = {
   budget : Budget.t option; (* governor shared by every stage *)
   strategy : Chase.strategy; (* evaluation strategy for every chase *)
   eval : Eval.engine; (* join engine for every evaluation stage *)
-  hc : Hc.mode;
-      (* containment backend for kappa: Interned (the default) runs on
-         prepared queries with the signature index, Structural is the
-         differential oracle *)
+  hc : Hc.mode; (* read by no library code; see pipeline.mli *)
   preflight : bool;
       (* before the truncated schedule, test the normalized theory for
          weak/joint acyclicity; a positive proof lets the chase run
@@ -69,7 +66,7 @@ let default_params =
     budget = None;
     strategy = Chase.Seminaive;
     eval = Eval.Compiled;
-    hc = Hc.default_mode ();
+    hc = Hc.Interned;
     preflight = true;
   }
 
@@ -194,7 +191,7 @@ let rec construct_main ~params theory db (query : Cq.t) =
       let kappa =
         kappa_once (fun budget ->
             step "pipeline.kappa" t_kappa @@ fun () ->
-            Rewrite.kappa ?budget ~hc:params.hc
+            Rewrite.kappa ?budget
               ~max_disjuncts:params.rewrite_max_disjuncts
               ~max_steps:params.rewrite_max_steps t2)
       in

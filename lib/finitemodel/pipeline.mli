@@ -33,10 +33,9 @@ type params = {
   eval : Bddfc_hom.Eval.engine;
       (** join engine for every evaluation stage (default [Compiled]) *)
   hc : Bddfc_hom.Hc.mode;
-      (** containment backend for kappa (default
-          {!Bddfc_hom.Hc.default_mode}): [Interned] runs on prepared
-          queries with the signature index, [Structural] is the
-          differential oracle *)
+      (** read by no library code: containment has one path.  The field
+          stays while [benchmark/replay.ml] reads it, and goes with the
+          replay (ROADMAP item 2) *)
   preflight : bool;
       (** test the normalized theory for weak/joint acyclicity first
           (default [true]): a positive proof lets the chase run fuel-free

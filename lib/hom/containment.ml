@@ -1,55 +1,25 @@
-(* Conjunctive-query containment via the canonical (frozen) instance.
+(* Conjunctive-query containment via the canonical (frozen) body.
 
    [q1] is contained in [q2] (every answer of q1 is an answer of q2, over
    all instances) iff there is a homomorphism from q2 into the frozen body
    of q1 mapping answer variables of q2 to the frozen answer variables of
    q1 in order.
 
-   Two modes (Hc.mode, default Interned).  The structural path is the
-   original code, kept as the differential oracle: it builds the frozen
-   [Instance] and runs [Eval] over it.  The interned path prepares both
-   sides once, as int-coded queries: a signature test refutes most
-   hopeless pairs — the cheap test before the expensive apply of a BDD
-   package — and every other pair is one run of a small matcher from the
-   general side's atoms into the specific side's, grouped by predicate.
-   The matcher is also the only search behind [minimize].  The interned
-   path builds the coding and the signature, and no [Instance] or plan.
-   Nothing is cached across calls: a prepared value lives as long as its
-   holder keeps it. *)
+   Both sides are prepared once, as int-coded queries: a signature test
+   refutes most hopeless pairs — the cheap test before the expensive
+   apply of a BDD package — and every other pair is one run of a small
+   matcher from the general side's atoms into the specific side's,
+   grouped by predicate.  The matcher is also the only search behind
+   [minimize].  No [Instance] or plan is built, and nothing is cached
+   across calls: a prepared value lives as long as its holder keeps
+   it.  The test suite holds the matcher to an independent oracle that
+   freezes the specific side into an [Instance] and evaluates the
+   general side over it (test/reference_containment.ml). *)
 
 open Bddfc_logic
-open Bddfc_structure
-
-(* The canonical instance of a query: variables frozen into fresh
-   constants.  The substitution records the freezing. *)
-let frozen_instance (q : Cq.t) =
-  let atoms, frz = Cq.freeze q in
-  let inst = Instance.of_atoms atoms in
-  (inst, frz)
 
 let same_arity (g : Cq.t) (s : Cq.t) =
   List.length (Cq.answer g) = List.length (Cq.answer s)
-
-(* The original uncached decision, byte for byte: the differential
-   oracle must not even change its evaluation shape. *)
-let subsumes_structural ~(general : Cq.t) (specific : Cq.t) =
-  if List.length (Cq.answer general) <> List.length (Cq.answer specific) then
-    false
-  else begin
-    let inst, frz = frozen_instance specific in
-    let init =
-      List.fold_left2
-        (fun acc xg xs ->
-          match Subst.find_opt xs frz with
-          | Some (Term.Cst c) -> (
-              match Instance.const_opt inst c with
-              | Some id -> Smap.add xg id acc
-              | None -> acc)
-          | _ -> acc)
-        Smap.empty (Cq.answer general) (Cq.answer specific)
-    in
-    Eval.satisfiable ~init inst (Cq.body general)
-  end
 
 (* ---------------- the int-coded query ---------------- *)
 
@@ -498,23 +468,14 @@ let matches ?(alive = [||]) ~(general : code) (specific : code) =
    renaming, and so are the verdicts they yield. *)
 type prepared = {
   cq : Cq.t;
-  hc : Hc.mode;
   code : code;
   needs : int array Lazy.t;
   hosts : int array Lazy.t;
 }
 
-let mode = function Some m -> m | None -> Hc.default_mode ()
-
-let prepare ?hc (q : Cq.t) =
+let prepare (q : Cq.t) =
   let c = code q in
-  {
-    cq = q;
-    hc = mode hc;
-    code = c;
-    needs = lazy (needs c);
-    hosts = lazy (hosts c);
-  }
+  { cq = q; code = c; needs = lazy (needs c); hosts = lazy (hosts c) }
 
 let query p = p.cq
 let signature p = (Lazy.force p.needs, Lazy.force p.hosts)
@@ -527,25 +488,21 @@ let m_index_rejects = Bddfc_obs.Obs.Metrics.counter "containment.index_rejects"
 let m_searches = Bddfc_obs.Obs.Metrics.counter "containment.searches"
 
 (* [prepared_subsumes ~general specific]: does [general] hold whenever
-   [specific] does (i.e. specific is contained in general)?  Under
-   [Interned] the signatures settle the pair first, and a pair they let
-   through is one run of the matcher. *)
+   [specific] does (i.e. specific is contained in general)?  The
+   signatures settle the pair first, and a pair they let through is one
+   run of the matcher. *)
 let prepared_subsumes ~general specific =
-  match specific.hc with
-  | Hc.Structural -> subsumes_structural ~general:general.cq specific.cq
-  | Hc.Interned ->
-      if rejects ~general specific then begin
-        Bddfc_obs.Obs.Metrics.incr m_index_rejects;
-        false
-      end
-      else begin
-        Bddfc_obs.Obs.Metrics.incr m_searches;
-        matches ~general:general.code specific.code
-      end
+  if rejects ~general specific then begin
+    Bddfc_obs.Obs.Metrics.incr m_index_rejects;
+    false
+  end
+  else begin
+    Bddfc_obs.Obs.Metrics.incr m_searches;
+    matches ~general:general.code specific.code
+  end
 
-let subsumes ?hc ~(general : Cq.t) (specific : Cq.t) =
-  let hc = mode hc in
-  prepared_subsumes ~general:(prepare ~hc general) (prepare ~hc specific)
+let subsumes ~(general : Cq.t) (specific : Cq.t) =
+  prepared_subsumes ~general:(prepare general) (prepare specific)
 
 (* Core (minimization) of a CQ: remove atoms whose deletion preserves
    equivalence.  The result is homomorphically equivalent to the input.
@@ -593,6 +550,6 @@ let minimize p =
   done;
   if Array.for_all Fun.id alive then p
   else
-    prepare ~hc:p.hc
+    prepare
       (Cq.make ~answer:(Cq.answer p.cq)
          (List.filteri (fun j _ -> alive.(j)) (Cq.body p.cq)))

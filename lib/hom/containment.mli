@@ -1,25 +1,24 @@
-(** Conjunctive-query containment via canonical (frozen) instances.
+(** Conjunctive-query containment on prepared queries.
 
-    Every decision between two queries takes an [?hc] switch
-    ({!Hc.mode}, default {!Hc.default_mode}): [Interned] runs on
-    {!prepared} queries, [Structural] is the original code — the
-    differential oracle the fuzzing battery compares against, which
-    freezes the specific side into an [Instance] and evaluates the
-    general side's body over it.  Neither keeps state across calls.
-    {!minimize} has one path, which the tests hold to the original
-    minimization.
+    [specific] is contained in [general] iff [general] maps
+    homomorphically into the frozen body of [specific], answer variables
+    positionally onto answer variables.  There is one path: every
+    decision prepares both sides and runs the matcher below.  Nothing is
+    kept across calls.  The test suite holds the matcher to an
+    independent oracle, which freezes the specific side into an
+    [Instance] and evaluates the general side's body over it.
 
     A prepared query is coded once into ints: per atom a predicate id
     and an int array (variables as registers, constants as negative
     codes), atoms grouped by predicate.  One small matcher over two
     codings — a depth-first search with a register array and a trail —
-    decides every pair the interned path searches and every removal
-    {!minimize} tries.  The interned path never builds an [Instance] or
-    an [Eval] plan.
+    decides every pair the signatures let through and every removal
+    {!minimize} tries.  Containment never builds an [Instance] or an
+    [Eval] plan.
 
-    Under [Interned] every pair first tests a {e signature}: a
-    necessary condition for a homomorphism from [general] into the
-    frozen body of [specific], as two sorted int arrays.
+    Every pair first tests a {e signature}: a necessary condition for
+    a homomorphism from [general] into the frozen body of [specific], as
+    two sorted int arrays.
     - {e Needs} (of [general]): per atom its shape — predicate, the
       constants by position, the repeated-variable pattern — and one
       join feature [(p,i,p',j)] for each variable shared between
@@ -37,7 +36,7 @@
 
 open Bddfc_logic
 
-val subsumes : ?hc:Hc.mode -> general:Cq.t -> Cq.t -> bool
+val subsumes : general:Cq.t -> Cq.t -> bool
 (** [subsumes ~general specific]: whenever [specific] holds, so does
     [general] — i.e. [specific] is contained in [general].  Answer arities
     must match; answer variables correspond positionally. *)
@@ -49,9 +48,7 @@ type prepared
     built by {!prepare}, and its signature, built on first use, both
     kept with the value. *)
 
-val prepare : ?hc:Hc.mode -> Cq.t -> prepared
-(** Under [Structural] the signature is never built, and
-    {!prepared_subsumes} runs the structural oracle. *)
+val prepare : Cq.t -> prepared
 
 val query : prepared -> Cq.t
 (** The query as given to {!prepare}. *)
@@ -66,17 +63,15 @@ val rejects : general:prepared -> prepared -> bool
     {!subsumes} is [false]. *)
 
 val prepared_subsumes : general:prepared -> prepared -> bool
-(** {!subsumes} on prepared queries, under the mode the specific side
-    was prepared in.  Under [Interned], a pair that {!rejects} charges
+(** {!subsumes} on prepared queries.  A pair that {!rejects} charges
     [containment.index_rejects]; every other pair charges
     [containment.searches] and runs the matcher over the two kept
     codings. *)
 
 val minimize : prepared -> prepared
 (** Remove redundant atoms; the result is equivalent to the input (the
-    query core up to atom deletion), prepared in the input's mode.  One
-    pass over the atoms removes each atom the whole query can do
-    without: the matcher maps the query's body into its own atoms with
+    query core up to atom deletion), prepared.  One pass over the atoms
+    removes each atom the whole query can do without: the matcher maps the query's body into its own atoms with
     that atom masked.  Each such check charges [containment.searches].
     An atom is kept without a check when no other remaining atom has its
     predicate and its constants at its constant positions.  A query with

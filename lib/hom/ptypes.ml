@@ -61,8 +61,7 @@ let rec subsets_upto k = function
 
 (* Does every canonical query of (A, a) with at most [vars] variables hold
    at (B, b)?  [a]/[b] may be [None] for the untyped (Boolean) variant. *)
-let ptp_leq ?engine ?hc ~vars:k a_inst a b_inst b =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
+let ptp_leq ?engine ~vars:k a_inst a b_inst b =
   let const_anchor_ok =
     match (a, b) with
     | Some a, Some b -> (
@@ -106,47 +105,33 @@ let ptp_leq ?engine ?hc ~vars:k a_inst a b_inst b =
            unknown constant in B simply fails the query, correctly) *)
         match atoms with
         | [] -> true
-        | _ -> (
-            match hc with
-            | Hc.Structural ->
-                let init =
-                  match (anchored_null, b) with
-                  | Some a0, Some b ->
-                      Smap.singleton ("v" ^ string_of_int a0) b
-                  | _ -> Smap.empty
-                in
-                Eval.satisfiable ~init ?engine b_inst atoms
-            | Hc.Interned ->
-                (* the canonical queries of overlapping V-sets repeat
-                   across anchors and across ptp_leq calls on the same
-                   structures: exactly the redundancy the version-stamped
-                   evaluation memo removes *)
-                let init =
-                  match (anchored_null, b) with
-                  | Some a0, Some b -> [ ("v" ^ string_of_int a0, b) ]
-                  | _ -> []
-                in
-                Hc.holds_memo ?engine b_inst ~init (Cq.boolean atoms)))
+        | _ ->
+            let init =
+              match (anchored_null, b) with
+              | Some a0, Some b -> Smap.singleton ("v" ^ string_of_int a0) b
+              | _ -> Smap.empty
+            in
+            Eval.satisfiable ~init ?engine b_inst atoms)
       candidate_sets
   end
 
-let ptp_equal ?engine ?hc ~vars a_inst a b_inst b =
-  ptp_leq ?engine ?hc ~vars a_inst (Some a) b_inst (Some b)
-  && ptp_leq ?engine ?hc ~vars b_inst (Some b) a_inst (Some a)
+let ptp_equal ?engine ~vars a_inst a b_inst b =
+  ptp_leq ?engine ~vars a_inst (Some a) b_inst (Some b)
+  && ptp_leq ?engine ~vars b_inst (Some b) a_inst (Some a)
 
 (* Definition 4: d ~n e within one structure. *)
-let equiv ?engine ?hc ~vars inst d e =
-  ptp_equal ?engine ?hc ~vars inst d inst e
+let equiv ?engine ~vars inst d e =
+  ptp_equal ?engine ~vars inst d inst e
 
 (* The full equivalence classes of a small structure under ~n. *)
-let classes ?engine ?hc ~vars inst =
+let classes ?engine ~vars inst =
   let elems = Instance.elements inst in
   let reps = ref [] in
   let cls = Hashtbl.create 16 in
   List.iter
     (fun e ->
       match
-        List.find_opt (fun (r, _) -> equiv ?engine ?hc ~vars inst e r) !reps
+        List.find_opt (fun (r, _) -> equiv ?engine ~vars inst e r) !reps
       with
       | Some (_, id) -> Hashtbl.replace cls e id
       | None ->

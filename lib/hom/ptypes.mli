@@ -7,14 +7,14 @@
     Inclusion is decided by checking, for every at-most-[k]-element set
     [V] of non-constants containing the anchor, that the canonical query
     of [A |` (V u constants)] holds at the other side — exact, and
-    polynomial for fixed [k].  The scalable approximation is
-    {!Bddfc_ptp.Refine}. *)
+    polynomial for fixed [k].  Each canonical query is one
+    [Eval.satisfiable] call; nothing is memoized across calls.  The
+    scalable approximation is {!Bddfc_ptp.Refine}. *)
 
 open Bddfc_structure
 
 val ptp_leq :
   ?engine:Eval.engine ->
-  ?hc:Hc.mode ->
   vars:int ->
   Instance.t -> Element.id option ->
   Instance.t -> Element.id option -> bool
@@ -24,16 +24,15 @@ val ptp_leq :
     @raise Invalid_argument if exactly one side is anchored. *)
 
 val ptp_equal :
-  ?engine:Eval.engine -> ?hc:Hc.mode ->
+  ?engine:Eval.engine ->
   vars:int -> Instance.t -> Element.id -> Instance.t -> Element.id -> bool
 
 val equiv :
-  ?engine:Eval.engine -> ?hc:Hc.mode -> vars:int -> Instance.t ->
+  ?engine:Eval.engine -> vars:int -> Instance.t ->
   Element.id -> Element.id -> bool
 (** Definition 4: the equivalence [d ~n e] within one structure. *)
 
 val classes :
-  ?engine:Eval.engine -> ?hc:Hc.mode -> vars:int -> Instance.t ->
-  int array * int
+  ?engine:Eval.engine -> vars:int -> Instance.t -> int array * int
 (** The full partition of a small structure under {!equiv}: class index
     per element, and the number of classes. *)

@@ -26,9 +26,9 @@ type check = {
 
 (* M_n(C-bar) by Definition 5: quotient by exact positive-n-type equality
    over the *colored* signature. *)
-let quotient_exact ?hc ~n (coloring : Coloring.t) =
+let quotient_exact ~n (coloring : Coloring.t) =
   let colored = coloring.Coloring.colored in
-  let cls, num_classes = Ptypes.classes ?hc ~vars:n colored in
+  let cls, num_classes = Ptypes.classes ~vars:n colored in
   Quotient.make colored cls ~num_classes
 
 (* The refinement approximation of the same quotient. *)
@@ -39,7 +39,7 @@ let quotient_refine ~n (coloring : Coloring.t) =
 
 (* Exact conservativity check of a given quotient: positive m-types over
    the base signature (colors stripped) are preserved pointwise. *)
-let check_quotient ?hc ~m inst (q : Quotient.t) =
+let check_quotient ~m inst (q : Quotient.t) =
   let base = Coloring.uncolor inst in
   let quotient_base = Coloring.uncolor q.Quotient.quotient in
   let failures = ref [] in
@@ -48,29 +48,29 @@ let check_quotient ?hc ~m inst (q : Quotient.t) =
       let img = Quotient.project q e in
       let gained =
         not
-          (Ptypes.ptp_leq ?hc ~vars:m quotient_base (Some img) base (Some e))
+          (Ptypes.ptp_leq ~vars:m quotient_base (Some img) base (Some e))
       in
       let lost =
         not
-          (Ptypes.ptp_leq ?hc ~vars:m base (Some e) quotient_base (Some img))
+          (Ptypes.ptp_leq ~vars:m base (Some e) quotient_base (Some img))
       in
       if gained then failures := (e, `Gained) :: !failures;
       if lost then failures := (e, `Lost) :: !failures)
     (Instance.elements inst);
   { conservative = !failures = []; failures = !failures }
 
-let check_exact ?hc ~m ~n inst (coloring : Coloring.t) =
-  check_quotient ?hc ~m inst (quotient_exact ?hc ~n coloring)
+let check_exact ~m ~n inst (coloring : Coloring.t) =
+  check_quotient ~m inst (quotient_exact ~n coloring)
 
-let check_refine ?hc ~m ~n inst (coloring : Coloring.t) =
-  check_quotient ?hc ~m inst (quotient_refine ~n coloring)
+let check_refine ~m ~n inst (coloring : Coloring.t) =
+  check_quotient ~m inst (quotient_refine ~n coloring)
 
 (* Search the least n <= max_n making the coloring n-conservative up to m
    (mirroring the existential quantifier of Definition 9). *)
-let find_conservative_n ?hc ~m ~max_n inst coloring =
+let find_conservative_n ~m ~max_n inst coloring =
   let rec go n =
     if n > max_n then None
-    else if (check_exact ?hc ~m ~n inst coloring).conservative then Some n
+    else if (check_exact ~m ~n inst coloring).conservative then Some n
     else go (n + 1)
   in
   go 1

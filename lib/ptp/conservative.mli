@@ -11,17 +11,13 @@ type check = {
   failures : (Element.id * [ `Gained | `Lost ]) list;
 }
 
-val check_quotient :
-  ?hc:Bddfc_hom.Hc.mode -> m:int -> Instance.t -> Quotient.t -> check
+val check_quotient : m:int -> Instance.t -> Quotient.t -> check
 
-val check_exact :
-  ?hc:Bddfc_hom.Hc.mode -> m:int -> n:int -> Instance.t -> Coloring.t -> check
+val check_exact : m:int -> n:int -> Instance.t -> Coloring.t -> check
 
-val check_refine :
-  ?hc:Bddfc_hom.Hc.mode -> m:int -> n:int -> Instance.t -> Coloring.t -> check
+val check_refine : m:int -> n:int -> Instance.t -> Coloring.t -> check
 
 val find_conservative_n :
-  ?hc:Bddfc_hom.Hc.mode ->
   m:int -> max_n:int -> Instance.t -> Coloring.t -> int option
 (** The least n making the coloring n-conservative up to m, mirroring the
     existential quantifier of Definition 9, with the exact quotient of

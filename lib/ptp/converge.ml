@@ -29,17 +29,8 @@ type trace = {
 
 (* The quotient sequence M_n(C-bar) for n = 1..max_n, with gain-tracking
    for the supplied (query, free-variable) family. *)
-let sequence ?(mode = Refine.Backward) ?eval ?hc ~max_n
-    (coloring : Coloring.t) queries =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
-  (* the base structure is fixed across all n points and all queries:
-     under Interned every (query, anchor) pair is evaluated against it
-     exactly once, however long the trace *)
-  let holds_at inst query y e =
-    match hc with
-    | Hc.Structural -> Eval.holds_at ?engine:eval inst query y e
-    | Hc.Interned -> Hc.holds_memo ?engine:eval inst ~init:[ (y, e) ] query
-  in
+let sequence ?(mode = Refine.Backward) ?eval ~max_n (coloring : Coloring.t)
+    queries =
   let base = Coloring.uncolor coloring.Coloring.colored in
   let g = Bgraph.make coloring.Coloring.colored in
   let points =
@@ -53,8 +44,9 @@ let sequence ?(mode = Refine.Backward) ?eval ?hc ~max_n
             (fun (query, y) ->
               List.exists
                 (fun e ->
-                  holds_at quotient_base query y (Quotient.project qt e)
-                  && not (holds_at base query y e))
+                  Eval.holds_at ?engine:eval quotient_base query y
+                    (Quotient.project qt e)
+                  && not (Eval.holds_at ?engine:eval base query y e))
                 (Instance.elements base))
             queries
         in

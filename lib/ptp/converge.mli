@@ -20,12 +20,10 @@ type trace = {
 }
 
 val sequence :
-  ?mode:Refine.mode -> ?eval:Bddfc_hom.Eval.engine ->
-  ?hc:Bddfc_hom.Hc.mode -> max_n:int ->
+  ?mode:Refine.mode -> ?eval:Bddfc_hom.Eval.engine -> max_n:int ->
   Coloring.t -> (Cq.t * string) list -> trace
-(** [?hc] memoizes the per-point gain evaluations through the
-    hash-consed store (the base structure is fixed across the whole
-    trace); [Structural] is the original uncached path. *)
+(** Each gain test is one [Eval.holds_at] call on the quotient and, when
+    that holds, one on the base structure; nothing is memoized. *)
 
 val persistent : trace -> (Cq.t * string) list
 (** Queries gained at every depth of the trace. *)

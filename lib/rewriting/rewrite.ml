@@ -92,7 +92,7 @@ let _var_count (q : Cq.t) =
   in
   Cq.num_vars q + Cq.SS.cardinal frozen
 
-let rewrite ?budget ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
+let rewrite ?budget ?(max_disjuncts = 400) ?(max_steps = 20_000)
     ?(max_disjunct_vars = 16) theory (q : Cq.t) =
   let budget =
     match budget with
@@ -110,8 +110,7 @@ let rewrite ?budget ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
       "Rewrite.rewrite: multi-head rules present; apply \
        Bddfc_classes.Multihead.to_single_head first";
   let answer = Cq.answer q in
-  let prepare = Containment.prepare ?hc in
-  let q0 = Containment.minimize (prepare (freeze_answers q)) in
+  let q0 = Containment.(minimize (prepare (freeze_answers q))) in
   let kept = ref [ q0 ] in
   let subsumed_by_kept p =
     List.exists (fun k -> Containment.prepared_subsumes ~general:k p) !kept
@@ -141,7 +140,7 @@ let rewrite ?budget ?hc ?(max_disjuncts = 400) ?(max_steps = 20_000)
                     candidate meets the kept set raw, and only the
                     survivors pay for minimization *)
                  let narrow = _var_count q' <= max_disjunct_vars in
-                 let raw = prepare q' in
+                 let raw = Containment.prepare q' in
                  if narrow && subsumed_by_kept raw then
                    Obs.Metrics.incr m_presubsumed
                  else
@@ -209,14 +208,14 @@ type kappa_result = {
   tripped : Budget.resource option; (* what stopped the divergent body *)
 }
 
-let kappa ?budget ?eval:_ ?hc ?max_disjuncts ?max_steps ?max_disjunct_vars
+let kappa ?budget ?eval:_ ?hc:_ ?max_disjuncts ?max_steps ?max_disjunct_vars
     theory =
   Obs.Trace.span "rewrite.kappa" @@ fun () ->
   let rec go kappa = function
     | [] -> { kappa; all_complete = true; tripped = None }
     | rule :: rules ->
         let r =
-          rewrite ?budget ?hc ?max_disjuncts ?max_steps
+          rewrite ?budget ?max_disjuncts ?max_steps
             ?max_disjunct_vars theory (Rule.body_query rule)
         in
         let kappa =

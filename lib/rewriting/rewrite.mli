@@ -23,12 +23,9 @@ type result = {
 }
 
 val rewrite :
-  ?budget:Budget.t -> ?hc:Bddfc_hom.Hc.mode -> ?max_disjuncts:int ->
-  ?max_steps:int -> ?max_disjunct_vars:int ->
-  Theory.t -> Cq.t -> result
-(** [?hc] selects the containment backend for the subsumption-driven
-    kept list ({!Bddfc_hom.Hc.mode}; default {!Bddfc_hom.Hc.default_mode}).
-    @raise Invalid_argument on multi-head rules (apply
+  ?budget:Budget.t -> ?max_disjuncts:int -> ?max_steps:int ->
+  ?max_disjunct_vars:int -> Theory.t -> Cq.t -> result
+(** @raise Invalid_argument on multi-head rules (apply
     [Bddfc_classes.Multihead.to_single_head] first). *)
 
 val ucq_holds : ?eval:Bddfc_hom.Eval.engine -> Instance.t -> Cq.t list -> bool
@@ -51,6 +48,7 @@ val kappa :
     are rewritten in rule order, and the first incomplete one ends the
     computation: then [all_complete] is [false], [kappa] covers only the
     bodies rewritten so far (the divergent one included) and is no bound
-    on anything, and [tripped] is that body's.  [?eval] is ignored:
-    containment runs its own matcher, and no evaluation engine reaches
-    κ.  The label stays while [benchmark/replay.ml] passes it. *)
+    on anything, and [tripped] is that body's.  [?eval] and [?hc] are
+    ignored: containment runs its one matcher, and no evaluation engine
+    reaches κ.  The labels stay while [benchmark/replay.ml] passes them
+    (ROADMAP item 2 deletes both). *)

@@ -43,8 +43,8 @@ type config = {
 val default_config : config
 (** No deadline, no fuel, 64 in-flight, 16 chase rounds, 1 MiB lines,
     no faults.  Every request runs
-    {!Bddfc_finitemodel.Pipeline.default_params}: the default
-    [Seminaive] strategy and containment backend. *)
+    {!Bddfc_finitemodel.Pipeline.default_params}: the [Seminaive]
+    strategy and the compiled join engine; containment has one path. *)
 
 type t
 

@@ -109,17 +109,7 @@ type pindex = { p_all : bucket; p_args : bucket Itbl.t array }
 let empty = new_bucket ()
 let no_index = { p_all = empty; p_args = [||] }
 
-(* Every instance carries a process-unique creation token plus a mutation
-   counter: together they give memo layers (Bddfc_hom.Hc) a sound cache
-   key for "this exact structure in this exact state" without hashing the
-   fact set.  The token supply is atomic so instances created on
-   different domains (a library user may run several) can never
-   alias. *)
-let token_supply = Atomic.make 0
-
 type t = {
-  token : int; (* process-unique creation stamp *)
-  mutable version : int; (* bumped on every element/fact mutation *)
   mutable next_id : int;
   mutable infos : Element.info array; (* id -> info, grown on demand *)
   const_ids : (string, Element.id) Hashtbl.t;
@@ -133,8 +123,6 @@ type t = {
 
 let create_with ~capacity ~births () =
   {
-    token = Atomic.fetch_and_add token_supply 1;
-    version = 0;
     next_id = 0;
     infos = Array.make (max capacity 1) (Element.Const "");
     const_ids = Hashtbl.create 16;
@@ -157,12 +145,8 @@ let ensure_capacity inst id =
     inst.infos <- infos
   end
 
-let token inst = inst.token
-let version inst = inst.version
-
 let alloc inst info =
   let id = inst.next_id in
-  inst.version <- inst.version + 1;
   inst.next_id <- id + 1;
   ensure_capacity inst id;
   inst.infos.(id) <- info;
@@ -273,7 +257,6 @@ let add_fact ?(birth = 0) inst f =
         invalid_arg "Instance.add_fact: unknown element id"
     done;
     Fact.Table.add inst.births f birth;
-    inst.version <- inst.version + 1;
     note_birth inst birth;
     index inst f birth;
     true
@@ -321,7 +304,6 @@ let remove_facts inst fs =
   let removed = Fact.Table.length dead in
   if removed = 0 then 0
   else begin
-    inst.version <- inst.version + 1;
     let alive f = not (Fact.Table.mem dead f) in
     (* collect the touched buckets (by key) before filtering anything *)
     let touched_preds = Itbl.create 8 and touched_args = Hashtbl.create 16 in
@@ -361,7 +343,6 @@ let max_fact_birth inst = inst.max_fact_birth
 let reset_fact_births inst =
   Fact.Table.filter_map_inplace (fun _ _ -> Some 0) inst.births;
   iter_buckets inst (fun b -> Array.fill b.b_births 0 b.b_size 0);
-  inst.version <- inst.version + 1;
   inst.max_fact_birth <- 0;
   inst.birth_monotone <- true
 

@@ -16,16 +16,6 @@ type t
 
 val create : ?capacity:int -> unit -> t
 
-val token : t -> int
-(** Process-unique creation stamp (atomic supply, so distinct even
-    across domains).  Together with {!version} it keys memo tables over
-    mutable instances: two reads with equal [(token, version)] are
-    guaranteed to observe the same elements and facts. *)
-
-val version : t -> int
-(** Mutation counter: bumped on every element allocation and every
-    successful fact insertion. *)
-
 (** {1 Elements} *)
 
 val const : t -> string -> Element.id

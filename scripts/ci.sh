@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full build, full test suite (Alcotest and cram), the
-# structural-containment lane, the bench counter gate and CLI smokes.
+# Tier-1 gate: full build, full test suite (Alcotest and cram) in one
+# lane, source guards, the bench counter gate and CLI smokes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,13 +21,12 @@ dune build @all
 #   sliced vs unsliced, from single chases up to construct and judge;
 # - serve: the isolation barrier, fault-injection sweep, eviction,
 #   overload and metrics reconciliation;
-# - hc: unique-table properties, containment fuzzing (the int-coded
-#   matcher against the structural oracle, which evaluates a plan over
-#   a frozen instance), signature-index soundness and accounting, no
-#   plan compiled by containment, the empty store after kappa and
-#   serve, and the serve eviction no-drift check;
+# - hc: containment fuzzing (the int-coded matcher against the
+#   test-only structural oracle, which evaluates a plan over a frozen
+#   instance), signature-index soundness and accounting, no plan
+#   compiled by containment, and the serve eviction no-drift check;
 # - rewrite: the library rewriting loop against the test-only reference
-#   loop, under both containment backends;
+#   loop, whose every containment test is the structural oracle;
 # - maintain: incremental maintenance against a from-scratch chase;
 # - provenance: the recorded chase against a plain run;
 # - absence: the ground-once solver against the test-only 2^k
@@ -56,11 +55,14 @@ if [ -n "$make_bad" ]; then
   exit 1
 fi
 
-# the structural lane: the whole tier-1 suite again with every
-# defaulted containment and ptype backend forced to structural (no
-# signature index, no evaluation memo), so each suite doubles as a
-# differential oracle for the interned run above
-BDDFC_TEST_HC=structural dune runtest --force
+# the library reads no environment variable: every setting is an
+# argument, so one test lane covers every configuration it can run in
+env_bad=$(grep -rln 'Sys\.getenv' lib --include='*.ml' || true)
+if [ -n "$env_bad" ]; then
+  echo "ci: Sys.getenv under lib/ (pass the setting as an argument):" >&2
+  echo "$env_bad" >&2
+  exit 1
+fi
 
 # the bench counter gate: one process runs EX-17, EX-18 and EX-20 to
 # EX-22 and compares their deterministic counters with the committed
@@ -74,18 +76,11 @@ BDDFC_TEST_HC=structural dune runtest --force
 #         unsliced verdicts identical, >= 1.5x probe reduction on the
 #         padded workloads, every zoo dataflow report builds and its
 #         JSON re-parses
-#   EX-21 interned vs structural: index rejects, searches and
-#         eval-memo counters within 10%, verdicts exact, interned and
-#         structural verdicts identical, eval-memo hit rate not >10%
-#         below the committed one and > 50% on the ptype row, >= 1.5x
-#         interned speedup on some row that compares the backends.
-#         Interned containment runs the int-coded matcher (no
-#         Instance, no plan); structural evaluates a compiled plan over
-#         the frozen instance (kappa/sec55-normalized interned:
-#         0.013-0.015 s with the frozen-instance search, 0.007-0.010 s
-#         with the matcher, dev profile, 2 cores).  Minimization has one
-#         path, the matcher, and searches only atoms another atom could
-#         host
+#   EX-21 prepared containment: index rejects and searches within
+#         10%, verdicts exact, and every row tests some containment
+#         pair.  Containment has one path, the int-coded matcher (no
+#         Instance, no plan); minimization searches only atoms another
+#         atom could host
 #   EX-22 maintenance churn: counters within 10%, every batch
 #         bit-identical to a re-chase, stats reconcile with instance
 #         size; >= 5x speedup gated only on machines with >= 4 cores

@@ -8,7 +8,9 @@
      it to this loop, result for result.
    - [minimize] is the original restart-from-the-head minimization: it
      removes the first atom whose deletion keeps the query equivalent,
-     by one containment test, and starts over.  It removes one
+     by one containment test, and starts over.  Every containment test
+     here, the kept set's included, is the structural oracle of
+     reference_containment.ml, never the library's matcher.  It removes one
      occurrence by position, so physically shared duplicate atoms go
      one at a time.  [rewrite] uses it, so the
      library's one-pass minimization meets it on every candidate.
@@ -20,7 +22,6 @@
 
 open Bddfc_budget
 open Bddfc_logic
-open Bddfc_hom
 open Bddfc_rewriting
 module Obs = Bddfc_obs.Obs
 
@@ -69,8 +70,7 @@ let _var_count (q : Cq.t) =
 
 (* ---------------- minimization ---------------- *)
 
-let minimize ?hc (q : Cq.t) =
-  let general = Containment.prepare ?hc q in
+let minimize (q : Cq.t) =
   let without i body = List.filteri (fun j _ -> j <> i) body in
   let removable body i =
     let body' = without i body in
@@ -82,8 +82,8 @@ let minimize ?hc (q : Cq.t) =
           (Cq.answer q)
       in
       keep_answers
-      && Containment.prepared_subsumes ~general
-           (Containment.prepare ?hc (Cq.make ~answer:(Cq.answer q) body'))
+      && Reference_containment.subsumes ~general:q
+           (Cq.make ~answer:(Cq.answer q) body')
   in
   let rec go body =
     let positions = List.init (List.length body) Fun.id in
@@ -181,7 +181,7 @@ let walk_steps ?(max_candidates = 8) rule (q : Cq.t) =
 
 (* ---------------- the saturation loop ---------------- *)
 
-let rewrite ?budget ?hc ?(one_steps = Piece.one_steps)
+let rewrite ?budget ?(one_steps = Piece.one_steps)
     ?(max_disjuncts = 400) ?(max_steps = 20_000) ?(max_disjunct_vars = 16)
     theory (q : Cq.t) =
   let budget =
@@ -200,7 +200,7 @@ let rewrite ?budget ?hc ?(one_steps = Piece.one_steps)
       "Rewrite.rewrite: multi-head rules present; apply \
        Bddfc_classes.Multihead.to_single_head first";
   let answer = Cq.answer q in
-  let q0 = minimize ?hc (freeze_answers q) in
+  let q0 = minimize (freeze_answers q) in
   let kept = ref [ q0 ] in
   let queue = Queue.create () in
   Queue.add q0 queue;
@@ -220,7 +220,7 @@ let rewrite ?budget ?hc ?(one_steps = Piece.one_steps)
                  incr generated;
                  Obs.Metrics.incr m_steps;
                  Budget.charge budget Budget.Rewrite_steps 1;
-                 let q' = minimize ?hc q' in
+                 let q' = minimize q' in
                  if _var_count q' > max_disjunct_vars then
                    (* a disjunct this wide signals divergence; dropping it
                       keeps the result a sound under-approximation *)
@@ -229,7 +229,7 @@ let rewrite ?budget ?hc ?(one_steps = Piece.one_steps)
                  let subsumed =
                    List.exists
                      (fun k ->
-                       Containment.subsumes ?hc ~general:k q')
+                       Reference_containment.subsumes ~general:k q')
                      !kept
                  in
                  if not subsumed then begin
@@ -239,7 +239,7 @@ let rewrite ?budget ?hc ?(one_steps = Piece.one_steps)
                      :: List.filter
                           (fun k ->
                             not
-                              (Containment.subsumes ?hc
+                              (Reference_containment.subsumes
                                  ~general:q' k))
                           !kept;
                    if List.length !kept > max_disjuncts then begin
@@ -273,14 +273,14 @@ let rewrite ?budget ?hc ?(one_steps = Piece.one_steps)
     tripped = !tripped;
   }
 
-let kappa ?budget ?hc ?max_disjuncts ?max_steps ?max_disjunct_vars
+let kappa ?budget ?max_disjuncts ?max_steps ?max_disjunct_vars
     theory =
   Obs.Trace.span "rewrite.kappa" @@ fun () ->
   let rec go kappa = function
     | [] -> { Rewrite.kappa; all_complete = true; tripped = None }
     | rule :: rules ->
         let r =
-          rewrite ?budget ?hc ?max_disjuncts ?max_steps
+          rewrite ?budget ?max_disjuncts ?max_steps
             ?max_disjunct_vars theory (Rule.body_query rule)
         in
         let kappa =

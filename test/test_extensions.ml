@@ -191,8 +191,7 @@ let test_judge_scope_deferred () =
     (fun (name, in_scope) ->
       let e, v, _ = judge name in
       let kappa =
-        Rewrite.kappa ~hc:p.Pipeline.hc
-          ~max_disjuncts:p.Pipeline.rewrite_max_disjuncts
+        Rewrite.kappa ~max_disjuncts:p.Pipeline.rewrite_max_disjuncts
           ~max_steps:p.Pipeline.rewrite_max_steps e.Zoo.theory
       in
       check Alcotest.bool

@@ -7,7 +7,9 @@
    trip, and the same kappa.  Inputs: every rule body of every zoo theory,
    both as written and after the pipeline's normalization (the query
    hidden, then spade5), the random theories and queries of the hc
-   suite, and fuel-trap points; each under both containment backends. *)
+   suite, and fuel-trap points.  Every containment test of the reference
+   is the structural oracle (reference_containment.ml), so each case
+   also holds the library's matcher to an independent check. *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -20,7 +22,6 @@ module M = Bddfc_obs.Obs.Metrics
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
-let modes = [ Hc.Interned; Hc.Structural ]
 
 (* Both loops draw variables from the global fresh-name supply: pin it,
    so structural equality of the disjuncts is the right oracle. *)
@@ -49,22 +50,17 @@ let max_steps = Pipeline.default_params.Pipeline.rewrite_max_steps
 let agree_on ?(max_disjuncts = max_disjuncts) ?(max_steps = max_steps) name
     theory =
   List.iter
-    (fun hc ->
-      let name = Printf.sprintf "%s [%s]" name (Hc.mode_tag hc) in
-      List.iter
-        (fun rule ->
-          let body = Rule.body_query rule in
-          check_result
-            (name ^ " " ^ Rule.name rule)
-            (pinned (fun () ->
-                 Reference.rewrite ~hc ~max_disjuncts ~max_steps theory body))
-            (pinned (fun () ->
-                 Rewrite.rewrite ~hc ~max_disjuncts ~max_steps theory body)))
-        (Theory.rules theory);
-      check_kappa name
-        (pinned (fun () -> Reference.kappa ~hc ~max_disjuncts ~max_steps theory))
-        (pinned (fun () -> Rewrite.kappa ~hc ~max_disjuncts ~max_steps theory)))
-    modes
+    (fun rule ->
+      let body = Rule.body_query rule in
+      check_result
+        (name ^ " " ^ Rule.name rule)
+        (pinned (fun () ->
+             Reference.rewrite ~max_disjuncts ~max_steps theory body))
+        (pinned (fun () -> Rewrite.rewrite ~max_disjuncts ~max_steps theory body)))
+    (Theory.rules theory);
+  check_kappa name
+    (pinned (fun () -> Reference.kappa ~max_disjuncts ~max_steps theory))
+    (pinned (fun () -> Rewrite.kappa ~max_disjuncts ~max_steps theory))
 
 let test_zoo () =
   List.iter
@@ -85,15 +81,10 @@ let test_random () =
     let st = Random.State.make [| seed; 401 |] in
     let query = Test_hc.random_cq st in
     let name = Printf.sprintf "seed %d" seed in
-    List.iter
-      (fun hc ->
-        check_result
-          (Printf.sprintf "%s [%s]" name (Hc.mode_tag hc))
-          (pinned (fun () ->
-               Reference.rewrite ~hc ~max_disjuncts ~max_steps theory query))
-          (pinned (fun () ->
-               Rewrite.rewrite ~hc ~max_disjuncts ~max_steps theory query)))
-      modes;
+    check_result name
+      (pinned (fun () ->
+           Reference.rewrite ~max_disjuncts ~max_steps theory query))
+      (pinned (fun () -> Rewrite.rewrite ~max_disjuncts ~max_steps theory query));
     agree_on ~max_disjuncts ~max_steps name theory
   done
 
@@ -106,19 +97,15 @@ let test_wide_candidates () =
       if Theory.all_single_head e.Zoo.theory then
         List.iter
           (fun max_disjunct_vars ->
-            List.iter
-              (fun hc ->
-                let t = e.Zoo.theory and q = e.Zoo.query in
-                check_result
-                  (Printf.sprintf "%s vars<=%d [%s]" e.Zoo.name
-                     max_disjunct_vars (Hc.mode_tag hc))
-                  (pinned (fun () ->
-                       Reference.rewrite ~hc ~max_disjuncts ~max_steps:300
-                         ~max_disjunct_vars t q))
-                  (pinned (fun () ->
-                       Rewrite.rewrite ~hc ~max_disjuncts ~max_steps:300
-                         ~max_disjunct_vars t q)))
-              modes)
+            let t = e.Zoo.theory and q = e.Zoo.query in
+            check_result
+              (Printf.sprintf "%s vars<=%d" e.Zoo.name max_disjunct_vars)
+              (pinned (fun () ->
+                   Reference.rewrite ~max_disjuncts ~max_steps:300
+                     ~max_disjunct_vars t q))
+              (pinned (fun () ->
+                   Rewrite.rewrite ~max_disjuncts ~max_steps:300
+                     ~max_disjunct_vars t q)))
           [ 2; 3; 4; 6 ])
     Zoo.all;
   (* the second rule's rewriting is a 4-variable core that the first
@@ -128,19 +115,12 @@ let test_wide_candidates () =
       "p(X) -> q(X). p(X), e(X,Y), e(Y,Z), e(Z,W) -> q(X)."
   in
   let query = Parser.parse_query "? q(X)." in
-  List.iter
-    (fun hc ->
-      let name = "subsumed wide core [" ^ Hc.mode_tag hc ^ "]" in
-      let r =
-        pinned (fun () ->
-            Rewrite.rewrite ~hc ~max_disjunct_vars:3 theory query)
-      in
-      check_result name
-        (pinned (fun () ->
-             Reference.rewrite ~hc ~max_disjunct_vars:3 theory query))
-        r;
-      check Alcotest.bool (name ^ ": incomplete") false r.Rewrite.complete)
-    modes
+  let name = "subsumed wide core" in
+  let r = pinned (fun () -> Rewrite.rewrite ~max_disjunct_vars:3 theory query) in
+  check_result name
+    (pinned (fun () -> Reference.rewrite ~max_disjunct_vars:3 theory query))
+    r;
+  check Alcotest.bool (name ^ ": incomplete") false r.Rewrite.complete
 
 (* Both loops charge the governor at the same points, so a trap lands on
    the same step, and an expired deadline trips before the first. *)
@@ -158,19 +138,15 @@ let test_budget_points () =
          [ 0; 1; 2; 3; 5; 8; 13; 21; 55 ]
   in
   List.iter
-    (fun hc ->
-      List.iter
-        (fun (name, budget) ->
-          check_result
-            (Printf.sprintf "%s [%s]" name (Hc.mode_tag hc))
-            (pinned (fun () ->
-                 Reference.rewrite ~budget:(budget ()) ~hc ~max_disjuncts:40
-                   ~max_steps:200 theory query))
-            (pinned (fun () ->
-                 Rewrite.rewrite ~budget:(budget ()) ~hc ~max_disjuncts:40
-                   ~max_steps:200 theory query)))
-        budgets)
-    modes
+    (fun (name, budget) ->
+      check_result name
+        (pinned (fun () ->
+             Reference.rewrite ~budget:(budget ()) ~max_disjuncts:40
+               ~max_steps:200 theory query))
+        (pinned (fun () ->
+             Rewrite.rewrite ~budget:(budget ()) ~max_disjuncts:40
+               ~max_steps:200 theory query)))
+    budgets
 
 (* remark3's query rewriting collapses 136 candidates onto 8 kept
    disjuncts: 105 of them are dropped before minimizing, and the counter
@@ -179,7 +155,7 @@ let test_presubsumed_counter () =
   let e = Option.get (Zoo.find "remark3") in
   let before = M.snapshot () in
   let r =
-    Rewrite.rewrite ~hc:Hc.Interned ~max_disjuncts ~max_steps e.Zoo.theory
+    Rewrite.rewrite ~max_disjuncts ~max_steps e.Zoo.theory
       e.Zoo.query
   in
   let after = M.snapshot () in
@@ -203,7 +179,7 @@ let test_presubsumed_counter () =
 let check_equivalent name (a : Cq.t list) (b : Cq.t list) =
   let covered by d =
     List.exists
-      (fun g -> Containment.subsumes ~hc:Hc.Structural ~general:g d)
+      (fun g -> Reference_containment.subsumes ~general:g d)
       by
   in
   check Alcotest.bool (name ^ ": closure disjuncts map into the walk's") true
@@ -314,12 +290,7 @@ let test_minimize_reference () =
   let checked = ref 0 in
   let same name q =
     incr checked;
-    List.iter
-      (fun hc ->
-        check Test_hc.cq
-          (Printf.sprintf "%s [%s]" name (Hc.mode_tag hc))
-          (Reference.minimize ~hc q) (Test_hc.minimize q))
-      modes
+    check Test_hc.cq name (Reference.minimize q) (Test_hc.minimize q)
   in
   let with_steps name theory q =
     same name q;
