@@ -82,6 +82,30 @@ let alpha_variant q =
 (* Containment: the fuzzing battery proper                            *)
 (* ----------------------------------------------------------------- *)
 
+(* The seeded random queries of the other batteries, and their
+   α-variants: containment and minimization verdicts agree with the
+   structural oracle, whichever variable names a query carries. *)
+let test_fuzz_containment () =
+  for seed = 0 to 239 do
+    let st = Random.State.make [| seed; 101 |] in
+    let q1 = random_cq st in
+    let q2 = random_cq st in
+    let a1 = alpha_variant q1 in
+    let name = Printf.sprintf "random seed %d" seed in
+    List.iter
+      (fun (general, specific) ->
+        check Alcotest.bool
+          (name ^ ": the matcher agrees with the oracle")
+          (Reference_containment.subsumes ~general specific)
+          (Containment.subsumes ~general specific))
+      [ (q1, q2); (q2, q1); (q1, q1); (a1, q2); (q2, a1); (a1, q1) ];
+    List.iter
+      (fun q ->
+        check cq (name ^ ": minimize agrees with the oracle")
+          (Reference_rewrite.minimize q) (minimize q))
+      [ q1; a1 ]
+  done
+
 (* The matcher against the structural oracle, over queries built to
    reach it: few variables, so that variables repeat within and across
    atoms; duplicated atoms; constants on one side only, or on both; and
@@ -89,8 +113,7 @@ let alpha_variant q =
    has fewer variables.  Each pair also meets its conjunction, which
    the first query always maps into and which maps back only
    sometimes.  The search count shows that these pairs reach the
-   matcher, not only the signatures.  The seeded random queries of the
-   other batteries, and their α-variants, meet the oracle here too. *)
+   matcher, not only the signatures. *)
 let matcher_cq st ~consts ~arity =
   let term () =
     if consts && Random.State.int st 3 = 0 then
@@ -124,25 +147,6 @@ let matcher_cq st ~consts ~arity =
   with_vars ()
 
 let test_fuzz_matcher () =
-  for seed = 0 to 239 do
-    let st = Random.State.make [| seed; 101 |] in
-    let q1 = random_cq st in
-    let q2 = random_cq st in
-    let a1 = alpha_variant q1 in
-    let name = Printf.sprintf "random seed %d" seed in
-    List.iter
-      (fun (general, specific) ->
-        check Alcotest.bool
-          (name ^ ": the matcher agrees with the oracle")
-          (Reference_containment.subsumes ~general specific)
-          (Containment.subsumes ~general specific))
-      [ (q1, q2); (q2, q1); (q1, q1); (a1, q2); (q2, a1); (a1, q1) ];
-    List.iter
-      (fun q ->
-        check cq (name ^ ": minimize agrees with the oracle")
-          (Reference_rewrite.minimize q) (minimize q))
-      [ q1; a1 ]
-  done;
   let searches () =
     Option.value ~default:0 (M.find_int (M.snapshot ()) "containment.searches")
   in
@@ -646,6 +650,8 @@ let test_subsumes_no_plan () =
 let suite =
   ( "hc",
     [
+      tc "fuzz: containment verdicts agree across alpha-variants"
+        test_fuzz_containment;
       tc "fuzz: the matcher agrees with the structural oracle"
         test_fuzz_matcher;
       tc "prefilter: rejections are sound on the fuzz pairs"
