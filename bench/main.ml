@@ -19,7 +19,7 @@ module I = Structure.Instance
 let governor : Budget.t option ref = ref None
 
 (* --check FILE runs every gated experiment (EX-17, EX-18 and EX-20 to
-   EX-22, see "The counter gate" below) and compares its deterministic
+   EX-23, see "The counter gate" below) and compares its deterministic
    counters with the committed blob, exiting 1 on any violation; --write
    FILE re-records that blob.  Without either flag the harness prints every table.
    --obs-smoke runs only the observability smoke: tracing must be
@@ -497,6 +497,22 @@ let ablations () =
 (* EX-12: micro-benchmarks (bechamel)                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The store's own rows: a 4,096-element tree filled the way the chase
+   and the coloring fill one, a binary edge per child and a unary fact
+   per element (8,191 facts), and a copy of it. *)
+let tree4096 () =
+  let inst = I.create () in
+  let e = Logic.Pred.make "e" 2 and c = Logic.Pred.make "c" 1 in
+  let add p args = ignore (I.add_fact inst (Structure.Fact.make p args)) in
+  add c [| I.const inst "root" |];
+  for x = 1 to 4095 do
+    let parent = (x - 1) / 2 in
+    let id = I.fresh_null inst ~birth:0 ~rule:"tree" ~parent:(Some parent) in
+    add e [| parent; id |];
+    add c [| id |]
+  done;
+  inst
+
 let micro () =
   header "EX-12: micro-benchmarks (bechamel; ns per run via OLS)";
   let open Bechamel in
@@ -506,6 +522,7 @@ let micro () =
   let seed = I.of_atoms (Logic.Parser.parse_atoms "e(a,b).") in
   let path3 = Logic.Parser.parse_query "? e(X,Y), e(Y,Z), e(Z,W)." in
   let c30 = Gen.null_chain ~consts:1 ~len:30 () in
+  let tree = tree4096 () in
   let tests =
     Test.make_grouped ~name:"bddfc"
       [ Test.make ~name:"chase/linear/24-rounds"
@@ -532,6 +549,10 @@ let micro () =
                     (Logic.Parser.parse_query "? u(X,Y)."))));
         Test.make ~name:"ptypes/vars2/chain30"
           (Staged.stage (fun () -> ignore (Hom.Ptypes.classes ~vars:2 c30)));
+        Test.make ~name:"instance/add/tree4096"
+          (Staged.stage (fun () -> ignore (tree4096 ())));
+        Test.make ~name:"instance/copy/tree4096"
+          (Staged.stage (fun () -> ignore (I.copy tree)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:None () in
@@ -609,7 +630,7 @@ let ex14_strategies () =
 (* The counter gate: one row type, one blob, one comparison            *)
 (* ------------------------------------------------------------------ *)
 
-(* Each gated experiment (EX-17, EX-18 and EX-20 to EX-22) prints its
+(* Each gated experiment (EX-17, EX-18 and EX-20 to EX-23) prints its
    table, enforces its structural claims in process, and reduces its
    measurements to rows of deterministic counters, plus a verdict string
    where the row has one.
@@ -2013,6 +2034,46 @@ let run_ex22 () =
           ("probes_maintained", row.c_probes_maint) ])
     rows
 
+(* ------------------------------------------------------------------ *)
+(* EX-23: store memory                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The words the fact store holds for the structures of a model-tree
+   request: the chase prefix of normalized Example 9 at depth 22 (as
+   `bddfc model --depth 22` builds it), its skeleton and the colored
+   skeleton.  Obj.reachable_words counts every heap word an
+   instance reaches (tables, buckets, facts, element infos and the
+   interned predicates), so the row guards the store's layout; the fact
+   counts say what the words hold.  Both are deterministic for one
+   process order: the predicate slots an instance sizes by Pred.id
+   depend on what the process interned before. *)
+let run_ex23 () =
+  header "EX-23: store memory (Example 9, depth 22)";
+  let e = Option.get (Zoo.find "ex9") in
+  let open Finitemodel.Normalize in
+  let t2 = (spade5 (hide_query e.Zoo.theory e.Zoo.query).theory).theory in
+  let chase = Chase.Chase.run ~max_rounds:22 t2 (Zoo.database_instance e) in
+  let sk = (Chase.Skeleton.extract t2 chase).Chase.Skeleton.skeleton in
+  let colored = (Ptp.Coloring.natural ~m:2 sk).Ptp.Coloring.colored in
+  let stages =
+    [ ("prefix", chase.Chase.Chase.instance); ("skeleton", sk);
+      ("colored", colored) ]
+  in
+  Fmt.pr "%-10s %-10s %-8s %-12s %s@." "stage" "elements" "facts" "words"
+    "words/fact";
+  let counters =
+    List.concat_map
+      (fun (name, inst) ->
+        let facts = I.num_facts inst in
+        let words = Obj.reachable_words (Obj.repr inst) in
+        Fmt.pr "%-10s %-10d %-8d %-12d %.1f@." name (I.num_elements inst)
+          facts words
+          (float_of_int words /. float_of_int (max 1 facts));
+        [ (name ^ "_facts", facts); (name ^ "_words", words) ])
+      stages
+  in
+  [ gate_row "EX-23" "ex9/depth22" counters ]
+
 let gated =
   let gate id tolerance run = { id; tolerance; run } in
   [ gate "EX-17" (At_most 0.10) run_ex17;
@@ -2020,6 +2081,7 @@ let gated =
     gate "EX-20" (At_most 0.10) run_ex20;
     gate "EX-21" (Within 0.10) run_ex21;
     gate "EX-22" (Within 0.10) run_ex22;
+    gate "EX-23" (At_most 0.10) run_ex23;
   ]
 
 let () =

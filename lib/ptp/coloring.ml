@@ -31,7 +31,11 @@
    null besides e.  Hues take a stamped walk of m+1 hops over P for the
    P_m conflicts and a stamp per hue for the smallest free one.
    [materialize] (a copy of the instance plus one fact per element) is
-   what remains of the cost. *)
+   what remains of the cost: on the Example 9 skeleton of 2,048
+   elements, [natural] takes 3.0-3.7 ms and [materialize] 2.0 ms of it;
+   at 4,096 elements 6.0-6.4 ms and 3.9-4.1 ms (medians of 15 timings,
+   release build, 2-core VM).  Before the store's tables were
+   open-addressing, [materialize] took 3.2-4.0 and 5.6-5.8 ms. *)
 
 open Bddfc_logic
 open Bddfc_structure

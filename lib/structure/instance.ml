@@ -1,17 +1,21 @@
 (* Finite relational structures ("database instances") over element ids.
 
    The store is mutable and dense.  Every fact is filed in:
-     - one fact table mapping the fact to its birth round (duplicate
-       detection and point lookups: one probe per insert);
      - the arrival log, a bucket of every fact in insertion order;
+     - the fact table, an open-addressing table of log positions keyed
+       by the fact (duplicate detection and point lookups: one probe
+       per insert; the birth is read from the log);
      - its predicate's index, an array slot found by the predicate's
        interned id, which holds a bucket of the predicate's facts plus,
-       per argument position, a table from element id to the bucket of
-       facts carrying that element there.
+       per argument position, an open-addressing table from element id
+       to the bucket of facts carrying that element there.
 
    A bucket keeps its facts and their births in parallel growable
-   arrays, in arrival order, so every read is an index loop and no read
-   goes back to the fact table for a birth (DESIGN.md section 7a).
+   arrays, in arrival order, so every read is an index loop.  Both
+   tables are flat arrays of ints and buckets: no entry is a heap block
+   of its own, so filling a large instance allocates no per-fact or
+   per-element cell for the minor collector to promote (DESIGN.md
+   section 7a).
 
    Constants are interned: asking twice for constant "a" yields the same
    id, and the id remembers its name.  Labelled nulls carry provenance so
@@ -63,16 +67,16 @@ let bucket_copy b =
     b_size = b.b_size;
   }
 
-(* Keep the facts satisfying [keep], in arrival order, in fresh arrays. *)
+(* Keep the entries whose index satisfies [keep], in arrival order, in
+   fresh arrays. *)
 let bucket_filter b keep =
   let n = b.b_size in
   if n > 0 then begin
     let facts = Array.make n b.b_facts.(0) and births = Array.make n 0 in
     let k = ref 0 in
     for i = 0 to n - 1 do
-      let f = b.b_facts.(i) in
-      if keep f then begin
-        facts.(!k) <- f;
+      if keep i then begin
+        facts.(!k) <- b.b_facts.(i);
         births.(!k) <- b.b_births.(i);
         incr k
       end
@@ -91,29 +95,106 @@ let lower_bound a n x =
   done;
   !lo
 
-(* Element-id keyed tables: ids are dense, so the identity is a perfect
-   hash. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(* The answer to every lookup that finds nothing, the free slot of an
+   element table and the empty slot of [by_pred]: compared physically,
+   read freely, never written. *)
+let empty = new_bucket ()
 
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
+(* Both tables below probe linearly over a power-of-two array, mark a
+   free slot with -1, and stay at most half full.  A removal frees its
+   slot and re-files the rest of the probe run, so no entry is ever
+   separated from its home slot by a free one. *)
+
+(* The smallest power of two >= [n] (and >= 2). *)
+let table_size n =
+  let rec up s = if s >= n then s else up (2 * s) in
+  up 2
+
+(* An element table: per (predicate, position), element id -> bucket, in
+   two parallel arrays. *)
+type etable = {
+  mutable keys : int array; (* element id, -1 = free *)
+  mutable vals : bucket array; (* [empty] where the key is free *)
+  mutable count : int;
+}
+
+let etable_create () =
+  { keys = Array.make 2 (-1); vals = Array.make 2 empty; count = 0 }
+
+(* Ids are dense, so consecutive ids must not land in one run: a
+   multiplicative hash spreads them over the table. *)
+let ehome id mask = ((id * 0x1E3779B97F4A7C15) lsr 32) land mask
+
+(* The probe loops are top-level functions, not local closures: a
+   closure over the table would be allocated on every lookup. *)
+let rec eprobe keys id mask i =
+  let k = keys.(i) in
+  if k = id || k < 0 then i else eprobe keys id mask ((i + 1) land mask)
+
+(* The slot holding [id], or the free slot where it would go. *)
+let eslot t id =
+  let mask = Array.length t.keys - 1 in
+  eprobe t.keys id mask (ehome id mask)
+
+let efind t id =
+  let i = eslot t id in
+  if t.keys.(i) = id then t.vals.(i) else empty
+
+(* Put [id] in the first free slot from its home. *)
+let eplace t id b =
+  let i = eslot t id in
+  t.keys.(i) <- id;
+  t.vals.(i) <- b
+
+let egrow t =
+  let keys = t.keys and vals = t.vals in
+  let n = 2 * Array.length keys in
+  t.keys <- Array.make n (-1);
+  t.vals <- Array.make n empty;
+  Array.iteri (fun i k -> if k >= 0 then eplace t k vals.(i)) keys
+
+let eadd t id b =
+  eplace t id b;
+  t.count <- t.count + 1;
+  if 2 * t.count > Array.length t.keys then egrow t
+
+(* Free slot [i] and re-file the rest of its probe run. *)
+let eremove t i =
+  let mask = Array.length t.keys - 1 in
+  t.keys.(i) <- -1;
+  t.vals.(i) <- empty;
+  t.count <- t.count - 1;
+  let rec refile j =
+    let k = t.keys.(j) in
+    if k >= 0 then begin
+      let b = t.vals.(j) in
+      t.keys.(j) <- -1;
+      t.vals.(j) <- empty;
+      eplace t k b;
+      refile ((j + 1) land mask)
+    end
+  in
+  refile ((i + 1) land mask)
+
+let etable_copy t =
+  {
+    keys = Array.copy t.keys;
+    vals =
+      Array.map (fun b -> if b == empty then empty else bucket_copy b) t.vals;
+    count = t.count;
+  }
 
 (* One predicate's index: its facts, and per argument position the
    facts by element. *)
-type pindex = { p_all : bucket; p_args : bucket Itbl.t array }
+type pindex = { p_all : bucket; p_args : etable array }
 
-(* The answer to every lookup that finds nothing, and the empty slot of
-   [by_pred]: compared physically, read freely, never written. *)
-let empty = new_bucket ()
 let no_index = { p_all = empty; p_args = [||] }
 
 type t = {
   mutable next_id : int;
   mutable infos : Element.info array; (* id -> info, grown on demand *)
   const_ids : (string, Element.id) Hashtbl.t;
-  births : int Fact.Table.t; (* every fact -> its birth *)
+  mutable slots : int array; (* the fact table: log positions, -1 = free *)
   log : bucket; (* every fact, arrival order *)
   mutable by_pred : pindex array; (* by Pred.id; [no_index] = no facts yet *)
   mutable preds : Pred.Set.t; (* predicates that ever had a bucket *)
@@ -121,21 +202,18 @@ type t = {
   mutable birth_monotone : bool; (* births non-decreasing in add order *)
 }
 
-let create_with ~capacity ~births () =
+let create ?(capacity = 32) () =
   {
     next_id = 0;
     infos = Array.make (max capacity 1) (Element.Const "");
     const_ids = Hashtbl.create 16;
-    births;
+    slots = Array.make (table_size (2 * capacity)) (-1);
     log = new_bucket ();
     by_pred = [||];
     preds = Pred.Set.empty;
     max_fact_birth = 0;
     birth_monotone = true;
   }
-
-let create ?(capacity = 64) () =
-  create_with ~capacity ~births:(Fact.Table.create capacity) ()
 
 let ensure_capacity inst id =
   let n = Array.length inst.infos in
@@ -184,6 +262,52 @@ let constants inst =
   Hashtbl.fold (fun _ id acc -> id :: acc) inst.const_ids []
 
 (* ------------------------------------------------------------------ *)
+(* The fact table                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let rec fprobe slots facts f mask i =
+  let p = slots.(i) in
+  if p < 0 || Fact.equal facts.(p) f then i
+  else fprobe slots facts f mask ((i + 1) land mask)
+
+(* The slot holding [f]'s log position, or the free slot where it would
+   go. *)
+let fact_slot inst f =
+  let mask = Array.length inst.slots - 1 in
+  fprobe inst.slots inst.log.b_facts f mask (Fact.hash f land mask)
+
+let rec free_slot slots mask i =
+  if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
+
+(* Put log position [p] in the first free slot from its home. *)
+let place_fact inst p =
+  let slots = inst.slots in
+  let mask = Array.length slots - 1 in
+  slots.(free_slot slots mask (Fact.hash inst.log.b_facts.(p) land mask)) <- p
+
+(* Rebuild the fact table from the log, at [size] slots. *)
+let refile_facts inst size =
+  inst.slots <- Array.make size (-1);
+  for p = 0 to inst.log.b_size - 1 do
+    place_fact inst p
+  done
+
+(* Free slot [i] and re-file the rest of its probe run. *)
+let free_fact_slot inst i =
+  let slots = inst.slots in
+  let mask = Array.length slots - 1 in
+  slots.(i) <- -1;
+  let rec refile j =
+    let p = slots.(j) in
+    if p >= 0 then begin
+      slots.(j) <- -1;
+      place_fact inst p;
+      refile ((j + 1) land mask)
+    end
+  in
+  refile ((i + 1) land mask)
+
+(* ------------------------------------------------------------------ *)
 (* Indexes                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -207,7 +331,7 @@ let pindex inst p =
     let pi =
       {
         p_all = new_bucket ();
-        p_args = Array.init (Pred.arity p) (fun _ -> Itbl.create 1);
+        p_args = Array.init (Pred.arity p) (fun _ -> etable_create ());
       }
     in
     inst.by_pred.(id) <- pi;
@@ -220,10 +344,7 @@ let pred_bucket inst p = (pindex_opt inst p).p_all
 let arg_bucket inst p pos id =
   let pi = pindex_opt inst p in
   if pos < 0 || pos >= Array.length pi.p_args then empty
-  else
-    match Itbl.find pi.p_args.(pos) id with
-    | b -> b
-    | exception Not_found -> empty
+  else efind pi.p_args.(pos) id
 
 (* File [f] in the arrival log and its predicate's buckets (the fact
    table is the caller's business). *)
@@ -233,32 +354,32 @@ let index inst f birth =
   bucket_push pi.p_all f birth;
   let args = Fact.args f in
   for pos = 0 to Array.length args - 1 do
-    let tbl = pi.p_args.(pos) and id = args.(pos) in
-    match Itbl.find tbl id with
-    | b -> bucket_push b f birth
-    | exception Not_found ->
-        let b = new_bucket () in
-        bucket_push b f birth;
-        Itbl.add tbl id b
+    let t = pi.p_args.(pos) and id = args.(pos) in
+    let i = eslot t id in
+    if t.keys.(i) = id then bucket_push t.vals.(i) f birth
+    else eadd t id { b_facts = [| f |]; b_births = [| birth |]; b_size = 1 }
   done
 
 let note_birth inst birth =
   if birth < inst.max_fact_birth then inst.birth_monotone <- false
   else inst.max_fact_birth <- birth
 
-let mem_fact inst f = Fact.Table.mem inst.births f
+let mem_fact inst f = inst.slots.(fact_slot inst f) >= 0
 
 let add_fact ?(birth = 0) inst f =
-  if Fact.Table.mem inst.births f then false
+  let i = fact_slot inst f in
+  if inst.slots.(i) >= 0 then false
   else begin
     let args = Fact.args f in
-    for i = 0 to Array.length args - 1 do
-      if args.(i) < 0 || args.(i) >= inst.next_id then
+    for k = 0 to Array.length args - 1 do
+      if args.(k) < 0 || args.(k) >= inst.next_id then
         invalid_arg "Instance.add_fact: unknown element id"
     done;
-    Fact.Table.add inst.births f birth;
+    inst.slots.(i) <- inst.log.b_size;
     note_birth inst birth;
     index inst f birth;
+    if 2 * inst.log.b_size > Array.length inst.slots then
+      refile_facts inst (2 * Array.length inst.slots);
     true
   end
 
@@ -285,63 +406,85 @@ let iter_buckets inst fn =
     (fun pi ->
       if pi != no_index then begin
         fn pi.p_all;
-        Array.iter (Itbl.iter (fun _ b -> fn b)) pi.p_args
+        Array.iter
+          (fun t -> Array.iter (fun b -> if b != empty then fn b) t.vals)
+          pi.p_args
       end)
     inst.by_pred
 
 (* Batch removal, the retraction side of incremental maintenance.  Only
    the buckets a removed fact touches are filtered (preserving arrival
    order, hence birth monotonicity); an argument bucket left empty is
-   dropped.  Elements are never reclaimed — an orphaned id is harmless,
-   and keeping ids stable is what lets callers hold facts across
-   removals.  The instance's max birth is left as a (sound) upper
-   bound. *)
+   dropped.  The log is compacted, so the fact table loses the removed
+   entries and has its surviving positions renumbered in place, slot by
+   slot, instead of being rebuilt.  Elements are never reclaimed — an
+   orphaned id is harmless, and keeping ids stable is what lets callers
+   hold facts across removals.  The instance's max birth is left as a
+   (sound) upper bound. *)
 let remove_facts inst fs =
-  let dead = Fact.Table.create 16 in
-  List.iter
-    (fun f -> if Fact.Table.mem inst.births f then Fact.Table.replace dead f ())
-    fs;
-  let removed = Fact.Table.length dead in
-  if removed = 0 then 0
+  let log = inst.log in
+  (* [renum.(p)] is -1 for a removed log position; a surviving one reads
+     0 until the compaction stores its new position there *)
+  let renum = Array.make log.b_size 0 in
+  let dead =
+    List.fold_left
+      (fun dead f ->
+        let p = inst.slots.(fact_slot inst f) in
+        if p >= 0 && renum.(p) = 0 then begin
+          renum.(p) <- -1;
+          log.b_facts.(p) :: dead
+        end
+        else dead)
+      [] fs
+  in
+  if dead = [] then 0
   else begin
-    let alive f = not (Fact.Table.mem dead f) in
-    (* collect the touched buckets (by key) before filtering anything *)
-    let touched_preds = Itbl.create 8 and touched_args = Hashtbl.create 16 in
-    Fact.Table.iter
-      (fun f () ->
-        let pid = Pred.id (Fact.pred f) in
-        Itbl.replace touched_preds pid ();
-        Array.iteri
-          (fun pos id -> Hashtbl.replace touched_args (pid, pos, id) ())
-          (Fact.args f))
-      dead;
-    bucket_filter inst.log alive;
-    Itbl.iter
-      (fun pid () -> bucket_filter inst.by_pred.(pid).p_all alive)
-      touched_preds;
-    Hashtbl.iter
-      (fun (pid, pos, id) () ->
-        let tbl = inst.by_pred.(pid).p_args.(pos) in
-        let b = Itbl.find tbl id in
-        bucket_filter b alive;
-        if b.b_size = 0 then Itbl.remove tbl id)
-      touched_args;
-    Fact.Table.iter (fun f () -> Fact.Table.remove inst.births f) dead;
-    removed
+    let alive f = renum.(inst.slots.(fact_slot inst f)) = 0 in
+    let keep b i = alive b.b_facts.(i) in
+    List.iter
+      (fun pid ->
+        let b = inst.by_pred.(pid).p_all in
+        bucket_filter b (keep b))
+      (List.sort_uniq Int.compare
+         (List.map (fun f -> Pred.id (Fact.pred f)) dead));
+    List.iter
+      (fun (pid, pos, id) ->
+        let t = inst.by_pred.(pid).p_args.(pos) in
+        let i = eslot t id in
+        let b = t.vals.(i) in
+        bucket_filter b (keep b);
+        if b.b_size = 0 then eremove t i)
+      (List.sort_uniq compare
+         (List.concat_map
+            (fun f ->
+              let pid = Pred.id (Fact.pred f) in
+              List.mapi (fun pos id -> (pid, pos, id)) (Fact.elements f))
+            dead));
+    List.iter (fun f -> free_fact_slot inst (fact_slot inst f)) dead;
+    let k = ref 0 in
+    Array.iteri
+      (fun p r ->
+        if r = 0 then begin
+          renum.(p) <- !k;
+          incr k
+        end)
+      renum;
+    Array.iteri
+      (fun i p -> if p >= 0 then inst.slots.(i) <- renum.(p))
+      inst.slots;
+    bucket_filter log (fun p -> renum.(p) >= 0);
+    List.length dead
   end
 
 let fact_birth inst f =
-  match Fact.Table.find inst.births f with
-  | b -> b
-  | exception Not_found -> 0
+  let p = inst.slots.(fact_slot inst f) in
+  if p < 0 then 0 else inst.log.b_births.(p)
 
 let max_fact_birth inst = inst.max_fact_birth
 
-(* The fact table and the buckets both carry births; a reset zeroes
-   both, so the windowed reads (which only look at the buckets) agree
-   with [fact_birth]. *)
+(* Every birth lives in the buckets (the log's answer [fact_birth]), so a
+   reset zeroes them all. *)
 let reset_fact_births inst =
-  Fact.Table.filter_map_inplace (fun _ _ -> Some 0) inst.births;
   iter_buckets inst (fun b -> Array.fill b.b_births 0 b.b_size 0);
   inst.max_fact_birth <- 0;
   inst.birth_monotone <- true
@@ -464,15 +607,22 @@ let to_atoms inst = List.map (atom_of_fact inst) (facts inst)
 (* Restriction and copying                                        *)
 (* -------------------------------------------------------------- *)
 
-(* A new instance with [inst]'s elements and constants and the given
-   fact table; its facts are filed by the caller. *)
-let blank_like inst births =
-  let c = create_with ~capacity:(max 64 inst.next_id) ~births () in
-  c.next_id <- inst.next_id;
-  c.infos <- Array.copy inst.infos;
-  ensure_capacity c (max 0 (inst.next_id - 1));
-  Hashtbl.iter (fun k v -> Hashtbl.replace c.const_ids k v) inst.const_ids;
-  c
+(* A new instance with [inst]'s elements and constants, no facts yet and
+   the given fact table. *)
+let blank_like inst slots =
+  let const_ids = Hashtbl.create 16 in
+  Hashtbl.iter (fun k v -> Hashtbl.replace const_ids k v) inst.const_ids;
+  {
+    next_id = inst.next_id;
+    infos = Array.copy inst.infos;
+    const_ids;
+    slots;
+    log = new_bucket ();
+    by_pred = [||];
+    preds = Pred.Set.empty;
+    max_fact_birth = 0;
+    birth_monotone = true;
+  }
 
 (* Recompute the birth summary from the arrival log: exactly what adding
    the surviving facts one by one would have recorded. *)
@@ -489,22 +639,17 @@ let set_log c b =
   c.log.b_size <- b.b_size
 
 let clone_pindex pi =
-  let clone tbl =
-    let tbl = Itbl.copy tbl in
-    Itbl.filter_map_inplace (fun _ b -> Some (bucket_copy b)) tbl;
-    tbl
-  in
-  { p_all = bucket_copy pi.p_all; p_args = Array.map clone pi.p_args }
+  { p_all = bucket_copy pi.p_all; p_args = Array.map etable_copy pi.p_args }
 
 (* A structural copy of the facts of the predicates satisfying [keep],
-   sharing nothing with the original.  Buckets are cloned array by
-   array, in arrival order, with their births, so the copy keeps the
-   delta-window invariant of the original; no fact is hashed again.
-   Predicates whose facts were all removed are not carried over, as if
-   the copy had been built by re-adding the facts. *)
+   sharing nothing with the original.  Buckets and tables are cloned
+   array by array, in arrival order, with their births, so the copy keeps
+   the delta-window invariant of the original; the fact table is
+   re-filed only when a predicate was dropped.  Predicates whose facts
+   were all removed are not carried over, as if the copy had been built
+   by re-adding the facts. *)
 let copy_preds inst keep =
-  let births = Fact.Table.copy inst.births in
-  let c = blank_like inst births in
+  let c = blank_like inst (Array.copy inst.slots) in
   c.by_pred <- Array.make (Array.length inst.by_pred) no_index;
   let dropped = ref false in
   Pred.Set.iter
@@ -518,14 +663,11 @@ let copy_preds inst keep =
         else dropped := true)
     inst.preds;
   let log = bucket_copy inst.log in
-  if !dropped then begin
-    let kept f = c.by_pred.(Pred.id (Fact.pred f)) != no_index in
-    Fact.Table.filter_map_inplace
-      (fun f b -> if kept f then Some b else None)
-      births;
-    bucket_filter log kept
-  end;
+  if !dropped then
+    bucket_filter log (fun i ->
+        c.by_pred.(Pred.id (Fact.pred log.b_facts.(i))) != no_index);
   set_log c log;
+  if !dropped then refile_facts c (table_size (2 * log.b_size));
   summarize_births c;
   c
 
@@ -537,23 +679,20 @@ let restrict_preds inst keep = copy_preds inst (fun p -> Pred.Set.mem p keep)
 
 (* C restricted to an element set (the paper's C |` A): facts whose
    arguments all lie in [keep], re-filed in arrival order with their
-   births (the fact table is filtered, not re-hashed). *)
+   births. *)
 let restrict_elements inst keep =
   let kept = Array.make (max 1 inst.next_id) false in
   Element.Id_set.iter
     (fun id -> if id >= 0 && id < inst.next_id then kept.(id) <- true)
     keep;
-  let keep f = Array.for_all (fun id -> kept.(id)) (Fact.args f) in
-  let births = Fact.Table.copy inst.births in
-  Fact.Table.filter_map_inplace
-    (fun f b -> if keep f then Some b else None)
-    births;
-  let c = blank_like inst births in
+  let c = blank_like inst [||] (* filed below *) in
   let b = inst.log in
   for i = 0 to b.b_size - 1 do
     let f = b.b_facts.(i) in
-    if keep f then index c f b.b_births.(i)
+    if Array.for_all (fun id -> kept.(id)) (Fact.args f) then
+      index c f b.b_births.(i)
   done;
+  refile_facts c (table_size (2 * c.log.b_size));
   summarize_births c;
   c
 

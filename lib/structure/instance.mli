@@ -1,20 +1,26 @@
 (** Finite relational structures ("database instances").
 
-    The store is mutable and dense.  One fact table maps every fact to
-    its birth round (duplicate detection and {!fact_birth}); every read
-    goes through {e buckets}: the facts of a predicate (found by its
-    interned {!Pred.id}), and the facts of a (predicate, position,
-    element).  A bucket keeps its facts and their births in parallel
-    arrays in arrival order, so reads are newest first, windowed reads
-    are two binary searches plus an index loop, and {!copy} clones
-    buckets instead of re-inserting facts.  Constants are interned by
-    name; labelled nulls carry provenance for skeleton extraction. *)
+    The store is mutable and dense.  Every read goes through
+    {e buckets}: the arrival log of every fact, the facts of a predicate
+    (found by its interned {!Pred.id}), and the facts of a (predicate,
+    position, element).  A bucket keeps its facts and their births in
+    parallel arrays in arrival order, so reads are newest first, and
+    windowed reads are two binary searches plus an index loop.  Two
+    flat open-addressing tables find things: a fact table of arrival-log
+    positions (duplicate detection and {!fact_birth}), and per
+    (predicate, position) a table from element id to bucket.  Neither
+    holds a heap block per entry, and an element table grows with the
+    elements it holds, not with the largest id.  {!copy} clones arrays
+    instead of re-inserting facts.  Constants are interned by name;
+    labelled nulls carry provenance for skeleton extraction. *)
 
 open Bddfc_logic
 
 type t
 
 val create : ?capacity:int -> unit -> t
+(** [capacity] (default 32) is the expected number of elements and of
+    facts: it sizes the element table and the fact table up front. *)
 
 (** {1 Elements} *)
 
@@ -49,7 +55,9 @@ val remove_facts : t -> Fact.t list -> int
 (** Batch removal (the retraction side of incremental maintenance):
     facts not present are ignored, duplicates count once; returns the
     number of facts actually removed.  Only the index buckets a removed
-    fact touches are rebuilt, preserving arrival order — so a
+    fact touches are rebuilt; the arrival log is compacted and the fact
+    table renumbered in place, so a removal costs the log plus those
+    buckets, and no table is rehashed.  Arrival order is kept — so a
     birth-monotone instance stays monotone, and {!max_fact_birth}
     remains a sound upper bound.  Elements (including constants that no
     remaining fact mentions) are never reclaimed, and {!preds} keeps
@@ -141,9 +149,10 @@ val to_atoms : t -> Atom.t list
 
 val copy : t -> t
 (** A deep copy sharing nothing with the original; element ids coincide
-    and fact births (and insertion order) are preserved.  Buckets are
-    cloned array by array; no fact is re-hashed.  Like the restrictions,
-    the copy's {!preds} are the predicates that still have facts. *)
+    and fact births (and insertion order) are preserved.  Buckets and
+    both tables are cloned array by array; no fact is hashed again.
+    Like the restrictions, the copy's {!preds} are the predicates that
+    still have facts. *)
 
 val restrict_preds : t -> Pred.Set.t -> t
 (** The paper's [C |` Sigma]: keep all elements, filter facts. *)

@@ -12,7 +12,9 @@ dune build @all
 # (test/cli/*.t: exit codes, diagnostics, usage errors).  Among them:
 # - budget: the fault-injection suite;
 # - structure: the instance oracle (random add, remove, copy, restrict
-#   and birth-reset sequences against a plain (fact, birth) list), the
+#   and birth-reset sequences against a plain (fact, birth) list, at 4
+#   and at 200 elements), a removal inside a wrapped probe run of the
+#   fact table, the sparse-wide-signature memory bound, the
 #   reset-births regression and predicate interning across 2 domains;
 # - ptp: lightness forms and Canonical.key against the test-only
 #   permutation oracle, Refine.compute against the string-keyed
@@ -65,7 +67,7 @@ if [ -n "$env_bad" ]; then
 fi
 
 # the bench counter gate: one process runs EX-17, EX-18 and EX-20 to
-# EX-22 and compares their deterministic counters with the committed
+# EX-23 and compares their deterministic counters with the committed
 # BENCH_gate.json (the blob is validated before anything is measured).
 # Per experiment:
 #   EX-17 join engines: compiled probes / index ops at most +10%
@@ -84,6 +86,9 @@ fi
 #   EX-22 maintenance churn: counters within 10%, every batch
 #         bit-identical to a re-chase, stats reconcile with instance
 #         size; >= 5x speedup gated only on machines with >= 4 cores
+#   EX-23 store memory: facts and Obj.reachable_words of the Example 9
+#         depth-22 chase prefix, skeleton and colored skeleton at most
+#         +10%, so a store layout that costs more words shows up here
 # Wall times are reported, never compared with the blob.  The strategy
 # and join-engine agreement on the bench workloads is checked by the
 # differential suite in `dune runtest` above.

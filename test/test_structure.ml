@@ -295,13 +295,21 @@ type op =
   | Remove of (int * int array) list
   | Copy
   | Restrict_preds of bool array
-  | Restrict_elements of bool array
+  | Restrict_elements of int array (* the element ids kept *)
   | Reset
 
 let m_preds = [| Pred.make "p" 1; Pred.make "p" 2; Pred.make "e" 2 |]
-let m_elems = 4
 
 let m_fact (pi, args) = Fact.make m_preds.(pi) args
+
+(* The element ids a model test's facts draw from: the small space
+   enumerates every fact over its 4 ids; the large one has 200 ids, half
+   of them a power-of-two stride apart far from 0, so the instance's
+   tables grow, wrap and lose entries many times over. *)
+let small_elems = Array.init 4 Fun.id
+let large_elems =
+  Array.append (Array.init 100 Fun.id)
+    (Array.init 100 (fun k -> 16_384 + (64 * k)))
 
 let every_fact =
   List.concat_map
@@ -311,7 +319,7 @@ let every_fact =
         if k = 0 then [ [] ]
         else
           List.concat_map
-            (fun t -> List.init m_elems (fun x -> x :: t))
+            (fun t -> List.map (fun x -> x :: t) (Array.to_list small_elems))
             (tuples (k - 1))
       in
       List.map (fun t -> m_fact (pi, Array.of_list t)) (tuples ar))
@@ -363,7 +371,8 @@ let step_model m = function
   | Restrict_elements keep ->
       summarize
         (List.filter
-           (fun (f, _) -> Array.for_all (fun x -> keep.(x)) (Fact.args f))
+           (fun (f, _) ->
+             Array.for_all (fun x -> Array.mem x keep) (Fact.args f))
            m.m_facts)
   | Reset ->
       {
@@ -388,11 +397,8 @@ let step_inst inst = function
         m_preds;
       Instance.restrict_preds inst !set
   | Restrict_elements keep ->
-      let set = ref Element.Id_set.empty in
-      Array.iteri
-        (fun x k -> if k then set := Element.Id_set.add x !set)
-        keep;
-      Instance.restrict_elements inst !set
+      Instance.restrict_elements inst
+        (Element.Id_set.of_list (Array.to_list keep))
   | Reset ->
       Instance.reset_fact_births inst;
       inst
@@ -403,19 +409,31 @@ let windows =
       List.map (fun upto -> (since, upto)) [ None; Some 1; Some 3; Some 5 ])
     [ 0; 1; 2; 4 ]
 
-(* Every accessor against the model; [Error] names the first mismatch. *)
-let agrees inst m =
+(* Every accessor against the model, at the given element ids and birth
+   windows; [probes] are the facts whose [mem_fact] and [fact_birth] are
+   read.  [Error] names the first mismatch. *)
+let agrees ~elems ~windows ~probes inst m =
   let fail fmt = Printf.ksprintf (fun s -> raise (Failure s)) fmt in
   let in_window b since upto =
     b >= since && match upto with None -> true | Some u -> b < u
   in
-  (* newest first, as every index read returns them *)
-  let model_window keep since upto =
-    List.rev
-      (List.filter_map
-         (fun (f, b) ->
-           if keep f && in_window b since upto then Some f else None)
-         m.m_facts)
+  (* the model's facts per predicate and per (predicate, position,
+     element), newest first, as every index read returns them *)
+  let groups = Hashtbl.create 64 in
+  List.iter
+    (fun ((f, _) as fb) ->
+      let push key =
+        Hashtbl.replace groups key
+          (fb :: Option.value ~default:[] (Hashtbl.find_opt groups key))
+      in
+      let pid = Pred.id (Fact.pred f) in
+      push (pid, -1, 0);
+      Array.iteri (fun pos x -> push (pid, pos, x)) (Fact.args f))
+    m.m_facts;
+  let model_window key since upto =
+    List.filter_map
+      (fun (f, b) -> if in_window b since upto then Some f else None)
+      (Option.value ~default:[] (Hashtbl.find_opt groups key))
   in
   let same_list what l1 l2 =
     if not (List.length l1 = List.length l2 && List.for_all2 Fact.equal l1 l2)
@@ -433,26 +451,27 @@ let agrees inst m =
         (List.length m.m_facts);
     same_list "facts" (Instance.facts inst) (List.map fst m.m_facts);
     if not (Pred.Set.equal (Instance.preds inst) m.m_preds) then fail "preds";
+    let births = Fact.Table.create 64 in
+    List.iter (fun (f, b) -> Fact.Table.replace births f b) m.m_facts;
     List.iter
       (fun f ->
-        let want = List.find_opt (fun (g, _) -> Fact.equal f g) m.m_facts in
+        let want = Fact.Table.find_opt births f in
         if Instance.mem_fact inst f <> (want <> None) then
           fail "mem_fact %s" (Fact.show f);
-        let b = match want with Some (_, b) -> b | None -> 0 in
+        let b = Option.value want ~default:0 in
         if Instance.fact_birth inst f <> b then
           fail "fact_birth %s: %d, want %d" (Fact.show f)
             (Instance.fact_birth inst f) b)
-      every_fact;
+      probes;
     Array.iter
       (fun p ->
-        let of_pred f = Pred.equal (Fact.pred f) p in
-        let check_access what keep list iter card card_win =
-          same_list what (list ~since:0 ~upto:None) (model_window keep 0 None);
-          if card () <> List.length (model_window keep 0 None) then
+        let check_access what key list iter card card_win =
+          same_list what (list ~since:0 ~upto:None) (model_window key 0 None);
+          if card () <> List.length (model_window key 0 None) then
             fail "%s: unwindowed card" what;
           List.iter
             (fun (since, upto) ->
-              let want = model_window keep since upto in
+              let want = model_window key since upto in
               let what =
                 Printf.sprintf "%s [%d,%s)" what since
                   (match upto with None -> "-" | Some u -> string_of_int u)
@@ -466,7 +485,8 @@ let agrees inst m =
                 (List.length want))
             windows
         in
-        check_access (Pred.show p) of_pred
+        let pid = Pred.id p in
+        check_access (Pred.show p) (pid, -1, 0)
           (fun ~since ~upto ->
             if since = 0 && upto = None then Instance.facts_with_pred inst p
             else Instance.facts_with_pred_window ~since ?upto inst p)
@@ -476,27 +496,26 @@ let agrees inst m =
           (fun ~since ~upto ->
             Instance.card_with_pred_window inst p ~since ~upto);
         for pos = 0 to Pred.arity p - 1 do
-          for x = 0 to m_elems - 1 do
-            check_access
-              (Printf.sprintf "%s@%d=%d" (Pred.show p) pos x)
-              (fun f -> of_pred f && (Fact.args f).(pos) = x)
-              (fun ~since ~upto ->
-                if since = 0 && upto = None then
-                  Instance.facts_with_arg inst p pos x
-                else Instance.facts_with_arg_window ~since ?upto inst p pos x)
-              (fun ~since ~upto fn ->
-                Instance.iter_with_arg_window ~since ?upto inst p pos x fn)
-              (fun () -> Instance.card_with_arg inst p pos x)
-              (fun ~since ~upto ->
-                Instance.card_with_arg_window inst p pos x ~since ~upto)
-          done
+          Array.iter
+            (fun x ->
+              check_access
+                (Printf.sprintf "%s@%d=%d" (Pred.show p) pos x)
+                (pid, pos, x)
+                (fun ~since ~upto ->
+                  if since = 0 && upto = None then
+                    Instance.facts_with_arg inst p pos x
+                  else
+                    Instance.facts_with_arg_window ~since ?upto inst p pos x)
+                (fun ~since ~upto fn ->
+                  Instance.iter_with_arg_window ~since ?upto inst p pos x fn)
+                (fun () -> Instance.card_with_arg inst p pos x)
+                (fun ~since ~upto ->
+                  Instance.card_with_arg_window inst p pos x ~since ~upto))
+            elems
         done)
       m_preds;
     Ok ()
   with Failure msg -> Error msg
-
-let show_mask k =
-  String.init (Array.length k) (fun i -> if k.(i) then '1' else '0')
 
 let show_op = function
   | Add (pi, args, b) ->
@@ -505,22 +524,34 @@ let show_op = function
       "remove "
       ^ String.concat "," (List.map (fun f -> Fact.show (m_fact f)) fs)
   | Copy -> "copy"
-  | Restrict_preds k -> "restrict_preds " ^ show_mask k
-  | Restrict_elements k -> "restrict_elements " ^ show_mask k
+  | Restrict_preds k ->
+      "restrict_preds "
+      ^ String.init (Array.length k) (fun i -> if k.(i) then '1' else '0')
+  | Restrict_elements k ->
+      "restrict_elements "
+      ^ String.concat "," (Array.to_list (Array.map string_of_int k))
   | Reset -> "reset"
 
-(* An op sequence: monotone cases draw each birth as the previous one
-   plus 0 or 1; the others draw births at random. *)
-let ops_gen =
+(* An op sequence of [len] ops over [elems]: monotone cases draw each
+   birth as the previous one plus 0 or 1; the others draw births at
+   random.  Removals take up to [max_remove] facts, mostly ones added
+   before, and one add in three (once something was removed) files a
+   removed fact again.  An element restriction keeps each element with
+   odds [keep_odds] to 1. *)
+let ops_gen ~elems ~len ~max_remove ~keep_odds =
   let open QCheck.Gen in
   let fact_gen =
     int_range 0 2 >>= fun pi ->
-    array_repeat (Pred.arity m_preds.(pi)) (int_range 0 (m_elems - 1))
+    array_repeat (Pred.arity m_preds.(pi)) (oneofa elems)
     >|= fun args -> (pi, args)
   in
+  let old_or_new pool =
+    if pool = [] then fact_gen
+    else frequency [ (2, oneofl pool); (1, fact_gen) ]
+  in
   bool >>= fun monotone ->
-  int_range 5 40 >>= fun len ->
-  let rec go k birth acc =
+  len >>= fun len ->
+  let rec go k birth added removed acc =
     if k = 0 then return (List.rev acc)
     else
       frequency
@@ -528,58 +559,186 @@ let ops_gen =
           (1, return `Rp); (1, return `Re); (1, return `Reset) ]
       >>= function
       | `Add ->
-          fact_gen >>= fun (pi, args) ->
+          (if removed <> [] then
+             frequency [ (1, oneofl removed); (2, fact_gen) ]
+           else fact_gen)
+          >>= fun (pi, args) ->
           (if monotone then int_range 0 1 >|= ( + ) birth else int_range 0 5)
-          >>= fun b -> go (k - 1) b (Add (pi, args, b) :: acc)
+          >>= fun b ->
+          go (k - 1) b ((pi, args) :: added) removed
+            (Add (pi, args, b) :: acc)
       | `Remove ->
-          list_size (int_range 1 3) fact_gen >>= fun fs ->
-          go (k - 1) birth (Remove fs :: acc)
-      | `Copy -> go (k - 1) birth (Copy :: acc)
+          list_size (int_range 1 max_remove) (old_or_new added) >>= fun fs ->
+          go (k - 1) birth added (fs @ removed) (Remove fs :: acc)
+      | `Copy -> go (k - 1) birth added removed (Copy :: acc)
       | `Rp ->
           array_repeat 3 bool >>= fun keep ->
-          go (k - 1) birth (Restrict_preds keep :: acc)
+          go (k - 1) birth added removed (Restrict_preds keep :: acc)
       | `Re ->
-          array_repeat m_elems bool >>= fun keep ->
-          go (k - 1) birth (Restrict_elements keep :: acc)
-      | `Reset -> go (k - 1) 0 (Reset :: acc)
+          array_repeat (Array.length elems)
+            (frequency [ (keep_odds, return true); (1, return false) ])
+          >>= fun mask ->
+          let keep =
+            Array.of_list
+              (List.filteri (fun i _ -> mask.(i)) (Array.to_list elems))
+          in
+          go (k - 1) birth added removed (Restrict_elements keep :: acc)
+      | `Reset -> go (k - 1) 0 added removed (Reset :: acc)
   in
-  go len 0 []
+  go len 0 [] [] []
+
+(* Run [ops] on an instance whose ids [elems] exist, checking it against
+   the model after every op for which [full] holds (and, lighter, the
+   fact count, the arrival log and the op's own facts after every op);
+   every instance a copy or restriction was taken from must still agree
+   with its model at the end. *)
+let run_model ~elems ~windows ~probes ~full ops =
+  let inst = Instance.create () in
+  for x = 0 to Array.fold_left max 0 elems do
+    ignore (Instance.const inst (string_of_int x))
+  done;
+  let op_facts = function
+    | Add (pi, args, _) -> [ m_fact (pi, args) ]
+    | Remove fs -> List.map m_fact fs
+    | _ -> []
+  in
+  let check i op inst m =
+    if full i op then agrees ~elems ~windows ~probes inst m
+    else agrees ~elems:[||] ~windows:[] ~probes:(op_facts op) inst m
+  in
+  let sources = ref [] in
+  let rec go i inst m = function
+    | [] -> true
+    | op :: rest -> (
+        let inst' = step_inst inst op and m' = step_model m op in
+        if inst' != inst then sources := (op, inst, m) :: !sources;
+        match check i op inst' m' with
+        | Ok () -> go (i + 1) inst' m' rest
+        | Error msg -> QCheck.Test.fail_reportf "after %s: %s" (show_op op) msg)
+  in
+  let ok = go 0 inst (summarize []) ops in
+  ok
+  && List.for_all
+       (fun (op, inst, m) ->
+         match agrees ~elems ~windows ~probes inst m with
+         | Ok () -> true
+         | Error msg ->
+             QCheck.Test.fail_reportf "source of %s, at the end: %s"
+               (show_op op) msg)
+       !sources
+
+let print_ops ops = String.concat "; " (List.map show_op ops)
 
 let prop_instance_model =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:150
        ~name:"instance agrees with a (fact, birth) list"
-       (QCheck.make ops_gen ~print:(fun ops ->
-            String.concat "; " (List.map show_op ops)))
+       (QCheck.make ~print:print_ops
+          (ops_gen ~elems:small_elems ~len:(QCheck.Gen.int_range 5 40)
+             ~max_remove:3 ~keep_odds:1))
+       (run_model ~elems:small_elems ~windows ~probes:every_fact
+          ~full:(fun _ _ -> true)))
+
+(* The same model at sizes that grow, wrap and shrink the fact and
+   element tables: 200 element ids, up to 400 ops, removed facts filed
+   again, element restrictions that keep most elements (so the instance
+   keeps growing).  Accessors are read in full after every op but adds (and every
+   25th add); [mem_fact] and [fact_birth] are probed on every fact the
+   ops name. *)
+let prop_instance_model_large =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:6
+       ~name:"instance at 200 elements agrees with a (fact, birth) list"
+       (QCheck.make ~print:print_ops
+          (ops_gen ~elems:large_elems ~len:(QCheck.Gen.int_range 100 400)
+             ~max_remove:8 ~keep_odds:5))
        (fun ops ->
-         let inst = Instance.create () in
-         for x = 0 to m_elems - 1 do
-           ignore (Instance.const inst (string_of_int x))
-         done;
-         let m0 = summarize [] in
-         (* every instance a copy or restriction was taken from, with its
-            model at that moment: the derived instance must share nothing
-            with it, so it must still agree at the end *)
-         let sources = ref [] in
-         let rec go inst m = function
-           | [] -> true
-           | op :: rest -> (
-               let inst' = step_inst inst op and m' = step_model m op in
-               if inst' != inst then sources := (op, inst, m) :: !sources;
-               match agrees inst' m' with
-               | Ok () -> go inst' m' rest
-               | Error msg ->
-                   QCheck.Test.fail_reportf "after %s: %s" (show_op op) msg)
+         let probes =
+           List.concat_map
+             (function
+               | Add (pi, args, _) -> [ m_fact (pi, args) ]
+               | Remove fs -> List.map m_fact fs
+               | _ -> [])
+             ops
          in
-         go inst m0 ops
-         && List.for_all
-              (fun (op, inst, m) ->
-                match agrees inst m with
-                | Ok () -> true
-                | Error msg ->
-                    QCheck.Test.fail_reportf "source of %s, at the end: %s"
-                      (show_op op) msg)
-              !sources))
+         run_model ~elems:large_elems
+           ~windows:[ (0, None); (1, Some 3); (2, None) ]
+           ~probes
+           ~full:(fun i -> function Add _ -> i mod 25 = 0 | _ -> true)
+           ops))
+
+(* Facts whose hashes agree in their low ten bits, all ones: in a fact
+   table of at most 1,024 slots they share the last slot as their home,
+   so their probe run wraps around to slot 0.  Removing one from the
+   middle of the run must leave every other one reachable, with its
+   birth. *)
+let test_fact_table_collisions () =
+  let inst = Instance.create () in
+  let ids = Array.init 200 (fun i -> Instance.const inst (string_of_int i)) in
+  let colliding = ref [] in
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          let f = Fact.make e [| a; b |] in
+          if Fact.hash f land 1023 = 1023 && List.length !colliding < 12 then
+            colliding := f :: !colliding)
+        ids)
+    ids;
+  let facts = Array.of_list (List.rev !colliding) in
+  check Alcotest.int "12 colliding facts" 12 (Array.length facts);
+  Array.iteri
+    (fun i f -> ignore (Instance.add_fact ~birth:i inst f))
+    facts;
+  let survivors_agree what ~removed =
+    Array.iteri
+      (fun i f ->
+        let here = not (List.mem i removed) in
+        check Alcotest.bool
+          (Printf.sprintf "%s: mem_fact %s" what (Fact.show f))
+          here (Instance.mem_fact inst f);
+        check Alcotest.int
+          (Printf.sprintf "%s: fact_birth %s" what (Fact.show f))
+          (if here then i else 0)
+          (Instance.fact_birth inst f))
+      facts
+  in
+  survivors_agree "filed" ~removed:[];
+  check Alcotest.int "one removed" 1 (Instance.remove_facts inst [ facts.(4) ]);
+  survivors_agree "after removing the fifth" ~removed:[ 4 ];
+  check Alcotest.int "two more removed" 2
+    (Instance.remove_facts inst [ facts.(0); facts.(9); facts.(0) ]);
+  survivors_agree "after removing the first and tenth" ~removed:[ 0; 4; 9 ];
+  check Alcotest.int "9 facts left" 9 (Instance.num_facts inst);
+  check Alcotest.bool "filed again" true
+    (Instance.add_fact ~birth:4 inst facts.(4));
+  survivors_agree "after filing the fifth again" ~removed:[ 0; 9 ]
+
+(* A sparse wide signature: 64 binary predicates with two facts each, on
+   element ids near 20,000.  The index must cost what it holds, not the
+   largest element id (an id-indexed array per predicate and position
+   would be 2.5 million words here). *)
+let test_sparse_wide_memory () =
+  let build ~facts =
+    let inst = Instance.create () in
+    for _ = 0 to 20_100 do
+      ignore (Instance.fresh_null inst ~birth:0 ~rule:"wide" ~parent:None)
+    done;
+    if facts then
+      for i = 0 to 63 do
+        let p = Pred.make (Printf.sprintf "wide%d" i) 2 in
+        ignore (Instance.add_fact inst (Fact.make p [| 20_000 + i; 20_099 |]));
+        ignore (Instance.add_fact inst (Fact.make p [| 20_099; 20_000 + i |]))
+      done;
+    inst
+  in
+  let words inst = Obj.reachable_words (Obj.repr inst) in
+  let bare = words (build ~facts:false) and full = words (build ~facts:true) in
+  check Alcotest.bool
+    (Printf.sprintf "%d words with 128 facts, %d without: at most 1.5x" full
+       bare)
+    true
+    (2 * full <= 3 * bare)
 
 (* ------------------------------------------------------------------ *)
 (* Predicate interning                                                 *)
@@ -649,4 +808,9 @@ let suite =
       tc "pred order" test_pred_order;
       tc "pred interning across 2 domains" test_pred_intern_domains;
       tc "pred_set_k counts k + 1 hops" test_pred_set_k_hops;
+      prop_instance_model_large;
+      tc "fact table: a removal inside a wrapped probe run"
+        test_fact_table_collisions;
+      tc "sparse wide signature: memory follows the facts"
+        test_sparse_wide_memory;
     ] )
