@@ -196,10 +196,19 @@ let mix h x =
   let h = (h lxor x) * 0x1f3d5b799e3779b9 in
   h lxor (h lsr 29)
 
-let hash_string h s =
-  let h = ref (mix h (String.length s)) in
-  String.iter (fun c -> h := mix !h (Char.code c)) s;
+let hash_chars h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := mix !h (Char.code s.[i])
+  done;
   !h
+
+let hash_string h s = hash_chars (mix h (String.length s)) s
+
+(* [hash_string 0 (Cq.frozen_name x)], without building the name. *)
+let hash_frozen x =
+  let n = String.length frozen_prefix + String.length x in
+  hash_chars (hash_chars (mix 0 n) frozen_prefix) x
 
 let const_slot h hc = mix (mix h 1) hc
 let var_slot h first = mix (mix h 2) first
@@ -217,11 +226,26 @@ let join_code (o1 : int) (o2 : int) =
   let lo = min o1 o2 and hi = max o1 o2 in
   -1 - ((lo * (join_pred_bound * join_pos_bound)) + hi)
 
+(* Codes are collected in a growable int array, then sorted and
+   deduplicated in place. *)
+type buf = { mutable codes : int array; mutable len : int }
+
+let buf () = { codes = Array.make 32 0; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.codes then begin
+    let codes = Array.make (2 * b.len) 0 in
+    Array.blit b.codes 0 codes 0 b.len;
+    b.codes <- codes
+  end;
+  b.codes.(b.len) <- x;
+  b.len <- b.len + 1
+
 (* Signatures hold a few dozen codes, where an insertion sort is the
    fastest. *)
-let sorted_unique (l : int list) =
-  let a = Array.of_list l in
-  let n = Array.length a in
+let sorted_unique b =
+  let n = b.len in
+  let a = Array.sub b.codes 0 n in
   if n > 32 then Array.sort (fun (x : int) y -> compare x y) a
   else
     for i = 1 to n - 1 do
@@ -242,65 +266,77 @@ let sorted_unique (l : int list) =
         incr k
       end
     done;
-    Array.sub a 0 !k
+    if !k = n then a else Array.sub a 0 !k
   end
 
-(* The terms of a coded query position by position, flattened ([terms]
-   is [args] or [sargs]), with their packed occurrences (-1 past the
-   packing bounds). *)
-let occurrences (c : code) terms =
-  let vals = Array.concat (Array.to_list terms) in
-  let occs = Array.make (Array.length vals) (-1) and k = ref 0 in
+(* Joins between two occurrences of one term.  The occurrences are
+   grouped by term, registers first and then constants when [constants]
+   holds ([terms] is [args] or [sargs]), and each group pairs its
+   members.  Two occurrences at the same position of one predicate need
+   nothing beyond that predicate's shape, so they carry no feature;
+   occurrences past the packing bounds carry none either. *)
+let joins (c : code) terms ~constants acc =
+  let nv = Array.length c.var_names in
+  let slots = if constants then nv + Array.length c.consts else nv in
+  let slot v = if v >= 0 then v else if constants then nv - 1 - v else -1 in
+  (* a counting sort of the occurrences by slot *)
+  let start = Array.make (slots + 1) 0 in
   Array.iteri
     (fun i a ->
       Array.iteri
-        (fun p _ ->
-          occs.(!k) <- occurrence c.preds.(i) p;
-          incr k)
+        (fun p v ->
+          let k = slot v in
+          if k >= 0 && occurrence c.preds.(i) p >= 0 then
+            start.(k + 1) <- start.(k + 1) + 1)
         a)
     terms;
-  (vals, occs)
-
-(* Joins between two occurrences of one term, [keep] saying which terms
-   count.  Two occurrences at the same position of one predicate need
-   nothing beyond that predicate's shape, so they carry no feature. *)
-let joins ~keep (vals, occs) acc =
-  let acc = ref acc in
-  let n = Array.length vals in
-  for i = 0 to n - 1 do
-    let oi = occs.(i) in
-    if oi >= 0 && keep vals.(i) then
-      for j = i + 1 to n - 1 do
-        let oj = occs.(j) in
-        if oj >= 0 && oj <> oi && vals.(j) = vals.(i) then
-          acc := join_code oi oj :: !acc
-      done
+  for k = 1 to slots do
+    start.(k) <- start.(k) + start.(k - 1)
   done;
-  !acc
+  let occs = Array.make start.(slots) 0 and next = Array.sub start 0 slots in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun p v ->
+          let k = slot v and o = occurrence c.preds.(i) p in
+          if k >= 0 && o >= 0 then begin
+            occs.(next.(k)) <- o;
+            next.(k) <- next.(k) + 1
+          end)
+        a)
+    terms;
+  for k = 0 to slots - 1 do
+    for i = start.(k) to start.(k + 1) - 2 do
+      for j = i + 1 to start.(k + 1) - 1 do
+        if occs.(i) <> occs.(j) then push acc (join_code occs.(i) occs.(j))
+      done
+    done
+  done
 
 (* The general side reads its atoms as written: a constant by its
    spelling, a variable by the first position of the same register in
    the atom. *)
 let needs (c : code) =
   let chash = Array.map (hash_string 0) c.consts in
-  let shape i a =
-    let h = ref (shape_start c.preds.(i)) in
-    Array.iter
-      (fun x ->
-        if x < 0 then h := const_slot !h chash.(-1 - x)
-        else begin
-          let j = ref 0 in
-          while a.(!j) <> x do
-            incr j
-          done;
-          h := var_slot !h !j
-        end)
-      a;
-    shape_code !h
-  in
-  sorted_unique
-    (joins ~keep:(fun x -> x >= 0) (occurrences c c.args)
-       (Array.to_list (Array.mapi shape c.args)))
+  let acc = buf () in
+  Array.iteri
+    (fun i a ->
+      let h = ref (shape_start c.preds.(i)) in
+      Array.iter
+        (fun x ->
+          if x < 0 then h := const_slot !h chash.(-1 - x)
+          else begin
+            let j = ref 0 in
+            while a.(!j) <> x do
+              incr j
+            done;
+            h := var_slot !h !j
+          end)
+        a;
+      push acc (shape_code !h))
+    c.args;
+  joins c c.args ~constants:false acc;
+  sorted_unique acc
 
 (* Every shape one atom [b] of the frozen body satisfies, by a walk over
    its positions that extends the hash as it goes: position i holds a
@@ -309,36 +345,31 @@ let needs (c : code) =
 let atom_hosts hash pred_id (b : int array) acc =
   let n = Array.length b in
   let var_start = Array.make n false in
-  let rec go i h acc =
-    if i = n then shape_code h :: acc
+  let rec go i h =
+    if i = n then push acc (shape_code h)
     else begin
-      let acc = go (i + 1) (const_slot h (hash b.(i))) acc in
+      go (i + 1) (const_slot h (hash b.(i)));
       var_start.(i) <- true;
-      let acc = go (i + 1) (var_slot h i) acc in
+      go (i + 1) (var_slot h i);
       var_start.(i) <- false;
-      let acc = ref acc in
       for j = 0 to i - 1 do
-        if var_start.(j) && b.(j) = b.(i) then
-          acc := go (i + 1) (var_slot h j) !acc
-      done;
-      !acc
+        if var_start.(j) && b.(j) = b.(i) then go (i + 1) (var_slot h j)
+      done
     end
   in
-  go 0 (shape_start pred_id) acc
+  go 0 (shape_start pred_id)
 
 (* The specific side reads its atoms frozen ([sargs]): a variable as the
    spelling of its frozen constant, so it hashes like a constant so
    spelled. *)
 let hosts (c : code) =
-  let vhash =
-    Array.map (fun x -> hash_string 0 (Cq.frozen_name x)) c.var_names
+  let vhash = Array.map hash_frozen c.var_names
   and chash = Array.map (hash_string 0) c.consts in
   let hash v = if v >= 0 then vhash.(v) else chash.(-1 - v) in
-  let shapes = ref [] in
-  Array.iteri
-    (fun i b -> shapes := atom_hosts hash c.preds.(i) b !shapes)
-    c.sargs;
-  sorted_unique (joins ~keep:(fun _ -> true) (occurrences c c.sargs) !shapes)
+  let acc = buf () in
+  Array.iteri (fun i b -> atom_hosts hash c.preds.(i) b acc) c.sargs;
+  joins c c.sargs ~constants:true acc;
+  sorted_unique acc
 
 let subset (needs : int array) (hosts : int array) =
   let n = Array.length needs and m = Array.length hosts in
@@ -478,6 +509,13 @@ let prepare (q : Cq.t) =
   { cq = q; code = c; needs = lazy (needs c); hosts = lazy (hosts c) }
 
 let query p = p.cq
+
+let width ~counts p =
+  Array.fold_left
+    (fun w c -> if counts c then w + 1 else w)
+    (Array.length p.code.var_names)
+    p.code.consts
+
 let signature p = (Lazy.force p.needs, Lazy.force p.hosts)
 
 let rejects ~general specific =

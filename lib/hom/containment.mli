@@ -53,6 +53,11 @@ val prepare : Cq.t -> prepared
 val query : prepared -> Cq.t
 (** The query as given to {!prepare}. *)
 
+val width : counts:(string -> bool) -> prepared -> int
+(** The number of distinct variables of the query's body plus the number
+    of its distinct constants that [counts] accepts, read off the
+    coding. *)
+
 val signature : prepared -> int array * int array
 (** [(needs, hosts)], each sorted and duplicate-free.  Shape features
     are the codes [>= 0], join features the codes [< 0]. *)

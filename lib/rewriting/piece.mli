@@ -11,5 +11,7 @@ val one_steps : Rule.t -> Cq.t -> Cq.t list
 (** All sound one-step rewritings of the query with the rule over its
     minimal pieces, each built by closure from one query atom: one
     rewriting per distinct piece, in the order of the atoms that seed
-    them.
+    them.  When no atom of the query has the head's predicate the result
+    is [[]], found before the rule is renamed apart, so no fresh name is
+    drawn and [rewrite.rule_visits] is not charged.
     @raise Assert_failure on a multi-head rule. *)

@@ -30,7 +30,16 @@
    that took κ from 11.7 ms to 6.1 ms (minimum of 400 release runs,
    2-core VM).  Nothing outlives the run.  The structural oracle is
    untouched by either.  test/reference_rewrite.ml keeps the
-   minimize-first loop as the differential oracle. *)
+   minimize-first loop as the differential oracle.
+
+   The fixed costs per step are kept off the common path too.  A rule
+   whose head predicate the popped disjunct lacks returns from
+   Piece.one_steps before it is renamed apart (rewrite.rule_visits
+   counts the pairs that go on), and a candidate's width is read off
+   its coding ([width]) instead of string sets.  On ex1's normalized
+   theory that took κ from 559 to 243 µs, and on sec55's from 7.1 to
+   6.4 ms (best of five rounds of 5×100 release runs, 2-core VM;
+   DESIGN §13 has the table). *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -66,12 +75,14 @@ let freeze_answers (q : Cq.t) =
   in
   Cq.boolean (Subst.apply_atoms s (Cq.body q))
 
+let is_frozen_answer c =
+  String.length c > String.length ans_prefix
+  && String.starts_with ~prefix:ans_prefix c
+
 let unfreeze_answers answer (q : Cq.t) =
   let unfreeze t =
     match t with
-    | Term.Cst c when String.length c > String.length ans_prefix
-                      && String.sub c 0 (String.length ans_prefix) = ans_prefix
-      ->
+    | Term.Cst c when is_frozen_answer c ->
         Term.Var (String.sub c (String.length ans_prefix)
                     (String.length c - String.length ans_prefix))
     | t -> t
@@ -82,15 +93,7 @@ let unfreeze_answers answer (q : Cq.t) =
 
 (* Number of variables of a disjunct, counting frozen answer constants as
    variables (they are variables of the unfrozen rewriting). *)
-let _var_count (q : Cq.t) =
-  let frozen =
-    Cq.SS.filter
-      (fun c ->
-        String.length c > String.length ans_prefix
-        && String.sub c 0 (String.length ans_prefix) = ans_prefix)
-      (Cq.consts q)
-  in
-  Cq.num_vars q + Cq.SS.cardinal frozen
+let width p = Containment.width ~counts:is_frozen_answer p
 
 let rewrite ?budget ?(max_disjuncts = 400) ?(max_steps = 20_000)
     ?(max_disjunct_vars = 16) theory (q : Cq.t) =
@@ -139,16 +142,15 @@ let rewrite ?budget ?(max_disjuncts = 400) ?(max_steps = 20_000)
                     and minimizing never widens a candidate: a narrow
                     candidate meets the kept set raw, and only the
                     survivors pay for minimization *)
-                 let narrow = _var_count q' <= max_disjunct_vars in
                  let raw = Containment.prepare q' in
+                 let narrow = width raw <= max_disjunct_vars in
                  if narrow && subsumed_by_kept raw then
                    Obs.Metrics.incr m_presubsumed
                  else
                    (* a candidate its minimization leaves alone comes back
                       as its prepared form *)
                    let p = Containment.minimize raw in
-                   let core = Containment.query p in
-                   if _var_count core > max_disjunct_vars then
+                   if width p > max_disjunct_vars then
                      (* a disjunct this wide signals divergence; dropping it
                         keeps the result a sound under-approximation *)
                      complete := false
@@ -164,7 +166,7 @@ let rewrite ?budget ?(max_disjuncts = 400) ?(max_steps = 20_000)
                        complete := false;
                        raise Exit
                      end;
-                     Queue.add core queue
+                     Queue.add (Containment.query p) queue
                    end)
                (Piece.one_steps rule cur))
            (Theory.rules theory)

@@ -28,6 +28,11 @@ val rewrite :
 (** @raise Invalid_argument on multi-head rules (apply
     [Bddfc_classes.Multihead.to_single_head] first). *)
 
+val width : Bddfc_hom.Containment.prepared -> int
+(** A disjunct's width, which [?max_disjunct_vars] caps: its variables
+    plus its frozen answer variables (constants spelled [_ans_]{i x}),
+    read off the coding. *)
+
 val ucq_holds : ?eval:Bddfc_hom.Eval.engine -> Instance.t -> Cq.t list -> bool
 
 type kappa_result = {

@@ -82,7 +82,10 @@ fi
 #         10%, verdicts exact, and every row tests some containment
 #         pair.  Containment has one path, the int-coded matcher (no
 #         Instance, no plan); minimization searches only atoms another
-#         atom could host
+#         atom could host.  The kappa rows (remark3, sec55 normalized,
+#         judge on ex1) also hold rewrite.rule_visits within 10%: only
+#         a rule whose head predicate the disjunct carries reaches the
+#         piece closure
 #   EX-22 maintenance churn: counters within 10%, every batch
 #         bit-identical to a re-chase, stats reconcile with instance
 #         size; >= 5x speedup gated only on machines with >= 4 cores

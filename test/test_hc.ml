@@ -495,6 +495,34 @@ let kappa_pairs theory =
     (Theory.rules theory);
   !pairs
 
+(* Every candidate the rewriting of [theory]'s rule bodies generates,
+   raw, in the order the reference loop draws them; caps default to the
+   pipeline's.  [zoo_candidates] holds those of every [kappa_theories]
+   entry. *)
+let rewriting_candidates
+    ?(max_disjuncts = Pipeline.default_params.Pipeline.rewrite_max_disjuncts)
+    ?(max_steps = Pipeline.default_params.Pipeline.rewrite_max_steps) theory =
+  let drawn = ref [] in
+  let one_steps rule q =
+    let steps = Bddfc_rewriting.Piece.one_steps rule q in
+    drawn := List.rev_append steps !drawn;
+    steps
+  in
+  List.iter
+    (fun rule ->
+      ignore
+        (reproducible (fun () ->
+             Reference_rewrite.rewrite ~one_steps ~max_disjuncts ~max_steps
+               theory (Rule.body_query rule))))
+    (Theory.rules theory);
+  List.rev !drawn
+
+let zoo_candidates =
+  lazy
+    (List.concat_map
+       (fun (_, theory) -> rewriting_candidates theory)
+       (kappa_theories ()))
+
 let shape_features a = Array.of_list (List.filter (fun c -> c >= 0) (Array.to_list a))
 
 let signature_case name ~general specific =
@@ -566,6 +594,55 @@ let test_index_signatures () =
   check Alcotest.bool "frozen-name twin: not contained" false
     (Containment.subsumes ~general:(frozen_general "_hc0")
        (q "? e(Y,Z)."))
+
+(* The library's host arrays are the first-written ones
+   (Reference_containment.hosts), element for element: over the fuzz
+   batteries' queries, every zoo rewriting candidate and its core, and
+   constants spelled like frozen variables.  A host that moved would
+   move [containment.index_rejects] without any verdict changing. *)
+let test_hosts_reference () =
+  let checked = ref 0 in
+  let same name q =
+    incr checked;
+    check
+      Alcotest.(array int)
+      (name ^ ": hosts equal the reference")
+      (Reference_containment.hosts q)
+      (snd (Containment.signature (Containment.prepare q)))
+  in
+  for seed = 0 to 239 do
+    let st = Random.State.make [| seed; 101 |] in
+    let q1 = random_cq st in
+    let q2 = random_cq st in
+    List.iter (same (Printf.sprintf "random seed %d" seed))
+      [ q1; q2; alpha_variant q1 ]
+  done;
+  for seed = 0 to 599 do
+    let st = Random.State.make [| seed; 331 |] in
+    let arity = seed mod 4 in
+    let g = matcher_cq st ~consts:(seed mod 3 <> 1) ~arity in
+    let s = matcher_cq st ~consts:(seed mod 3 <> 2) ~arity in
+    let both = Cq.make ~answer:(Cq.answer g) (Cq.body g @ Cq.body s) in
+    List.iter (same (Printf.sprintf "matcher seed %d" seed)) [ g; s; both ]
+  done;
+  List.iteri
+    (fun i c ->
+      let name = Printf.sprintf "zoo candidate %d" i in
+      same name c;
+      same (name ^ " core") (minimize c))
+    (Lazy.force zoo_candidates);
+  (* a constant spelled like a frozen variable is that variable's term;
+     one spelled like a frozen non-variable is a constant of its own *)
+  let x = Term.var "X" and y = Term.var "Y" and frz v = Term.cst (Cq.frozen_name v) in
+  List.iter
+    (fun body -> same "frozen spelling" (Cq.boolean body))
+    [ [ Atom.app "e" [ x; frz "X" ]; Atom.app "e" [ frz "X"; y ];
+        Atom.app "t" [ y; y; frz "Y" ] ];
+      [ Atom.app "e" [ x; frz "Z" ]; Atom.app "e" [ frz "Z"; frz "Z" ];
+        Atom.app "p" [ frz "" ] ];
+      [ Atom.app "t" [ x; y; x ]; Atom.app "t" [ frz "X"; frz "Y"; frz "X" ];
+        Atom.app "e" [ Term.cst "a"; frz "Y" ] ] ];
+  check Alcotest.bool "queries checked" true (!checked > 3000)
 
 (* Each pair a scan tests is either settled by the index or is exactly
    one search, and the verdicts are the oracle's. *)
@@ -669,6 +746,8 @@ let suite =
         test_index_signatures;
       tc "index: rejects plus searches are the pairs scanned"
         test_index_accounting;
+      tc "index: hosts equal the first-written reference"
+        test_hosts_reference;
       tc "plans: a minimization compiles one prepared core and no plan"
         test_minimize_no_plan;
       tc "plans: a prepared general side compiles no plan over many pairs"

@@ -462,6 +462,101 @@ let test_oracle_pieces () =
       check Alcotest.int (name ^ ": pairs compared") (List.length dbs) compared)
     [ 6; 7; 10 ]
 
+(* ------------------------------------------------------------------ *)
+(* Rules that cannot apply, and widths off the coding                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A rule whose head predicate the query lacks seeds no piece: one_steps
+   returns before renaming it, so the fresh-name supply does not move
+   and rewrite.rule_visits does not count it. *)
+let test_rule_cannot_apply () =
+  let theory =
+    Parser.parse_theory "e(X,Y) -> exists Z. r(Y,Z). r(X,Y) -> e(X,Y)."
+  in
+  let r_head, e_head =
+    match Theory.rules theory with [ a; b ] -> (a, b) | _ -> assert false
+  in
+  let q = Parser.parse_query "? e(X,Y), e(Y,Z)." in
+  let visits () =
+    Option.value ~default:0 (M.find_int (M.snapshot ()) "rewrite.rule_visits")
+  in
+  let fresh_after f =
+    Term.reset_fresh_counter ();
+    let v0 = visits () in
+    let steps = f () in
+    (steps, Term.fresh_var (), visits () - v0)
+  in
+  let none, next, counted =
+    fresh_after (fun () -> Bddfc_rewriting.Piece.one_steps r_head q)
+  in
+  check Alcotest.int "no rewriting" 0 (List.length none);
+  check Alcotest.string "no fresh name drawn"
+    (pinned (fun () -> Term.fresh_var ()))
+    next;
+  check Alcotest.int "not a rule visit" 0 counted;
+  (* the rule whose head the query carries renames and counts *)
+  let some, next, counted =
+    fresh_after (fun () -> Bddfc_rewriting.Piece.one_steps e_head q)
+  in
+  check Alcotest.bool "rewritings" true (some <> []);
+  check Alcotest.bool "fresh names drawn" true
+    (next <> pinned (fun () -> Term.fresh_var ()));
+  check Alcotest.int "one rule visit" 1 counted
+
+(* Rewrite.width, read off the coding, against the string-set count the
+   loop used before (Reference_rewrite._var_count): on every candidate
+   the zoo (as written and normalized) and the random theories generate,
+   on each one's core, and on queries with frozen answers and constants
+   spelled like frozen variables. *)
+let test_width_reference () =
+  let checked = ref 0 in
+  let same name q =
+    incr checked;
+    let p = Containment.prepare q in
+    check Alcotest.int (name ^ ": width") (Reference._var_count q)
+      (Rewrite.width p);
+    let core = Containment.minimize p in
+    check Alcotest.int (name ^ " core: width")
+      (Reference._var_count (Containment.query core))
+      (Rewrite.width core)
+  in
+  List.iteri
+    (fun i c -> same (Printf.sprintf "zoo candidate %d" i) c)
+    (Lazy.force Test_hc.zoo_candidates);
+  for seed = 0 to 59 do
+    let theory = Gen.random_binary_theory ~rules:4 ~seed () in
+    let st = Random.State.make [| seed; 401 |] in
+    let query = Test_hc.random_cq st in
+    let name = Printf.sprintf "seed %d" seed in
+    List.iter (same name)
+      (Test_hc.rewriting_candidates ~max_disjuncts:30 ~max_steps:150 theory);
+    let drawn = ref [] in
+    let one_steps rule q =
+      let steps = Bddfc_rewriting.Piece.one_steps rule q in
+      drawn := List.rev_append steps !drawn;
+      steps
+    in
+    ignore
+      (pinned (fun () ->
+           Reference.rewrite ~one_steps ~max_disjuncts:30 ~max_steps:150
+             theory query));
+    List.iter (same (name ^ " query")) !drawn
+  done;
+  let x = Term.var "X" and cst = Term.cst in
+  List.iter
+    (fun (name, body, expected) ->
+      same name (Cq.boolean body);
+      check Alcotest.int (name ^ ": expected width") expected
+        (Rewrite.width (Containment.prepare (Cq.boolean body))))
+    [ ("frozen answers", [ Atom.app "e" [ cst "_ans_X"; x ];
+                           Atom.app "e" [ x; cst "_ans_Y" ] ], 3);
+      ("bare prefix", [ Atom.app "e" [ cst "_ans_"; x ] ], 1);
+      ("frozen-variable spelling",
+       [ Atom.app "e" [ x; cst (Cq.frozen_name "X") ];
+         Atom.app "e" [ cst "_ans_X"; cst (Cq.frozen_name "_ans_X") ] ], 2);
+      ("no variable", [ Atom.app "p" [ cst "a" ] ], 0) ];
+  check Alcotest.bool "queries checked" true (!checked > 2000)
+
 let suite =
   ( "rewrite",
     [
@@ -477,4 +572,8 @@ let suite =
       tc "oracle: complete zoo UCQs agree with the chase" test_oracle_zoo;
       tc "oracle: complete random UCQs agree with the chase" test_oracle_random;
       tc "oracle: complete star UCQs agree with the chase" test_oracle_pieces;
+      tc "pieces: a rule that cannot apply draws no fresh name"
+        test_rule_cannot_apply;
+      tc "width: the coding's count equals the string-set count"
+        test_width_reference;
     ] )
